@@ -44,8 +44,6 @@ def _fail(msg: str, code: int) -> int:
 
 
 def cmd_gen(args) -> int:
-    if not 0 <= args.level <= 9:
-        return _fail(f"level {args.level} outside [0, 9]", 2)
     try:
         robot = Robot.from_name(args.robot)
         ttype = TerrainType.from_name(args.terrain)

@@ -1,5 +1,5 @@
-"""On-disk formats: heightfields, validity bitmaps, point clouds, local
-map blobs, and the JSON-lines logs. Binary layouts are little-endian.
+"""On-disk formats: heightfields, local map blobs, and the JSON-lines
+logs. Binary layouts are little-endian.
 """
 
 from __future__ import annotations
@@ -11,17 +11,13 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Pose, Quaternion, quat_normalize
-from .sensors import ImuSample, LidarScan
+from .sensors import ImuSample
 from .terrain import Heightfield
 
 HFLD_MAGIC = b"HFLD"
-HVLD_MAGIC = b"HVLD"
-PCLD_MAGIC = b"PCLD"
 FORMAT_VERSION = 1
 
 _HFLD_HEAD = struct.Struct("<4sHIIddd")
-_HVLD_HEAD = struct.Struct("<4sHII")
-_PCLD_HEAD = struct.Struct("<4sQI")
 _LOCAL_HEAD = struct.Struct("<HHf8x")  # rows, cols, resolution, reserved
 
 
@@ -49,46 +45,6 @@ def read_heightfield(path) -> Heightfield:
 
 def heightfield_to_csv(hf: Heightfield, path) -> None:
     np.savetxt(path, hf.heights, delimiter=",", fmt="%.6f")
-
-
-def write_validity(valid: np.ndarray, path) -> None:
-    """Bit-pack a boolean grid, one byte-aligned run per row."""
-    v = np.asarray(valid, dtype=bool)
-    head = _HVLD_HEAD.pack(HVLD_MAGIC, FORMAT_VERSION, v.shape[0], v.shape[1])
-    rows = [np.packbits(row).tobytes() for row in v]
-    Path(path).write_bytes(head + b"".join(rows))
-
-
-def read_validity(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    magic, ver, w, h = _HVLD_HEAD.unpack_from(data)
-    if magic != HVLD_MAGIC:
-        raise ValueError("not a validity file")
-    if ver != FORMAT_VERSION:
-        raise ValueError(f"unsupported validity version {ver}")
-    row_bytes = (h + 7) // 8
-    out = np.empty((w, h), dtype=bool)
-    off = _HVLD_HEAD.size
-    for i in range(w):
-        packed = np.frombuffer(data, dtype=np.uint8, count=row_bytes, offset=off)
-        out[i] = np.unpackbits(packed)[:h].astype(bool)
-        off += row_bytes
-    return out
-
-
-def write_pointcloud(scan: LidarScan, path) -> None:
-    pts = np.ascontiguousarray(scan.points, dtype="<f4")
-    head = _PCLD_HEAD.pack(PCLD_MAGIC, scan.timestamp_ns, len(pts))
-    Path(path).write_bytes(head + pts.tobytes())
-
-
-def read_pointcloud(path) -> LidarScan:
-    data = Path(path).read_bytes()
-    magic, ts, count = _PCLD_HEAD.unpack_from(data)
-    if magic != PCLD_MAGIC:
-        raise ValueError("not a point cloud file")
-    pts = np.frombuffer(data, dtype="<f4", count=count * 3, offset=_PCLD_HEAD.size)
-    return LidarScan(timestamp_ns=ts, points=pts.reshape(count, 3).astype(float))
 
 
 def encode_local_map(heights: np.ndarray, resolution: float) -> bytes:

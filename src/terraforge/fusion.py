@@ -19,7 +19,7 @@ rejected beyond a 50 ms staleness window rather than re-integrated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -148,13 +148,21 @@ def predict(state: FusionState, imu: ImuSample, cfg: FusionConfig) -> FusionStat
                        state.accel_bias.copy(), P, imu.timestamp_ns)
 
 
+class StaleMeasurement(ValueError):
+    """The measurement is older than the state by more than the window."""
+
+
+class MeasurementAhead(ValueError):
+    """The measurement is newer than the state by more than the window."""
+
+
 def update_pose(state: FusionState, odom: Pose, cfg: FusionConfig) -> FusionState:
     """EKF update on position and orientation (log of relative rotation)."""
     age = (state.timestamp_ns - odom.timestamp_ns) * 1e-9
     if age > MAX_MEASUREMENT_AGE_S:
-        raise ValueError("stale measurement")
+        raise StaleMeasurement("stale measurement")
     if -age > MAX_MEASUREMENT_AGE_S:
-        raise ValueError(f"measurement {-age * 1e3:.1f} ms ahead of state")
+        raise MeasurementAhead(f"measurement {-age * 1e3:.1f} ms ahead of state")
 
     y = np.empty(6)
     y[0:3] = odom.position - state.position
@@ -238,15 +246,13 @@ class PoseFuser:
             return True
         try:
             self.state = update_pose(self.state, odom, self.cfg)
-        except ValueError as e:
-            if "stale" in str(e):
-                self.stats.rejected_stale += 1
-                return False
-            if "ahead" in str(e):
-                self.initialize(odom)
-                self.stats.reseeds += 1
-                return True
-            raise
+        except StaleMeasurement:
+            self.stats.rejected_stale += 1
+            return False
+        except MeasurementAhead:
+            self.initialize(odom)
+            self.stats.reseeds += 1
+            return True
         self.stats.updates += 1
         return True
 

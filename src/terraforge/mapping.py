@@ -7,29 +7,24 @@ Kalman update whose measurement variance grows with range. Cells written
 by a virtual edit are pinned: scans never overwrite them, which is what
 lets an operator paint a trench onto flat ground.
 
-Writers mutate fresh copies and swap a single state reference, so readers
-(local extraction, exports) always see a complete scan, never half of one.
+The map has one writer: integrate_scan, apply_edit and recenter update
+its grids in place. snapshot() returns a copy, so a reader holds a
+consistent map that later writes do not change.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
-from .geometry import Pose, quat_to_matrix, quat_yaw
-from .sensors import LidarScan
+from .geometry import Pose, quat_yaw
+from .sensors import LidarScan, scan_points_world
 
 MAX_POSE_SCAN_DESYNC_S = 0.100
 HEIGHT_BOUND = 5.0  # valid cell heights live in [-5, 5] m
 EDIT_VARIANCE = 1e-6
-
-
-class EditMode(Enum):
-    OVERRIDE = "override"
 
 
 @dataclass(frozen=True)
@@ -38,7 +33,6 @@ class VirtualEdit:
 
     region: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
     height: float
-    mode: EditMode = EditMode.OVERRIDE
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.region
@@ -102,13 +96,29 @@ class MapSnapshot:
     variance: np.ndarray
     valid: np.ndarray
     pinned: np.ndarray
-    last_update_ns: np.ndarray
     origin: np.ndarray  # world x-y of cell (0, 0)
     resolution: float
 
 
+def _edit_window(edit: VirtualEdit, origin, resolution: float,
+                 shape: tuple[int, int]) -> tuple[slice, slice]:
+    """Grid cells of an edit rectangle, half-open on cell nodes, so an
+    L/res-wide edit affects exactly L/res cells."""
+    xmin, ymin, xmax, ymax = edit.region
+    window = []
+    for lo, hi, o, n in ((xmin, xmax, origin[0], shape[0]),
+                         (ymin, ymax, origin[1], shape[1])):
+        i0 = max(int(math.ceil((lo - o) / resolution - 1e-9)), 0)
+        i1 = min(int(math.ceil((hi - o) / resolution - 1e-9)), n)
+        if i1 <= i0:
+            raise ValueError("edit outside map")
+        window.append(slice(i0, i1))
+    return tuple(window)
+
+
 class ElevationMap:
-    """Rolling global elevation grid; one writer, many snapshot readers."""
+    """Rolling global elevation grid with one writer that updates the
+    grids in place; readers take a copy through snapshot()."""
 
     def __init__(self, size: float = 20.0, resolution: float = 0.05,
                  center: tuple[float, float] = (0.0, 0.0)):
@@ -120,75 +130,57 @@ class ElevationMap:
         self.cells = n
         self.resolution = float(resolution)
         extent = (n - 1) * self.resolution
-        origin = np.array([center[0] - extent / 2, center[1] - extent / 2])
-        self._state = MapSnapshot(
-            heights=np.zeros((n, n)),
-            variance=np.full((n, n), np.inf),
-            valid=np.zeros((n, n), dtype=bool),
-            pinned=np.zeros((n, n), dtype=bool),
-            last_update_ns=np.zeros((n, n), dtype=np.int64),
-            origin=origin,
-            resolution=self.resolution,
-        )
+        self._origin = np.array([center[0] - extent / 2, center[1] - extent / 2])
+        self._heights = np.zeros((n, n))
+        self._variance = np.full((n, n), np.inf)
+        self._valid = np.zeros((n, n), dtype=bool)
+        self._pinned = np.zeros((n, n), dtype=bool)
 
     def snapshot(self) -> MapSnapshot:
-        st = self._state
-        return MapSnapshot(st.heights.copy(), st.variance.copy(), st.valid.copy(),
-                           st.pinned.copy(), st.last_update_ns.copy(),
-                           st.origin.copy(), st.resolution)
+        return MapSnapshot(self._heights.copy(), self._variance.copy(),
+                           self._valid.copy(), self._pinned.copy(),
+                           self._origin.copy(), self.resolution)
 
     @property
     def origin(self) -> np.ndarray:
-        return self._state.origin.copy()
+        return self._origin.copy()
 
-    def _cell_index(self, st: MapSnapshot, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _cell_index(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # cells are nodes at origin + index * resolution; nearest-node binning.
         # floor(u + 0.5), not rint: round-half-even would flip exact-tie
         # assignment whenever the origin shifts by an odd cell count
-        idx = np.floor((xy - st.origin) / st.resolution + 0.5).astype(np.int64)
+        idx = np.floor((xy - self._origin) / self.resolution + 0.5).astype(np.int64)
         ok = ((idx[:, 0] >= 0) & (idx[:, 0] < self.cells)
               & (idx[:, 1] >= 0) & (idx[:, 1] < self.cells))
         return idx[:, 0], idx[:, 1], ok
 
     def height_at(self, x: float, y: float) -> float | None:
         """Height of the cell containing (x, y), or None if unknown."""
-        st = self._state
-        ix, iy, ok = self._cell_index(st, np.array([[x, y]], dtype=float))
-        if not ok[0] or not st.valid[ix[0], iy[0]]:
+        ix, iy, ok = self._cell_index(np.array([[x, y]], dtype=float))
+        if not ok[0] or not self._valid[ix[0], iy[0]]:
             return None
-        return float(st.heights[ix[0], iy[0]])
+        return float(self._heights[ix[0], iy[0]])
 
     def recenter(self, center_xy) -> tuple[int, int]:
         """Shift the window so it is centered on center_xy, in whole cells.
         Newly exposed cells start unknown; nothing is resampled."""
-        st = self._state
         extent = (self.cells - 1) * self.resolution
         desired = np.asarray(center_xy, dtype=float) - extent / 2
-        shift = np.rint((desired - st.origin) / self.resolution).astype(int)
+        shift = np.rint((desired - self._origin) / self.resolution).astype(int)
         kx, ky = int(shift[0]), int(shift[1])
         if kx == 0 and ky == 0:
             return (0, 0)
 
-        def moved(arr, fill):
-            out = np.full_like(arr, fill)
-            n = self.cells
-            sx0, sx1 = max(kx, 0), min(n + kx, n)
-            dx0, dx1 = max(-kx, 0), max(-kx, 0) + (min(n + kx, n) - max(kx, 0))
-            sy0, sy1 = max(ky, 0), min(n + ky, n)
-            dy0, dy1 = max(-ky, 0), max(-ky, 0) + (min(n + ky, n) - max(ky, 0))
-            if sx1 > sx0 and sy1 > sy0:
-                out[dx0:dx1, dy0:dy1] = arr[sx0:sx1, sy0:sy1]
-            return out
-
-        self._state = MapSnapshot(
-            heights=moved(st.heights, 0.0),
-            variance=moved(st.variance, np.inf),
-            valid=moved(st.valid, False),
-            pinned=moved(st.pinned, False),
-            last_update_ns=moved(st.last_update_ns, 0),
-            origin=st.origin + shift * self.resolution,
-            resolution=st.resolution,
-        )
+        # cell i of the shifted window is cell i + k of the old one
+        mx, my = max(self.cells - abs(kx), 0), max(self.cells - abs(ky), 0)
+        src = (slice(max(kx, 0), max(kx, 0) + mx), slice(max(ky, 0), max(ky, 0) + my))
+        dst = (slice(max(-kx, 0), max(-kx, 0) + mx), slice(max(-ky, 0), max(-ky, 0) + my))
+        for grid, fill in ((self._heights, 0.0), (self._variance, np.inf),
+                           (self._valid, False), (self._pinned, False)):
+            kept = grid[src].copy()
+            grid.fill(fill)
+            grid[dst] = kept
+        self._origin = self._origin + shift * self.resolution
         return (kx, ky)
 
     def integrate_scan(self, scan: LidarScan, pose: Pose) -> int:
@@ -204,42 +196,35 @@ class ElevationMap:
         if scan.points.shape[0] == 0:
             return 0
 
-        st = self._state
-        rot = quat_to_matrix(pose.orientation)
-        world = scan.points @ rot.T + pose.position
+        world = scan_points_world(scan, pose)
         ranges = np.linalg.norm(scan.points, axis=1)
         meas_var = (0.01 + 0.001 * ranges) ** 2
 
         keep = np.abs(world[:, 2]) <= HEIGHT_BOUND
         world, meas_var = world[keep], meas_var[keep]
-        ix, iy, ok = self._cell_index(st, world[:, :2])
+        ix, iy, ok = self._cell_index(world[:, :2])
         ix, iy = ix[ok], iy[ok]
         z, mv = world[ok, 2], meas_var[ok]
         if z.size == 0:
             return 0
 
-        flat = ix * self.cells + iy
+        # bin per touched cell; bincount sums each bin in point order
+        touched, slot = np.unique(ix * self.cells + iy, return_inverse=True)
         w = 1.0 / mv
-        nbins = self.cells * self.cells
-        sw = np.bincount(flat, weights=w, minlength=nbins)
-        swz = np.bincount(flat, weights=w * z, minlength=nbins)
-        touched = np.flatnonzero(sw > 0)
-        z_cell = swz[touched] / sw[touched]
-        var_cell = 1.0 / sw[touched]
+        sw = np.bincount(slot, weights=w)
+        swz = np.bincount(slot, weights=w * z)
+        z_cell = swz / sw
+        var_cell = 1.0 / sw
         tix, tiy = touched // self.cells, touched % self.cells
 
-        pinned = st.pinned[tix, tiy]
+        pinned = self._pinned[tix, tiy]
         tix, tiy = tix[~pinned], tiy[~pinned]
         z_cell, var_cell = z_cell[~pinned], var_cell[~pinned]
         if tix.size == 0:
             return 0
 
-        heights = st.heights.copy()
-        variance = st.variance.copy()
-        valid = st.valid.copy()
-        last = st.last_update_ns.copy()
-
-        seen = valid[tix, tiy]
+        heights, variance = self._heights, self._variance
+        seen = self._valid[tix, tiy]
         # fresh cells take the measurement directly
         heights[tix[~seen], tiy[~seen]] = z_cell[~seen]
         variance[tix[~seen], tiy[~seen]] = var_cell[~seen]
@@ -248,44 +233,23 @@ class ElevationMap:
         k = p / (p + var_cell[seen])
         heights[tix[seen], tiy[seen]] += k * (z_cell[seen] - heights[tix[seen], tiy[seen]])
         variance[tix[seen], tiy[seen]] = (1.0 - k) * p
-        valid[tix, tiy] = True
-        last[tix, tiy] = scan.timestamp_ns
-
-        self._state = replace(st, heights=heights, variance=variance,
-                              valid=valid, last_update_ns=last)
+        self._valid[tix, tiy] = True
         return int(tix.size)
 
     def apply_edit(self, edit: VirtualEdit) -> int:
         """Pin every cell in the edit rectangle to the edit height."""
-        st = self._state
-        xmin, ymin, xmax, ymax = edit.region
-        # half-open on cell nodes: an L/res-wide edit affects exactly L/res cells
-        ix0 = int(math.ceil((xmin - st.origin[0]) / st.resolution - 1e-9))
-        ix1 = int(math.ceil((xmax - st.origin[0]) / st.resolution - 1e-9))
-        iy0 = int(math.ceil((ymin - st.origin[1]) / st.resolution - 1e-9))
-        iy1 = int(math.ceil((ymax - st.origin[1]) / st.resolution - 1e-9))
-        ix0, iy0 = max(ix0, 0), max(iy0, 0)
-        ix1, iy1 = min(ix1, self.cells), min(iy1, self.cells)
-        if ix1 <= ix0 or iy1 <= iy0:
-            raise ValueError("edit outside map")
-
-        heights = st.heights.copy()
-        variance = st.variance.copy()
-        valid = st.valid.copy()
-        pinned = st.pinned.copy()
-        heights[ix0:ix1, iy0:iy1] = edit.height
-        variance[ix0:ix1, iy0:iy1] = EDIT_VARIANCE
-        valid[ix0:ix1, iy0:iy1] = True
-        pinned[ix0:ix1, iy0:iy1] = True
-        self._state = replace(st, heights=heights, variance=variance,
-                              valid=valid, pinned=pinned)
-        return (ix1 - ix0) * (iy1 - iy0)
+        window = _edit_window(edit, self._origin, self.resolution,
+                              self._heights.shape)
+        self._heights[window] = edit.height
+        self._variance[window] = EDIT_VARIANCE
+        self._valid[window] = True
+        self._pinned[window] = True
+        return self._heights[window].size
 
     def extract_local(self, pose: Pose, spec: LocalMapSpec | None = None) -> LocalMap:
         """Sample e_t around the body: yaw-aligned, leading 2/3 forward,
         heights relative to body z. Unknown samples fill with 0 relative."""
         spec = spec or LocalMapSpec()
-        st = self._state  # single read: consistent snapshot
         xs = -spec.length_x / 3 + spec.resolution * np.arange(spec.samples_x)
         ys = -spec.length_y / 2 + spec.resolution * np.arange(spec.samples_y)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -294,11 +258,11 @@ class ElevationMap:
         wx = pose.position[0] + c * gx - s * gy
         wy = pose.position[1] + s * gx + c * gy
         pts = np.column_stack([wx.ravel(), wy.ravel()])
-        ix, iy, ok = self._cell_index(st, pts)
+        ix, iy, ok = self._cell_index(pts)
         known = np.zeros(len(pts), dtype=bool)
-        known[ok] = st.valid[ix[ok], iy[ok]]
+        known[ok] = self._valid[ix[ok], iy[ok]]
         rel = np.zeros(len(pts))
-        rel[known] = st.heights[ix[known], iy[known]] - pose.position[2]
+        rel[known] = self._heights[ix[known], iy[known]] - pose.position[2]
         heights = rel.reshape(spec.samples_x, spec.samples_y)
         fill_ratio = 1.0 - known.sum() / known.size
         return LocalMap(heights=heights, xs=xs, ys=ys, resolution=spec.resolution,
@@ -310,19 +274,10 @@ def edit_heightfield(hf, edit: VirtualEdit):
 
     Same half-open node selection as the live map, so an L x W rectangle
     on an r grid affects exactly (L/r) * (W/r) cells. Idempotent."""
-    xmin, ymin, xmax, ymax = edit.region
-    ix0 = int(math.ceil((xmin - hf.origin[0]) / hf.resolution - 1e-9))
-    ix1 = int(math.ceil((xmax - hf.origin[0]) / hf.resolution - 1e-9))
-    iy0 = int(math.ceil((ymin - hf.origin[1]) / hf.resolution - 1e-9))
-    iy1 = int(math.ceil((ymax - hf.origin[1]) / hf.resolution - 1e-9))
-    ix0, iy0 = max(ix0, 0), max(iy0, 0)
-    ix1, iy1 = min(ix1, hf.width), min(iy1, hf.height)
-    if ix1 <= ix0 or iy1 <= iy0:
-        raise ValueError("edit outside map")
+    window = _edit_window(edit, hf.origin, hf.resolution, hf.heights.shape)
     heights = hf.heights.copy()
-    heights[ix0:ix1, iy0:iy1] = edit.height
-    edited = dataclasses.replace(hf, heights=heights)
-    return edited, (ix1 - ix0) * (iy1 - iy0)
+    heights[window] = edit.height
+    return replace(hf, heights=heights), heights[window].size
 
 
 def inject_map_noise(local: LocalMap, ratio: float,

@@ -18,12 +18,12 @@ import numpy as np
 from .config import PipelineConfig
 from .fileformats import (encode_local_map, imu_record, pose_record, write_jsonl)
 from .fusion import PoseFuser
-from .geometry import Pose, quat_conjugate, quat_to_matrix, quat_yaw, rotate_vec, vec3
+from .geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
 from .mapping import ElevationMap, inject_map_noise
 from .observations import ObservationFrame, ObservationHistory, sample_command
 from .rewards import RewardInput, compute_rewards, fit_plane
-from .sensors import (Delivered, apply_delay, imu_stream, lidar_scan,
-                      odometry_stream, true_state)
+from .sensors import (apply_delay, imu_stream, lidar_scan, odometry_stream,
+                      true_state)
 from .terrain import generate, sample_height
 from . import telemetry
 
@@ -74,7 +74,7 @@ def _ground_height(hf, x: float, y: float) -> float:
         return 0.0  # off-tile: base plane
 
 
-def _reward_frame(cfg: PipelineConfig, hf, state, command, fused: Pose):
+def _reward_frame(cfg: PipelineConfig, hf, state, command):
     q = state.pose.orientation
     v_body = rotate_vec(quat_conjugate(q), state.velocity)
     gravity_body = rotate_vec(quat_conjugate(q), vec3(0, 0, -1.0))
@@ -191,7 +191,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
                     f"expected {expected_samples}")
             fit = fit_plane(local.to_points())
             state = true_state(cfg.trajectory, item.timestamp_ns * 1e-9)
-            rin = _reward_frame(cfg, hf, state, command, fused)
+            rin = _reward_frame(cfg, hf, state, command)
             breakdown = compute_rewards(rin, fit, cfg.weights, terrain=hf)
             reward_records.append(breakdown.as_record(item.timestamp_ns))
 
@@ -327,7 +327,7 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
         t = time.perf_counter_ns()
         fit = fit_plane(local.to_points())
         state = true_state(cfg.trajectory, 0.0)
-        rin = _reward_frame(cfg, hf, state, command, fused)
+        rin = _reward_frame(cfg, hf, state, command)
         compute_rewards(rin, fit, cfg.weights, terrain=hf)
         reward_t[i] = time.perf_counter_ns() - t
 

@@ -12,8 +12,7 @@ the climb were forward progress.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,27 +96,6 @@ class RewardWeights:
     grad_threshold: float = 0.5  # m per cell step
     stumble_ratio: float = 2.0  # |F_xy| vs |F_z|
     contact_force_min: float = 1.0  # N, below this a foot is airborne
-
-    def save(self, path) -> None:
-        lines = [f"{f.name} {getattr(self, f.name)!r}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "RewardWeights":
-        known = {f.name for f in fields(cls)}
-        values = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                key, val = line.split()
-            except ValueError:
-                raise ValueError(f"line {lineno}: expected 'name value'") from None
-            if key not in known:
-                raise ValueError(f"line {lineno}: unknown weight {key!r}")
-            values[key] = float(val)
-        return cls(**values)
 
 
 def _arr(v, n, name):
@@ -336,11 +314,3 @@ def compute_rewards(inp: RewardInput, fit: PlaneFit,
     weighted = {k: raw[k] * wts[k] for k in raw}
     total = float(sum(weighted.values()))
     return RewardBreakdown(raw=raw, weighted=weighted, total=total)
-
-
-def central_difference(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order finite difference along axis 0; helper for producing
-    joint accelerations from logged joint velocities."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return np.gradient(np.asarray(values, dtype=float), dt, axis=0)

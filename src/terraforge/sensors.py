@@ -10,7 +10,7 @@ with g_up = (0, 0, 9.81), i.e. (0, 0, 9.81) at rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -23,10 +23,9 @@ from .geometry import (
     quat_from_yaw,
     quat_multiply,
     quat_to_matrix,
-    rotate_vec,
     vec3,
 )
-from .terrain import Heightfield, sample_height, sample_height_vec
+from .terrain import Heightfield, sample_height_vec
 
 
 class TrajectoryKind(Enum):
@@ -218,12 +217,9 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     pattern = pattern or ScanPattern()
     noise = noise or NoiseConfig()
     origin = pose.position
-    try:
-        if origin[2] <= sample_height(hf, origin[0], origin[1]):
-            raise ValueError("sensor underground")
-    except ValueError as e:
-        if "outside heightfield" not in str(e):
-            raise
+    ground, on_tile = sample_height_vec(hf, origin[:1], origin[1:2])
+    if on_tile[0] and origin[2] <= ground[0]:
+        raise ValueError("sensor underground")
     if pattern.n_azimuth == 0 or pattern.n_elevation == 0:
         return LidarScan(pose.timestamp_ns, np.zeros((0, 3)))
 

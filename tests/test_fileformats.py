@@ -15,15 +15,11 @@ from terraforge.fileformats import (
     pose_record,
     read_heightfield,
     read_jsonl,
-    read_pointcloud,
-    read_validity,
     write_heightfield,
     write_jsonl,
-    write_pointcloud,
-    write_validity,
 )
 from terraforge.geometry import Pose, Quaternion
-from terraforge.sensors import ImuSample, LidarScan
+from terraforge.sensors import ImuSample
 from terraforge.terrain import Heightfield, TerrainSpec, TerrainType, generate
 
 
@@ -88,55 +84,6 @@ class TestHeightfieldFormat:
         back = np.loadtxt(path, delimiter=",")
         assert back.shape == (7, 5)
         assert np.allclose(back, small_field.heights, atol=1e-6)
-
-
-class TestValidityFormat:
-    @pytest.mark.parametrize("shape", [(8, 8), (5, 11), (3, 1), (16, 13)])
-    def test_round_trip(self, shape, tmp_path):
-        rng = np.random.default_rng(shape[0] * 31 + shape[1])
-        v = rng.random(shape) < 0.5
-        path = tmp_path / "mask.hvld"
-        write_validity(v, path)
-        assert np.array_equal(read_validity(path), v)
-
-    def test_file_size_bit_packed(self, tmp_path):
-        v = np.ones((5, 11), dtype=bool)
-        path = tmp_path / "mask.hvld"
-        write_validity(v, path)
-        assert path.stat().st_size == 14 + 5 * 2  # ceil(11/8) = 2 bytes/row
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.hvld"
-        path.write_bytes(b"XXXX" + bytes(20))
-        with pytest.raises(ValueError, match="not a validity"):
-            read_validity(path)
-
-
-class TestPointcloudFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        scan = LidarScan(timestamp_ns=123_456_789_000,
-                         points=rng.normal(0, 3, (257, 3)))
-        path = tmp_path / "scan.pcld"
-        write_pointcloud(scan, path)
-        back = read_pointcloud(path)
-        assert back.timestamp_ns == scan.timestamp_ns
-        assert back.points.shape == (257, 3)
-        assert np.allclose(back.points, scan.points, atol=1e-5)
-        assert path.stat().st_size == 16 + 257 * 12
-
-    def test_empty_scan(self, tmp_path):
-        scan = LidarScan(timestamp_ns=5, points=np.zeros((0, 3)))
-        path = tmp_path / "empty.pcld"
-        write_pointcloud(scan, path)
-        back = read_pointcloud(path)
-        assert back.points.shape == (0, 3)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.pcld"
-        path.write_bytes(b"ZZZZ" + bytes(12))
-        with pytest.raises(ValueError, match="not a point cloud"):
-            read_pointcloud(path)
 
 
 class TestLocalMapBlob:

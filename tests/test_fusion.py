@@ -7,7 +7,9 @@ import pytest
 
 from terraforge.fusion import (
     FusionConfig,
+    MeasurementAhead,
     PoseFuser,
+    StaleMeasurement,
     initial_state,
     predict,
     run_fusion,
@@ -108,12 +110,12 @@ class TestUpdatePose:
 
     def test_stale_rejected(self):
         st = initial_state(identity_pose(100_000_000), CFG)
-        with pytest.raises(ValueError, match="stale measurement"):
+        with pytest.raises(StaleMeasurement, match="stale measurement"):
             update_pose(st, identity_pose(40_000_000), CFG)
 
     def test_future_rejected(self):
         st = initial_state(identity_pose(0), CFG)
-        with pytest.raises(ValueError, match="ahead"):
+        with pytest.raises(MeasurementAhead, match="ahead"):
             update_pose(st, identity_pose(60_000_000), CFG)
 
     def test_orientation_residual_correction(self):

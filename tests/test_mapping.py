@@ -1,13 +1,13 @@
 """Elevation map tests: integration, extraction, edits, noise injection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from terraforge.geometry import Pose, Quaternion, quat_from_yaw, vec3
 from terraforge.mapping import (
-    EditMode,
     ElevationMap,
     LocalMapSpec,
     VirtualEdit,
@@ -152,6 +152,31 @@ class TestRecenter:
     def test_noop_when_within_cell(self):
         emap = ElevationMap(size=2.0, resolution=0.1)
         assert emap.recenter((0.01, -0.03)) == (0, 0)
+
+    def test_shift_past_window_clears_everything(self):
+        emap = ElevationMap(size=2.0, resolution=0.1)
+        emap.apply_edit(VirtualEdit((-1.0, -1.0, 1.0, 1.0), -1.0))
+        assert emap.recenter((-5.0, 3.0)) == (-50, 30)
+        snap = emap.snapshot()
+        assert not snap.valid.any() and not snap.pinned.any()
+        assert np.all(snap.heights == 0.0) and np.all(np.isinf(snap.variance))
+
+
+class TestInPlaceWrites:
+    def test_writes_allocate_no_grid_copy(self):
+        _, pose, scan = scan_flat_field()
+        emap = ElevationMap(center=(4.0, 0.0))
+        edit = VirtualEdit((3.0, -0.5, 4.0, 0.5), -1.0)
+        emap.integrate_scan(scan, pose)  # warm up lazy numpy state
+        grid_bytes = emap.cells * emap.cells * 8
+        tracemalloc.start()
+        try:
+            emap.integrate_scan(scan, pose)
+            emap.apply_edit(edit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes
 
 
 class TestExtractLocal:

@@ -10,7 +10,6 @@ from terraforge.rewards import (
     PlaneFit,
     RewardInput,
     RewardWeights,
-    central_difference,
     compute_rewards,
     edge_cells,
     feet_edge_penalty,
@@ -362,23 +361,6 @@ class TestRewardWeights:
         assert w.joint_acc == -2.5e-7
         assert w.feet_edge_gap == -10.0
 
-    def test_save_load_round_trip(self, tmp_path):
-        w = RewardWeights(l_tracking=4.0, edge_margin=0.07)
-        path = tmp_path / "weights.txt"
-        w.save(path)
-        assert RewardWeights.load(path) == w
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "weights.txt"
-        path.write_text("no_such_term 1.0\n")
-        with pytest.raises(ValueError, match="unknown weight"):
-            RewardWeights.load(path)
-
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        path = tmp_path / "weights.txt"
-        path.write_text("# header\n\nl_tracking 5.0  # inline\n")
-        assert RewardWeights.load(path).l_tracking == 5.0
-
 
 class TestRewardInput:
     def test_gravity_must_be_unit(self):
@@ -390,16 +372,3 @@ class TestRewardInput:
             frame(joint_acc=np.zeros(10))
         with pytest.raises(ValueError, match="foot_positions"):
             frame(foot_positions=np.zeros((3, 3)))
-
-
-def test_central_difference_quadratic_exact():
-    t = np.arange(0, 1, 0.02)
-    pos = 0.5 * 3.0 * t**2  # constant acceleration 3
-    vel = 3.0 * t
-    acc = central_difference(vel[:, None], 0.02)
-    assert np.allclose(acc[1:-1], 3.0, atol=1e-9)
-
-
-def test_central_difference_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        central_difference(np.zeros((4, 2)), 0.0)

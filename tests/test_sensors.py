@@ -190,6 +190,18 @@ class TestLidarScan:
         with pytest.raises(ValueError, match="sensor underground"):
             lidar_scan(hf, pose)
 
+    def test_sensor_off_tile_scans(self):
+        hf = generate(TerrainSpec(TerrainType.SLOPE, 0))
+        pose_cls = type(true_state(static_traj(), 0.0).pose)
+        pose = pose_cls(np.array([-0.5, 0.0, 0.4]),  # tile starts at x = 0
+                        true_state(static_traj(), 0.0).pose.orientation, 0)
+        with pytest.raises(ValueError, match="outside heightfield"):
+            sample_height(hf, -0.5, 0.0)
+        scan = lidar_scan(hf, pose)
+        world = scan_points_world(scan, pose)
+        assert scan.points.shape[0] > 0
+        assert np.all(world[:, 0] >= 0.0)
+
     def test_range_noise_deterministic(self):
         hf = generate(TerrainSpec(TerrainType.SLOPE, 0))
         pose_cls = type(true_state(static_traj(), 0.0).pose)
