@@ -14,6 +14,7 @@ from .fusion import FusionConfig
 from .mapping import LocalMapSpec
 from .rewards import RewardWeights
 from .sensors import NoiseConfig, ScanPattern, TrajectoryKind, TrajectorySpec
+from .telemetry import parse_endpoint
 from .terrain import Robot, TerrainSpec, TerrainType
 
 
@@ -123,6 +124,8 @@ def load_config(path_or_text, *, is_text: bool = False) -> PipelineConfig:
         for key, conv in convs.items():
             if key in section:
                 run_kwargs[key] = conv(section[key])
+        if "endpoint" in run_kwargs:
+            parse_endpoint(run_kwargs["endpoint"])  # raises ValueError unless host:port
 
     stray = set(parser.sections()) - used
     if stray:

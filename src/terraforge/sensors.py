@@ -25,7 +25,7 @@ from .geometry import (
     quat_to_matrix,
     vec3,
 )
-from .terrain import Heightfield, sample_height_vec
+from .terrain import BLOCK_CELLS, Heightfield, grid_coords, sample_height_vec
 
 
 class TrajectoryKind(Enum):
@@ -206,13 +206,51 @@ def _ray_directions(pattern: ScanPattern) -> np.ndarray:
     return dirs.reshape(-1, 3)
 
 
+def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
+                  step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per ray, the first and the last step index to sample (see lidar_scan)."""
+    ends = np.append(np.arange(63, n_steps - 1, 64), n_steps - 1)  # chunk ends
+    te = (ends + 1) * step
+    _, _, ok = grid_coords(hf, origin[0] + te * dirs[:, :1], origin[1] + te * dirs[:, 1:2])
+    ok[:, -1] = False  # a ray whose chunk ends all stay on the tile ends at the last step
+    last = ends[(~ok).argmax(axis=1)]
+    t_stop = (last + 2) * step  # past the last sample
+
+    # t: where the ray comes down to the tile top, then past each block whose
+    # max it clears; block_max has a one-cell rim, so rounding cannot put a
+    # sample outside the block it was checked against
+    above = origin[2] - (hf.heights.max() + 1e-5)
+    b0 = (origin[:2] - hf.origin) / (BLOCK_CELLS * hf.resolution)  # in blocks
+    db = dirs[:, :2] / (BLOCK_CELLS * hf.resolution)
+    top_block = np.array(hf.block_max.shape) - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(above <= 0, 0.0, np.where(dirs[:, 2] < 0, above / -dirs[:, 2], np.inf))
+        idx = np.flatnonzero(t < t_stop)
+        while idx.size:
+            ti, d = t[idx], db[idx]
+            p = b0 + (ti[:, None] + 1e-7) * d  # just past t: the block being entered
+            block = np.where(d < 0, np.ceil(p) - 1, np.floor(p))
+            t_out = np.where(d != 0, (np.where(d > 0, block + 1, block) - b0) / d, np.inf)
+            t_out = np.maximum(t_out.min(axis=1), ti + 1e-9)
+            i, j = np.clip(block, 0, top_block).astype(np.int64).T  # off the tile: edge block
+            clear = origin[2] + np.minimum(dirs[idx, 2], 0.0) * t_out > hf.block_max[i, j] + 1e-5
+            t[idx[clear]] = t_out[clear]
+            idx = idx[clear & (t_out < t_stop[idx])]
+        start = np.where(t < t_stop, np.floor(t / step) - 3, n_steps)
+    return np.maximum(start, 0).astype(np.int64), last
+
+
 def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
                noise: NoiseConfig | None = None, seed: int = 0) -> LidarScan:
     """Ray-cast a scan pattern against the heightfield from the given pose.
 
-    Marches each ray in ray_step increments and refines the crossing by
-    linear interpolation, so noise-free hit points sit on the surface to
-    within one step. Rays that leave the field without a hit are dropped.
+    A ray is sampled at t = (k+1)*ray_step; its first on-tile sample at or
+    below the surface is refined by linear interpolation from the sample
+    before it, so noise-free hits sit on the surface to within one step.
+    Sampling starts three steps before the first block of hf.block_max that
+    the ray reaches below its top, in windows of 8 growing to 64 steps. A
+    ray is dropped after max_range, or at the end of the first 64-step chunk
+    from t = 0 whose last sample is off the tile, even if it re-enters later.
     """
     pattern = pattern or ScanPattern()
     noise = noise or NoiseConfig()
@@ -227,40 +265,38 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     dirs_body = _ray_directions(pattern)
     dirs = dirs_body @ rot.T  # world-frame ray directions
 
-    n = dirs.shape[0]
-    hit_t = np.full(n, np.nan)
-    active = np.arange(n)
-    prev_f = np.full(n, np.nan)  # signed clearance above surface at previous step
     step = pattern.ray_step
     n_steps = int(pattern.max_range / step)
-    chunk = 64
-    for start in range(0, n_steps, chunk):
-        if active.size == 0:
-            break
-        ts = (np.arange(start, min(start + chunk, n_steps)) + 1) * step
-        pts = origin[None, None, :] + ts[None, :, None] * dirs[active][:, None, :]
-        surf, ok = sample_height_vec(hf, pts[:, :, 0].ravel(), pts[:, :, 1].ravel())
-        surf = surf.reshape(len(active), len(ts))
-        ok = ok.reshape(len(active), len(ts))
-        f = pts[:, :, 2] - surf  # > 0 above surface
-        below = ok & (f <= 0.0)
+    hit_t = np.full(dirs.shape[0], np.nan)
+    start, last = _march_bounds(hf, origin, dirs, step, n_steps)
+    active = np.flatnonzero(start <= last)
+    pos, last = start[active], last[active]
+    prev_f = np.full(active.size, np.nan)  # signed clearance at the previous step
+    width = 8
+    while active.size:
+        ks = pos[:, None] + np.arange(width)
+        ts = (ks + 1) * step
+        d = dirs[active]
+        surf, ok = sample_height_vec(hf, (origin[0] + ts * d[:, :1]).ravel(),
+                                     (origin[1] + ts * d[:, 1:2]).ravel())
+        f = (origin[2] + ts * d[:, 2:]) - surf.reshape(ts.shape)  # > 0 above surface
+        below = ok.reshape(ts.shape) & (f <= 0.0) & (ks <= last[:, None])
         crossed = below.any(axis=1)
-        first = np.where(crossed, below.argmax(axis=1), 0)
-        rows = np.arange(len(active))
+        first = below.argmax(axis=1)
+        rows = np.arange(active.size)
         # linear interpolation between the last clear step and the crossing step
         f_hit = f[rows, first]
-        t_hit = ts[first]
-        f_prev = np.where(first > 0, f[rows, np.maximum(first - 1, 0)], prev_f[active])
+        t_hit = ts[rows, first]
+        f_prev = np.where(first > 0, f[rows, np.maximum(first - 1, 0)], prev_f)
         t_prev = t_hit - step
         with np.errstate(invalid="ignore", divide="ignore"):
             frac = np.where(np.isfinite(f_prev) & (f_prev > 0), f_prev / (f_prev - f_hit), 1.0)
         t_star = t_prev + np.clip(frac, 0.0, 1.0) * step
-        hit_rows = active[crossed]
-        hit_t[hit_rows] = t_star[crossed]
-        # rays that left the field for good stop marching
-        exited = ~ok[:, -1] & ~crossed
-        prev_f[active] = f[:, -1]
-        active = active[~crossed & ~exited]
+        hit_t[active[crossed]] = t_star[crossed]
+        going = ~crossed & (ks[:, -1] < last)
+        active, pos, last = active[going], pos[going] + width, last[going]
+        prev_f = f[going, -1]
+        width = min(2 * width, 64)
 
     mask = np.isfinite(hit_t)
     ranges = hit_t[mask]

@@ -79,7 +79,7 @@ def encode_reward(timestamp_ns: int, values) -> bytes:
 
 
 def decode_message(data: bytes):
-    """Parse one datagram into its typed message."""
+    """Parse one datagram into its typed message; raises ValueError if malformed."""
     if not data:
         raise ValueError("empty datagram")
     tag = data[0]
@@ -90,14 +90,23 @@ def decode_message(data: bytes):
         return Pose(np.array([px, py, pz]),
                     quat_normalize(Quaternion(qw, qx, qy, qz)), ts)
     if tag == MSG_LOCAL_MAP:
+        if len(data) < _MAP_HEAD.size:
+            raise ValueError("truncated local map header")
         _, ts, idx, count, rows, cols, res = _MAP_HEAD.unpack_from(data)
+        n = min(MAX_FRAGMENT_CELLS, rows * cols - idx * MAX_FRAGMENT_CELLS)
+        fits = count == max(1, -(-rows * cols // MAX_FRAGMENT_CELLS)) and idx < count
+        if not fits or len(data) != _MAP_HEAD.size + 4 * n:
+            raise ValueError(f"fragment {idx} of {count} of a {rows}x{cols} map must hold {n} cells")
         cells = np.frombuffer(data, dtype="<f4", offset=_MAP_HEAD.size)
         return LocalMapFragment(ts, idx, count, rows, cols, float(res),
                                 cells.astype(float))
     if tag == MSG_REWARD:
+        if len(data) < _REWARD_HEAD.size:
+            raise ValueError("truncated reward header")
         _, ts, n = _REWARD_HEAD.unpack_from(data)
-        values = np.frombuffer(data, dtype="<f4", count=n,
-                               offset=_REWARD_HEAD.size)
+        if len(data) != _REWARD_HEAD.size + 4 * n:
+            raise ValueError(f"reward message must hold {n} values")
+        values = np.frombuffer(data, dtype="<f4", offset=_REWARD_HEAD.size)
         return RewardMessage(ts, values.astype(float))
     raise ValueError(f"unknown message type {tag}")
 
@@ -118,8 +127,8 @@ def reassemble_local_map(fragments) -> tuple[np.ndarray, float]:
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, sep, port = endpoint.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
+    if not (sep and host and port.isascii() and port.isdigit() and 0 < int(port) < 65536):
+        raise ValueError(f"endpoint must be host:port with a port in 1..65535, got {endpoint!r}")
     return host, int(port)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,7 @@ STONE_SIZE = 0.50  # m square stones
 STONE_PITCH = 0.90  # m lattice pitch between stone centers
 GAP_DEPTH = -1.0  # m, gap floor height (well-defined surface, not missing data)
 MAX_STAIR_CLIMB = 1.8  # m, keeps peak height inside the +/-2 m bound at level 9
+BLOCK_CELLS = 4  # side of a Heightfield.block_max block, in cells
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,15 @@ class Heightfield:
         if not np.all(np.isfinite(h)):
             raise ValueError("heightfield contains non-finite cells")
         object.__setattr__(self, "heights", h)
+
+    @cached_property
+    def block_max(self) -> np.ndarray:
+        """Max height of each BLOCK_CELLS-square block grown by one cell."""
+        b, (w, h) = BLOCK_CELLS, self.heights.shape
+        grown = np.lib.stride_tricks.sliding_window_view(
+            np.pad(self.heights, 1, mode="edge"), (3, 3)).max(axis=(2, 3))
+        grown = np.pad(grown, ((0, -w % b), (0, -h % b)), mode="edge")
+        return grown.reshape(-(-w // b), b, -(-h // b), b).max(axis=(1, 3))
 
     def x_extent(self) -> float:
         return (self.width - 1) * self.resolution
@@ -256,12 +267,18 @@ def sample_height(hf: Heightfield, x: float, y: float) -> float:
     )
 
 
-def sample_height_vec(hf: Heightfield, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bilinear sampling. Returns (heights, in_bounds mask);
-    out-of-bounds entries hold NaN instead of raising."""
+def grid_coords(hf: Heightfield, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fractional grid coordinates of world (xs, ys) and the in-bounds mask."""
     gx = (np.asarray(xs, dtype=np.float64) - hf.origin[0]) / hf.resolution
     gy = (np.asarray(ys, dtype=np.float64) - hf.origin[1]) / hf.resolution
     ok = (gx >= 0) & (gx <= hf.width - 1) & (gy >= 0) & (gy <= hf.height - 1)
+    return gx, gy, ok
+
+
+def sample_height_vec(hf: Heightfield, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized bilinear sampling. Returns (heights, in_bounds mask);
+    out-of-bounds entries hold NaN instead of raising."""
+    gx, gy, ok = grid_coords(hf, xs, ys)
     gxc = np.clip(gx, 0, hf.width - 1)
     gyc = np.clip(gy, 0, hf.height - 1)
     i0 = np.minimum(gxc.astype(np.int64), max(hf.width - 2, 0))

@@ -7,7 +7,6 @@ Ordering follows the numbering; tests are independent.
 
 import dataclasses
 import math
-import time
 from time import perf_counter
 
 import numpy as np
@@ -31,7 +30,7 @@ RESULTS = []
 
 def _verdict(name, ok, detail=""):
     line = f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}"
-    if detail and not ok:
+    if detail:
         line += f" ({detail})"
     RESULTS.append(line)
     print(line)
@@ -73,7 +72,7 @@ def test_c1_curriculum_table():
         TerrainSpec(TerrainType.HIGH_PLATFORM, 9, Robot.LITE3))
     ok = not bad and spot == 0.55 and elapsed < 1.0
     _verdict("c1 curriculum table, 100 exact values",
-             ok, f"{len(bad)} mismatches, {elapsed:.2f}s; " + "; ".join(bad[:3]))
+             ok, "; ".join([f"{len(bad)} mismatches, {elapsed:.2f}s", *bad[:3]]))
 
 
 def test_c2_zoh_vs_fusion():
@@ -273,7 +272,8 @@ def test_c5_reward_exactness():
             problems.append(f"default {name}={getattr(w, name)} != {want}")
 
     _verdict("c5 reward maxima, clamp, and weighted totals",
-             not problems, "; ".join(problems[:4]))
+             not problems, "; ".join([f"clamp worst {worst_gap:.2e}",
+                                      f"total drift {worst_total:.2e}", *problems[:4]]))
 
 
 def test_c6_loss_formulas():

@@ -93,6 +93,18 @@ class TestRun:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoint", ["nonsense", "127.0.0.1:abc", "127.0.0.1:70000"])
+    def test_bad_endpoint_is_config_error(self, tmp_path, capsys, endpoint):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(RUN_CONFIG.replace("[run]\n", f"[run]\nendpoint = {endpoint}\n"))
+        code = main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and "endpoint" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(RUN_CONFIG)

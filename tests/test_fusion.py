@@ -1,7 +1,5 @@
 """Error-state filter tests: propagation, update, full-run behavior."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -14,7 +14,7 @@ from terraforge.mapping import (
     edit_heightfield,
     inject_map_noise,
 )
-from terraforge.sensors import LidarScan, ScanPattern, lidar_scan
+from terraforge.sensors import LidarScan, lidar_scan
 from terraforge.terrain import TerrainSpec, TerrainType, generate, sample_height
 
 IDENT = Quaternion(1, 0, 0, 0)

@@ -25,7 +25,7 @@ from terraforge.observations import (
     sample_command,
     sample_randomization,
 )
-from terraforge.mapping import LocalMap, LocalMapSpec
+from terraforge.mapping import LocalMap
 from terraforge.terrain import Robot, TerrainType
 
 

@@ -1,11 +1,14 @@
 """Sensor stream synthesis tests: IMU, odometry, lidar, delay injection."""
 
-import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from terraforge.geometry import GRAVITY, quat_to_matrix
+import terraforge.sensors as sensors_mod
+from terraforge.geometry import GRAVITY, Pose, quat_from_rotvec, quat_multiply, quat_to_matrix
 from terraforge.sensors import (
     NoiseConfig,
     ScanPattern,
@@ -18,7 +21,8 @@ from terraforge.sensors import (
     scan_points_world,
     true_state,
 )
-from terraforge.terrain import TerrainSpec, TerrainType, generate, sample_height
+from terraforge.terrain import (Robot, TerrainSpec, TerrainType, generate, sample_height,
+                                sample_height_vec)
 
 
 def static_traj(duration=1.0):
@@ -213,6 +217,120 @@ class TestLidarScan:
         c = lidar_scan(hf, pose, noise=noise, seed=4)
         assert np.array_equal(a.points, b.points)
         assert not np.array_equal(a.points, c.points)
+
+
+def _chunked_scan(hf, pose, pattern, noise, seed):
+    """Oracle: the plain marcher, every ray from t = 0 in 64-step chunks."""
+    origin = pose.position
+    ground, on_tile = sample_height_vec(hf, origin[:1], origin[1:2])
+    if on_tile[0] and origin[2] <= ground[0]:
+        raise ValueError("sensor underground")
+    az = np.linspace(-np.pi, np.pi, pattern.n_azimuth, endpoint=False)
+    el = np.linspace(pattern.elevation_min, pattern.elevation_max, pattern.n_elevation)
+    azg, elg = np.meshgrid(az, el, indexing="ij")
+    ce = np.cos(elg)
+    dirs_body = np.stack([ce * np.cos(azg), ce * np.sin(azg), np.sin(elg)], axis=-1).reshape(-1, 3)
+    dirs = dirs_body @ quat_to_matrix(pose.orientation).T
+
+    n = dirs.shape[0]
+    hit_t = np.full(n, np.nan)
+    active = np.arange(n)
+    prev_f = np.full(n, np.nan)
+    step = pattern.ray_step
+    n_steps = int(pattern.max_range / step)
+    chunk = 64
+    for start in range(0, n_steps, chunk):
+        if active.size == 0:
+            break
+        ts = (np.arange(start, min(start + chunk, n_steps)) + 1) * step
+        pts = origin[None, None, :] + ts[None, :, None] * dirs[active][:, None, :]
+        surf, ok = sample_height_vec(hf, pts[:, :, 0].ravel(), pts[:, :, 1].ravel())
+        surf = surf.reshape(len(active), len(ts))
+        ok = ok.reshape(len(active), len(ts))
+        f = pts[:, :, 2] - surf
+        below = ok & (f <= 0.0)
+        crossed = below.any(axis=1)
+        first = np.where(crossed, below.argmax(axis=1), 0)
+        rows = np.arange(len(active))
+        f_hit = f[rows, first]
+        t_hit = ts[first]
+        f_prev = np.where(first > 0, f[rows, np.maximum(first - 1, 0)], prev_f[active])
+        t_prev = t_hit - step
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = np.where(np.isfinite(f_prev) & (f_prev > 0), f_prev / (f_prev - f_hit), 1.0)
+        t_star = t_prev + np.clip(frac, 0.0, 1.0) * step
+        hit_t[active[crossed]] = t_star[crossed]
+        exited = ~ok[:, -1] & ~crossed
+        prev_f[active] = f[:, -1]
+        active = active[~crossed & ~exited]
+
+    mask = np.isfinite(hit_t)
+    ranges = hit_t[mask]
+    if noise.lidar_range_std > 0:
+        rng = np.random.default_rng(seed)
+        ranges = ranges + rng.normal(0.0, noise.lidar_range_std, ranges.size)
+    return dirs_body[mask] * ranges[:, None]
+
+
+@lru_cache(maxsize=32)
+def _tile(robot, terrain, level):
+    return generate(TerrainSpec(terrain, level, robot))
+
+
+PATTERNS = [ScanPattern(), ScanPattern(max_range=0.9), ScanPattern(ray_step=0.02),
+            ScanPattern(n_azimuth=24, n_elevation=12, elevation_max=np.radians(15.0))]
+
+
+class TestMarcherEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(robot=st.sampled_from(list(Robot)), terrain=st.sampled_from(list(TerrainType)),
+           level=st.integers(0, 9),
+           x=st.floats(-1.5, 9.5), y=st.floats(-5.5, 5.5),
+           height=st.sampled_from(["above_top", "below_top", "any"]), lift=st.floats(0.0, 1.0),
+           yaw=st.floats(-np.pi, np.pi), tilt=st.floats(-0.4, 0.4),
+           pattern=st.sampled_from(PATTERNS), range_std=st.sampled_from([0.0, 0.01]))
+    def test_scan_bytes_match_chunked_oracle(self, robot, terrain, level, x, y, height,
+                                             lift, yaw, tilt, pattern, range_std):
+        hf = _tile(robot, terrain, level)
+        top = float(hf.heights.max())
+        ground, on_tile = sample_height_vec(hf, [x], [y])
+        if height == "above_top":
+            z = top + 0.01 + 2.0 * lift
+        elif height == "below_top" and on_tile[0] and ground[0] < top:
+            # over the local ground, under the tile top
+            z = ground[0] + (top - ground[0]) * (0.02 + 0.96 * lift)
+        else:
+            z = float(hf.heights.min()) - 0.2 + (top - float(hf.heights.min()) + 1.2) * lift
+        q = quat_multiply(quat_from_rotvec([0.0, 0.0, yaw]), quat_from_rotvec([tilt, 0.5 * tilt, 0.0]))
+        pose = Pose(np.array([x, y, z]), q, 0)
+        noise = NoiseConfig(lidar_range_std=range_std)
+        try:
+            want = _chunked_scan(hf, pose, pattern, noise, seed=5)
+        except ValueError:
+            with pytest.raises(ValueError, match="sensor underground"):
+                lidar_scan(hf, pose, pattern, noise, seed=5)
+            return
+        got = lidar_scan(hf, pose, pattern, noise, seed=5).points
+        assert got.tobytes() == want.tobytes()
+
+    # the plain marcher needs about 100 (slope) and 210 (stairs) samples per hit
+    @pytest.mark.parametrize("terrain, level, height, bound", [
+        (TerrainType.SLOPE, 0, 0.4, 16), (TerrainType.STAIRS, 5, 1.5, 60)])
+    def test_few_samples_per_hit(self, monkeypatch, terrain, level, height, bound):
+        hf = generate(TerrainSpec(terrain, level))
+        samples = []
+
+        def counting(hf_, xs, ys):
+            samples.append(np.size(xs))
+            return sample_height_vec(hf_, xs, ys)
+
+        monkeypatch.setattr(sensors_mod, "sample_height_vec", counting)
+        traj = TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 5.0, speed=1.0,
+                              height_above_ground=height)
+        hits = sum(lidar_scan(hf, true_state(traj, t).pose).points.shape[0]
+                   for t in np.arange(0.0, 5.01, 0.5))
+        assert hits > 0
+        assert sum(samples) / hits < bound
 
 
 class TestApplyDelay:

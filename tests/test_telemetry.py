@@ -4,6 +4,8 @@ import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terraforge.geometry import Pose, Quaternion
 from terraforge.telemetry import (
@@ -126,6 +128,56 @@ class TestDecodeErrors:
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown message type 99"):
             decode_message(bytes([99]) + bytes(20))
+
+    @pytest.mark.parametrize("keep", [1, 5, 19, 20, 22])
+    def test_truncated_local_map(self, keep):
+        data = encode_local_map(1, np.zeros((20, 20)), 0.05)[1]
+        with pytest.raises(ValueError):
+            decode_message(data[:keep])
+
+    @pytest.mark.parametrize("keep", [1, 10, 12, 26])
+    def test_truncated_reward(self, keep):
+        data = encode_reward(44, [1.5, -0.25, 0.0, 3.0])  # 11 + 16 bytes
+        with pytest.raises(ValueError):
+            decode_message(data[:keep])
+
+    def test_reward_trailing_bytes(self):
+        with pytest.raises(ValueError, match="must hold 4 values"):
+            decode_message(encode_reward(44, [1.0, 2.0, 3.0, 4.0]) + bytes(4))
+
+    def test_fragment_cell_count_checked(self):
+        first, last = encode_local_map(1, np.zeros((20, 20)), 0.05)
+        with pytest.raises(ValueError, match="must hold 320 cells"):
+            decode_message(first[:-4])
+        with pytest.raises(ValueError, match="must hold 80 cells"):
+            decode_message(last + bytes(4))
+
+    def test_fragment_index_checked(self):
+        data = bytearray(encode_local_map(1, np.zeros((20, 20)), 0.05)[1])
+        data[9:11] = (2).to_bytes(2, "little")  # fragment 2 of 2
+        with pytest.raises(ValueError, match="fragment 2 of 2"):
+            decode_message(bytes(data))
+        data[9:13] = (1).to_bytes(2, "little") + (3).to_bytes(2, "little")  # 1 of 3
+        with pytest.raises(ValueError, match="fragment 1 of 3"):
+            decode_message(bytes(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=80),
+        st.tuples(st.sampled_from([MSG_POSE, MSG_LOCAL_MAP, MSG_REWARD]),
+                  st.binary(max_size=1400)).map(lambda t: bytes([t[0]]) + t[1]),
+        st.tuples(st.sampled_from([
+            encode_pose(make_pose()),
+            *encode_local_map(3, np.ones((20, 20)), 0.05),
+            encode_reward(4, [1.0, 2.0, 3.0]),
+        ]), st.integers(0, 1400), st.binary(max_size=8)).map(
+            lambda t: t[0][:t[1]] + t[2]),
+    ))
+    def test_random_bytes_raise_only_value_error(self, data):
+        try:
+            decode_message(data)
+        except ValueError:
+            pass
 
 
 class TestEndpoint:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from terraforge.terrain import (
+    BLOCK_CELLS,
     Heightfield,
     Robot,
     TerrainSpec,
@@ -159,3 +160,13 @@ def test_non_finite_heights_rejected():
     bad[2, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         Heightfield(4, 4, 0.05, np.array([0.0, 0.0]), bad)
+
+
+def test_block_max_covers_block_and_rim():
+    heights = np.random.default_rng(1).normal(size=(11, 6))  # not a multiple of the block
+    hf = Heightfield(11, 6, 0.05, np.array([0.0, 0.0]), heights)
+    b = BLOCK_CELLS
+    want = [[heights[max(b * i - 1, 0):b * i + b + 1, max(b * j - 1, 0):b * j + b + 1].max()
+             for j in range(-(-6 // b))] for i in range(-(-11 // b))]
+    assert np.array_equal(hf.block_max, want)
+    assert hf.block_max is hf.block_max  # built once, on first use
