@@ -18,6 +18,7 @@ from . import fileformats, telemetry
 from .config import PipelineConfig, load_config, reference_text
 from .mapping import VirtualEdit, edit_heightfield
 from .pipeline import PipelineInvariantError, run_bench, run_pipeline
+from .sensors import SensorUnderground
 from .terrain import (PARAMETER_NAMES, Robot, TerrainSpec, TerrainType,
                       generate, terrain_parameter)
 
@@ -41,6 +42,10 @@ def _setup_logging() -> None:
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
+
+
+def _underground(e: SensorUnderground) -> int:
+    return _fail(f"{e}; raise [trajectory] height_above_ground to clear the terrain", 2)
 
 
 def cmd_gen(args) -> int:
@@ -70,6 +75,8 @@ def cmd_run(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     try:
         result = run_pipeline(cfg, args.out)
+    except SensorUnderground as e:
+        return _underground(e)
     except PipelineInvariantError as e:
         return _fail(f"pipeline invariant: {e}", 3)
     for key, val in result.summary().items():
@@ -78,14 +85,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.config:
-        try:
-            cfg = load_config(args.config)
-        except (OSError, ValueError, KeyError) as e:
-            return _fail(f"config: {e}", 2)
-    else:
-        cfg = PipelineConfig()
-    report = run_bench(cfg, iters=args.iters)
+    if args.iters < 1:
+        return _fail("--iters must be >= 1", 2)
+    try:
+        cfg = load_config(args.config) if args.config else PipelineConfig()
+    except (OSError, ValueError, KeyError) as e:
+        return _fail(f"config: {e}", 2)
+    try:
+        report = run_bench(cfg, iters=args.iters)
+    except SensorUnderground as e:
+        return _underground(e)
     text = report.render()
     print(text)
     if args.out:

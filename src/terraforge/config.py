@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass, field, fields, replace
 
 from .fusion import FusionConfig
-from .mapping import LocalMapSpec
+from .mapping import LocalMapSpec, grid_cells
 from .rewards import RewardWeights
 from .sensors import NoiseConfig, ScanPattern, TrajectoryKind, TrajectorySpec
 from .telemetry import parse_endpoint
@@ -45,17 +45,11 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be positive")
         if self.imu_hz % self.policy_hz != 0:
             raise ValueError("imu_hz must be divisible by policy_hz")
+        grid_cells(self.map_size, self.map_resolution)
 
     @property
     def ticks_per_policy(self) -> int:
         return self.imu_hz // self.policy_hz
-
-
-def _take(section, key, conv, used):
-    used.add(key)
-    if section is None or key not in section:
-        return None
-    return conv(section[key])
 
 
 def _build(section_name, parser, base, conversions, used_sections, renames=None):
@@ -67,10 +61,9 @@ def _build(section_name, parser, base, conversions, used_sections, renames=None)
     kwargs = {}
     for f in fields(base):
         key = renames.get(f.name, f.name)
-        conv = conversions.get(f.name, float)
-        val = _take(section, key, conv, used_keys)
-        if val is not None:
-            kwargs[f.name] = val
+        used_keys.add(key)
+        if section is not None and key in section:
+            kwargs[f.name] = conversions.get(f.name, float)(section[key])
     if section is not None:
         unknown = set(section) - used_keys
         if unknown:

@@ -38,7 +38,7 @@ from .geometry import (
     skew,
     vec3,
 )
-from .sensors import Delivered, ImuSample
+from .sensors import Delivered, ImuSample, merge_delivered
 
 MAX_IMU_GAP_S = 0.050
 MAX_MEASUREMENT_AGE_S = 0.050
@@ -257,16 +257,6 @@ class PoseFuser:
         return True
 
 
-def _event_time(item) -> int:
-    if isinstance(item, Delivered):
-        return item.delivery_ns
-    return item.timestamp_ns
-
-
-def _payload(item):
-    return item.item if isinstance(item, Delivered) else item
-
-
 def run_fusion(
     imu_samples: Sequence[ImuSample | Delivered],
     odom_poses: Sequence[Pose | Delivered],
@@ -281,30 +271,22 @@ def run_fusion(
     inspect stats (rejections, skips) afterwards.
     """
     fuser = fuser or PoseFuser(cfg)
-    # odometry first on delivery-time ties so the filter seeds before predicting
-    events = [(_event_time(o), 0, o) for o in odom_poses]
-    events += [(_event_time(s), 1, s) for s in imu_samples]
-    events.sort(key=lambda e: (e[0], e[1]))
-
     out: list[Pose] = []
-    for _, kind, item in events:
-        payload = _payload(item)
-        if kind == 1:
-            if fuser.state is None:
-                fuser.stats.skipped_imu += 1
-                continue
-            out.append(fuser.handle_imu(payload))
+    # odometry first on delivery-time ties so the filter seeds before predicting
+    for _, kind, item in merge_delivered(odom_poses, imu_samples):
+        if kind == 0:
+            fuser.handle_odometry(item)
+        elif fuser.state is None:
+            fuser.stats.skipped_imu += 1
         else:
-            fuser.handle_odometry(payload)
+            out.append(fuser.handle_imu(item))
     return out
 
 
 def zero_order_hold(odom_poses: Sequence[Pose | Delivered], times_ns: Iterable[int]) -> list[Pose]:
     """Hold the latest delivered pose at each query time; the low-rate
     baseline the 200 Hz fusion is compared against."""
-    events = sorted(
-        ((_event_time(p), _payload(p)) for p in odom_poses), key=lambda e: e[0]
-    )
+    events = merge_delivered(odom_poses)
     out = []
     idx = -1
     for t in times_ns:
@@ -312,6 +294,6 @@ def zero_order_hold(odom_poses: Sequence[Pose | Delivered], times_ns: Iterable[i
             idx += 1
         if idx < 0:
             raise ValueError("query before first odometry delivery")
-        held = events[idx][1]
+        held = events[idx][2]
         out.append(Pose(held.position, held.orientation, int(t)))
     return out

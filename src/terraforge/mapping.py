@@ -116,18 +116,21 @@ def _edit_window(edit: VirtualEdit, origin, resolution: float,
     return tuple(window)
 
 
+def grid_cells(size: float, resolution: float) -> int:
+    """Cells per side of a size x size map at the given resolution."""
+    n = round(size / resolution) if size > 0 and resolution > 0 else 0
+    if n < 1 or abs(size / resolution - n) > 1e-9:
+        raise ValueError("map size must be a positive integer multiple of map resolution")
+    return n
+
+
 class ElevationMap:
     """Rolling global elevation grid with one writer that updates the
     grids in place; readers take a copy through snapshot()."""
 
     def __init__(self, size: float = 20.0, resolution: float = 0.05,
                  center: tuple[float, float] = (0.0, 0.0)):
-        if size <= 0 or resolution <= 0:
-            raise ValueError("size and resolution must be positive")
-        n = round(size / resolution)
-        if abs(size / resolution - n) > 1e-9:
-            raise ValueError("size must be an integer multiple of resolution")
-        self.cells = n
+        self.cells = n = grid_cells(size, resolution)
         self.resolution = float(resolution)
         extent = (n - 1) * self.resolution
         self._origin = np.array([center[0] - extent / 2, center[1] - extent / 2])

@@ -1,8 +1,11 @@
 """End-to-end replay: terrain -> synthetic sensors -> fusion -> mapping ->
-rewards, plus the throughput benchmark.
+rewards, plus the per-tick latency benchmark.
 
 Replay is virtual-time and event-driven; (config, seed) determines every
-output byte. Only cmd_bench measures wall-clock time.
+output byte. One _Replay object holds the event loop's stages: run_pipeline
+drives it and writes the logs, and run_bench drives the same stages on the
+configured trajectory with a wall-clock timer between them, spreading each
+scan's cost over the ticks between scans. Only run_bench reads the clock.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +25,8 @@ from .geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
 from .mapping import ElevationMap, inject_map_noise
 from .observations import ObservationFrame, ObservationHistory, sample_command
 from .rewards import RewardInput, compute_rewards, fit_plane
-from .sensors import (apply_delay, imu_stream, lidar_scan, odometry_stream,
-                      true_state)
+from .sensors import (apply_delay, imu_stream, lidar_scan, merge_delivered,
+                      odometry_stream, true_state)
 from .terrain import generate, sample_height
 from . import telemetry
 
@@ -52,14 +55,7 @@ class PipelineResult:
     telemetry_dropped: int
 
     def summary(self) -> dict:
-        return {
-            "fused_pose_count": self.fused_pose_count,
-            "policy_tick_count": self.policy_tick_count,
-            "scan_count": self.scan_count,
-            "rejected_stale": self.rejected_stale,
-            "telemetry_sent": self.telemetry_sent,
-            "telemetry_dropped": self.telemetry_dropped,
-        }
+        return {k: v for k, v in vars(self).items() if k != "out_dir"}
 
 
 def _seeds(seed: int, n: int) -> list[int]:
@@ -108,136 +104,148 @@ def _reward_frame(cfg: PipelineConfig, hf, state, command):
     )
 
 
+ODOMETRY, SCAN, IMU = range(3)  # event stream indices, in tie order
+
+
+class _Replay:
+    """One replay's inputs, filter, map and logs, and the handling of each
+    delivered event, stage by stage.
+
+    step() calls lap(stage) as each stage ends: "odometry", "scan"
+    (recenter + integrate), "fusion", "local_map", "reward" and "record"
+    (log records and telemetry).
+    """
+
+    def __init__(self, cfg: PipelineConfig, endpoint: str | None = None):
+        self.cfg = cfg
+        self.hf = generate(cfg.terrain)
+        s_imu, s_odom, s_lidar, s_cmd, self.s_mapnoise = _seeds(cfg.seed, 5)
+        self.command = sample_command(cfg.terrain.terrain_type, s_cmd)
+
+        self.imu = imu_stream(cfg.trajectory, cfg.imu_hz, cfg.noise, s_imu)
+        self.odom = odometry_stream(cfg.trajectory, cfg.odom_hz, cfg.noise, s_odom)
+        # noise-free odometry at the LiDAR rate: the true pose of each scan
+        scans = [lidar_scan(self.hf, pose, cfg.scan_pattern, cfg.noise, s_lidar + i)
+                 for i, pose in enumerate(odometry_stream(cfg.trajectory, cfg.lidar_hz))]
+        # odometry first on delivery ties so the filter seeds before the
+        # co-timed IMU sample, scans before the IMU tick that reads them
+        delay = cfg.noise.system_delay_ms
+        self.events = merge_delivered(apply_delay(self.odom, delay),
+                                      apply_delay(scans, delay),
+                                      apply_delay(self.imu, delay))
+
+        self.emap = ElevationMap(cfg.map_size, cfg.map_resolution)
+        self.fuser = PoseFuser(cfg.fusion)
+        self.history = ObservationHistory.zeros()
+        self.fused_records, self.imu_records, self.reward_records = [], [], []
+        self.trajectory_records, self.local_blobs = [], []
+        self.imu_count = self.policy_count = self.scan_count = 0
+        self.streamer = telemetry.UdpStreamer(endpoint) if endpoint else None
+
+    def step(self, kind: int, item, lap=lambda stage: None) -> None:
+        """Handle one delivered event. Scans and IMU samples delivered
+        before the first odometry fix are dropped; an IMU sample counts as
+        skipped_imu."""
+        fuser = self.fuser
+        if kind == ODOMETRY:
+            fuser.handle_odometry(item)
+            lap("odometry")
+            return
+        if fuser.state is None:
+            if kind == IMU:
+                fuser.stats.skipped_imu += 1
+            return
+        if kind == SCAN:
+            pose = fuser.state.pose()
+            scan_pose = Pose(pose.position, pose.orientation, item.timestamp_ns)
+            self.emap.recenter(scan_pose.position[:2])
+            self.emap.integrate_scan(item, scan_pose)
+            self.scan_count += 1
+            lap("scan")
+            return
+
+        fused = fuser.handle_imu(item)
+        self.imu_count += 1
+        lap("fusion")
+        if self.imu_count % self.cfg.ticks_per_policy == 0:
+            self._policy_tick(item.timestamp_ns, fused, lap)
+        self.fused_records.append(pose_record(fused))
+        self.imu_records.append(imu_record(item))
+        lap("record")
+
+    def _policy_tick(self, ts: int, fused: Pose, lap) -> None:
+        cfg = self.cfg
+        self.policy_count += 1
+        local = self.emap.extract_local(fused, cfg.local_map)
+        if cfg.noise.map_noise_ratio > 0:
+            local = inject_map_noise(local, cfg.noise.map_noise_ratio,
+                                     cfg.noise.map_noise_magnitude,
+                                     self.s_mapnoise + self.policy_count)
+        expected = cfg.local_map.samples_x * cfg.local_map.samples_y
+        if local.heights.size != expected:
+            raise PipelineInvariantError(
+                f"local map has {local.heights.size} samples, expected {expected}")
+        lap("local_map")
+
+        fit = fit_plane(local.to_points())
+        state = true_state(cfg.trajectory, ts * 1e-9)
+        rin = _reward_frame(cfg, self.hf, state, self.command)
+        breakdown = compute_rewards(rin, fit, cfg.weights, terrain=self.hf)
+        lap("reward")
+
+        self.reward_records.append(breakdown.as_record(ts))
+        frame = ObservationFrame(
+            omega=rin.omega, gravity=rin.gravity_body, command=self.command,
+            joint_angles=np.zeros(12), joint_velocities=np.zeros(12),
+            prev_action=np.zeros(12))
+        self.history = self.history.push(frame)
+        self.trajectory_records.append({
+            "timestamp_ns": ts, "yaw": rin.yaw, "body_height": rin.body_height,
+            "fill_ratio": local.fill_ratio,
+            "plane_normal": [float(v) for v in fit.normal],
+            "observation": [float(v) for v in frame.flatten()]})
+        self.local_blobs.append(encode_local_map(local.heights, local.resolution))
+        if self.streamer is not None:
+            self.streamer.send(telemetry.encode_pose(fused))
+            for frag in telemetry.encode_local_map(ts, local.heights, local.resolution):
+                self.streamer.send(frag)
+            self.streamer.send(telemetry.encode_reward(
+                ts, list(breakdown.weighted.values())))
+
+
 def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
     """Replay the configured scenario and write all logs under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    hf = generate(cfg.terrain)
-    s_imu, s_odom, s_lidar, s_cmd, s_mapnoise = _seeds(cfg.seed, 5)
-    command = sample_command(cfg.terrain.terrain_type, s_cmd)
-
-    imu = imu_stream(cfg.trajectory, cfg.imu_hz, cfg.noise, s_imu)
-    odom = odometry_stream(cfg.trajectory, cfg.odom_hz, cfg.noise, s_odom)
-    scan_times = [s.timestamp_ns for s in
-                  odometry_stream(cfg.trajectory, cfg.lidar_hz)]
-    scans = []
-    for i, ts in enumerate(scan_times):
-        st = true_state(cfg.trajectory, ts * 1e-9)
-        scans.append(lidar_scan(hf, st.pose, cfg.scan_pattern, cfg.noise,
-                                s_lidar + i))
-
-    delay = cfg.noise.system_delay_ms
-    imu_d = apply_delay(imu, delay)
-    odom_d = apply_delay(odom, delay)
-    scans_d = apply_delay(scans, delay)
-
-    # delivery order; odometry first on ties so the filter seeds before
-    # the co-timed IMU sample, scans before the IMU tick that reads them
-    events = ([(d.delivery_ns, 0, d.item) for d in odom_d]
-              + [(d.delivery_ns, 1, d.item) for d in scans_d]
-              + [(d.delivery_ns, 2, d.item) for d in imu_d])
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    emap = ElevationMap(cfg.map_size, cfg.map_resolution,
-                        center=(0.0, 0.0))
-    fuser = PoseFuser(cfg.fusion)
-    streamer = telemetry.UdpStreamer(cfg.endpoint) if cfg.endpoint else None
-
-    ticks_per_policy = cfg.ticks_per_policy
-    history = ObservationHistory.zeros()
-    fused_records = []
-    imu_records = []
-    reward_records = []
-    trajectory_records = []
-    local_blobs = []
-    expected_samples = cfg.local_map.samples_x * cfg.local_map.samples_y
-
-    imu_count = 0
-    policy_count = 0
-    scan_count = 0
+    replay = _Replay(cfg, cfg.endpoint)
+    streamer = replay.streamer
     try:
-        for _, kind, item in events:
-            if kind == 0:
-                fuser.handle_odometry(item)
-                continue
-            if kind == 1:
-                pose = (fuser.state.pose() if fuser.state is not None else None)
-                if pose is None:
-                    continue
-                scan_pose = Pose(pose.position, pose.orientation, item.timestamp_ns)
-                emap.recenter(scan_pose.position[:2])
-                emap.integrate_scan(item, scan_pose)
-                scan_count += 1
-                continue
-
-            if fuser.state is None:
-                continue
-            fused = fuser.handle_imu(item)
-            imu_count += 1
-            fused_records.append(pose_record(fused))
-            imu_records.append(imu_record(item))
-
-            if imu_count % ticks_per_policy != 0:
-                continue
-            policy_count += 1
-            local = emap.extract_local(fused, cfg.local_map)
-            if cfg.noise.map_noise_ratio > 0:
-                local = inject_map_noise(local, cfg.noise.map_noise_ratio,
-                                         cfg.noise.map_noise_magnitude,
-                                         s_mapnoise + policy_count)
-            if local.heights.size != expected_samples:
-                raise PipelineInvariantError(
-                    f"local map has {local.heights.size} samples, "
-                    f"expected {expected_samples}")
-            fit = fit_plane(local.to_points())
-            state = true_state(cfg.trajectory, item.timestamp_ns * 1e-9)
-            rin = _reward_frame(cfg, hf, state, command)
-            breakdown = compute_rewards(rin, fit, cfg.weights, terrain=hf)
-            reward_records.append(breakdown.as_record(item.timestamp_ns))
-
-            frame = ObservationFrame(
-                omega=rin.omega, gravity=rin.gravity_body, command=command,
-                joint_angles=np.zeros(12), joint_velocities=np.zeros(12),
-                prev_action=np.zeros(12))
-            history = history.push(frame)
-            rec = {"timestamp_ns": item.timestamp_ns,
-                   "yaw": rin.yaw, "body_height": rin.body_height,
-                   "fill_ratio": local.fill_ratio,
-                   "plane_normal": [float(v) for v in fit.normal],
-                   "observation": [float(v) for v in frame.flatten()]}
-            trajectory_records.append(rec)
-            local_blobs.append(encode_local_map(local.heights, local.resolution))
-
-            if streamer is not None:
-                streamer.send(telemetry.encode_pose(fused))
-                for frag in telemetry.encode_local_map(
-                        item.timestamp_ns, local.heights, local.resolution):
-                    streamer.send(frag)
-                streamer.send(telemetry.encode_reward(
-                    item.timestamp_ns, list(breakdown.weighted.values())))
+        for _, kind, item in replay.events:
+            replay.step(kind, item)
     finally:
         if streamer is not None:
             streamer.close()
 
-    if imu_count != len(imu):
+    imu_count, policy_count = replay.imu_count, replay.policy_count
+    if imu_count != len(replay.imu):
         raise PipelineInvariantError(
-            f"produced {imu_count} fused poses for {len(imu)} imu samples")
-    if policy_count != imu_count // ticks_per_policy:
+            f"produced {imu_count} fused poses for {len(replay.imu)} imu samples")
+    if policy_count != imu_count // cfg.ticks_per_policy:
         raise PipelineInvariantError(
             f"{policy_count} policy ticks for {imu_count} fused poses")
 
-    write_jsonl(fused_records, out / "fused_poses.jsonl")
-    write_jsonl(imu_records, out / "imu.jsonl")
-    write_jsonl([pose_record(p) for p in odom], out / "odometry.jsonl")
-    write_jsonl(reward_records, out / "rewards.jsonl")
-    write_jsonl(trajectory_records, out / "trajectory.jsonl")
-    (out / "localmaps.bin").write_bytes(b"".join(local_blobs))
+    write_jsonl(replay.fused_records, out / "fused_poses.jsonl")
+    write_jsonl(replay.imu_records, out / "imu.jsonl")
+    write_jsonl([pose_record(p) for p in replay.odom], out / "odometry.jsonl")
+    write_jsonl(replay.reward_records, out / "rewards.jsonl")
+    write_jsonl(replay.trajectory_records, out / "trajectory.jsonl")
+    (out / "localmaps.bin").write_bytes(b"".join(replay.local_blobs))
     result = PipelineResult(
         out_dir=out,
         fused_pose_count=imu_count,
         policy_tick_count=policy_count,
-        scan_count=scan_count,
-        rejected_stale=fuser.stats.rejected_stale,
+        scan_count=replay.scan_count,
+        rejected_stale=replay.fuser.stats.rejected_stale,
         telemetry_sent=streamer.sent if streamer else 0,
         telemetry_dropped=streamer.dropped if streamer else 0,
     )
@@ -272,73 +280,55 @@ class BenchReport:
         return "\n".join(lines)
 
 
+# replay stage -> bench stage: odometry updates are filter work, and a
+# tick's log records count with the reward work they report
+_BENCH_STAGES = {"odometry": "fusion_step", "fusion": "fusion_step",
+                 "scan": "scan_amortized", "local_map": "local_extract",
+                 "reward": "reward_eval", "record": "reward_eval"}
+
+
 def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
               budget_ms: float = 5.0) -> BenchReport:
-    """Wall-clock latency of one 200 Hz tick's worth of work.
+    """Wall-clock latency of the replay's own stages, per IMU tick.
 
-    Scan integration runs at its real cadence and its cost is amortized
+    Replays the config's trajectory stretched to iters / imu_hz seconds,
+    with run_pipeline's seeds and events but no telemetry and no files, and
+    times its first iters IMU ticks. A tick is charged the odometry updates
+    delivered since the tick before it, and the last scan's cost spread
     over the ticks between scans.
     """
     cfg = cfg or PipelineConfig()
-    hf = generate(cfg.terrain)
-    emap = ElevationMap(cfg.map_size, cfg.map_resolution)
-    fuser = PoseFuser(cfg.fusion)
-    command = sample_command(cfg.terrain.terrain_type, cfg.seed)
-
-    t0 = true_state(cfg.trajectory, 0.0)
-    start = Pose(t0.pose.position, t0.pose.orientation, 0)
-    fuser.initialize(start)
-    scan = lidar_scan(hf, start, cfg.scan_pattern, cfg.noise, cfg.seed)
-    emap.integrate_scan(scan, start)
-
-    dt_ns = round(1e9 / cfg.imu_hz)
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    replay = _Replay(replace(cfg, trajectory=replace(
+        cfg.trajectory, duration=iters / cfg.imu_hz)))
     ticks_per_scan = max(1, cfg.imu_hz // cfg.lidar_hz)
-    imu = imu_stream(cfg.trajectory, cfg.imu_hz, cfg.noise, cfg.seed)
+    pending = dict.fromkeys(_BENCH_STAGES.values(), 0)  # ns since the last tick
+    rows = []
+    scan_ns = mark = 0
 
-    fusion_t = np.empty(iters)
-    scan_t = np.empty(iters)
-    extract_t = np.empty(iters)
-    reward_t = np.empty(iters)
-    last_scan_cost = 0.0
+    def lap(stage: str) -> None:
+        nonlocal mark
+        now = time.perf_counter_ns()
+        pending[_BENCH_STAGES[stage]] += now - mark
+        mark = now
 
-    for i in range(iters):
-        sample = imu[i % len(imu)]
-        # keep timestamps advancing regardless of wrap
-        sample = type(sample)(fuser.state.timestamp_ns + dt_ns,
-                              sample.angular_velocity,
-                              sample.linear_acceleration)
-        t = time.perf_counter_ns()
-        fused = fuser.handle_imu(sample)
-        fusion_t[i] = time.perf_counter_ns() - t
+    for _, kind, item in replay.events:
+        mark = time.perf_counter_ns()
+        replay.step(kind, item, lap)
+        if kind == SCAN:
+            scan_ns, pending["scan_amortized"] = pending["scan_amortized"], 0
+        elif replay.imu_count > len(rows):
+            pending["scan_amortized"] = scan_ns / ticks_per_scan
+            rows.append(list(pending.values()))
+            pending.update(dict.fromkeys(pending, 0))
+            if len(rows) == iters:
+                break
 
-        if i % ticks_per_scan == 0:
-            tagged = type(scan)(fused.timestamp_ns, scan.points)
-            t = time.perf_counter_ns()
-            emap.integrate_scan(tagged, Pose(start.position, start.orientation,
-                                             fused.timestamp_ns))
-            last_scan_cost = time.perf_counter_ns() - t
-        scan_t[i] = last_scan_cost / ticks_per_scan
-
-        t = time.perf_counter_ns()
-        local = emap.extract_local(Pose(start.position, start.orientation,
-                                        fused.timestamp_ns), cfg.local_map)
-        extract_t[i] = time.perf_counter_ns() - t
-
-        t = time.perf_counter_ns()
-        fit = fit_plane(local.to_points())
-        state = true_state(cfg.trajectory, 0.0)
-        rin = _reward_frame(cfg, hf, state, command)
-        compute_rewards(rin, fit, cfg.weights, terrain=hf)
-        reward_t[i] = time.perf_counter_ns() - t
-
-    stages = {"fusion_step": fusion_t, "scan_amortized": scan_t,
-              "local_extract": extract_t, "reward_eval": reward_t}
-    total = fusion_t + scan_t + extract_t + reward_t
-    to_ms = 1e-6
-    return BenchReport(
-        iters=iters, budget_ms=budget_ms,
-        stage_p50_ms={k: float(np.percentile(v, 50)) * to_ms for k, v in stages.items()},
-        stage_p99_ms={k: float(np.percentile(v, 99)) * to_ms for k, v in stages.items()},
-        total_p50_ms=float(np.percentile(total, 50)) * to_ms,
-        total_p99_ms=float(np.percentile(total, 99)) * to_ms,
-    )
+    ticks = np.array(rows) * 1e-6  # ms, one row per tick, one column per stage
+    p50, p99 = np.percentile(ticks, [50, 99], axis=0).tolist()
+    total_p50, total_p99 = np.percentile(ticks.sum(axis=1), [50, 99]).tolist()
+    return BenchReport(iters=iters, budget_ms=budget_ms,
+                       stage_p50_ms=dict(zip(pending, p50)),
+                       stage_p99_ms=dict(zip(pending, p99)),
+                       total_p50_ms=total_p50, total_p99_ms=total_p99)

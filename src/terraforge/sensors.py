@@ -107,6 +107,16 @@ class ScanPattern:
     max_range: float = 12.0  # m
     ray_step: float = 0.01  # m, march step and hit tolerance
 
+    def __post_init__(self):
+        if self.n_azimuth < 1 or self.n_elevation < 1:
+            raise ValueError("n_azimuth and n_elevation must be >= 1")
+        if self.max_range <= 0 or self.ray_step <= 0:
+            raise ValueError("max_range and ray_step must be positive")
+
+
+class SensorUnderground(ValueError):
+    """The LiDAR origin is at or below the terrain under it."""
+
 
 @dataclass(frozen=True, eq=False)
 class Delivered:
@@ -257,9 +267,8 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     origin = pose.position
     ground, on_tile = sample_height_vec(hf, origin[:1], origin[1:2])
     if on_tile[0] and origin[2] <= ground[0]:
-        raise ValueError("sensor underground")
-    if pattern.n_azimuth == 0 or pattern.n_elevation == 0:
-        return LidarScan(pose.timestamp_ns, np.zeros((0, 3)))
+        raise SensorUnderground(f"sensor underground: z {origin[2]:.3f} m at or "
+                                f"below the ground at {ground[0]:.3f} m")
 
     rot = quat_to_matrix(pose.orientation)
     dirs_body = _ray_directions(pattern)
@@ -318,8 +327,16 @@ def apply_delay(stream: Sequence, delay_ms: float) -> list[Delivered]:
     if not 0.0 <= delay_ms <= 15.0:
         raise ValueError("delay outside [0, 15] ms")
     shift = round(delay_ms * 1e6)
-    out = []
-    for item in stream:
-        ts = item.timestamp_ns if hasattr(item, "timestamp_ns") else item.item.timestamp_ns
-        out.append(Delivered(ts + shift, item))
-    return out
+    return [Delivered(item.timestamp_ns + shift, item) for item in stream]
+
+
+def merge_delivered(*streams: Sequence) -> list[tuple[int, int, object]]:
+    """(delivery time, stream index, payload) for every element of the
+    streams, in delivery order; ties go to the lower stream index, then keep
+    stream order. The time is a Delivered element's delivery_ns, else the
+    element's timestamp_ns; a Delivered element is unwrapped."""
+    events = [(e.delivery_ns, kind, e.item) if isinstance(e, Delivered)
+              else (e.timestamp_ns, kind, e)
+              for kind, stream in enumerate(streams) for e in stream]
+    events.sort(key=lambda e: e[:2])
+    return events

@@ -118,6 +118,9 @@ class TestRun:
         assert a == b
 
 
+STAIRS_LEVEL0 = "[terrain]\ntype = tau3\nlevel = 0\n"
+
+
 class TestBench:
     def test_report_and_exit_code(self, tmp_path, capsys):
         out = tmp_path / "bench.txt"
@@ -128,6 +131,49 @@ class TestBench:
         assert code in (0, 3)  # 3 only if this host blows the budget
         if code == 0:
             assert "within" in stdout
+
+
+    def test_zero_iters_is_a_usage_error(self, capsys):
+        assert main(["bench", "--iters", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--iters" in err and "Traceback" not in err
+
+
+class TestTallTerrain:
+    """Stairs level 0 puts the default 0.4 m sensor under the first riser
+    after about 3.1 s: both commands exit 2 with a hint, no traceback."""
+
+    def test_run_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "stairs.ini"
+        cfg_path.write_text(STAIRS_LEVEL0)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "sensor underground" in err and "height_above_ground" in err
+        assert "Traceback" not in err
+
+    def test_bench_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "stairs.ini"
+        cfg_path.write_text(STAIRS_LEVEL0)
+        assert main(["bench", "--config", str(cfg_path), "--iters", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert "sensor underground" in captured.err
+        assert "height_above_ground" in captured.err
+        assert "Traceback" not in captured.err
+        assert "budget" not in captured.out
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text", ["[lidar]\nray_step = 0\n",
+                                      "[run]\nmap_size = 20.01\n"])
+    def test_run_exits_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEditMap:

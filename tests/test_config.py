@@ -6,6 +6,7 @@ import math
 import pytest
 
 from terraforge.config import PipelineConfig, load_config, reference_text
+from terraforge.mapping import ElevationMap
 from terraforge.sensors import TrajectoryKind
 from terraforge.terrain import Robot, TerrainType
 
@@ -129,6 +130,36 @@ class TestLoadConfig:
     def test_invalid_combo_propagates(self):
         with pytest.raises(ValueError, match="divisible"):
             load_config("[run]\nimu_hz = 200\npolicy_hz = 60\n", is_text=True)
+
+    @pytest.mark.parametrize("line, match", [
+        ("ray_step = 0", "ray_step must be positive"),
+        ("ray_step = -0.01", "ray_step must be positive"),
+        ("max_range = -1", "max_range and ray_step"),
+        ("max_range = 0", "max_range and ray_step"),
+        ("n_azimuth = 0", "n_azimuth and n_elevation must be >= 1"),
+        ("n_elevation = -3", "n_azimuth and n_elevation must be >= 1"),
+    ])
+    def test_bad_lidar_pattern_rejected(self, line, match):
+        with pytest.raises(ValueError, match=match):
+            load_config(f"[lidar]\n{line}\n", is_text=True)
+
+    @pytest.mark.parametrize("line", [
+        "map_size = 20.01", "map_resolution = 0.07", "map_size = 0",
+        "map_size = -20", "map_resolution = 0",
+    ])
+    def test_bad_map_geometry_rejected(self, line):
+        with pytest.raises(ValueError, match="map size"):
+            load_config(f"[run]\n{line}\n", is_text=True)
+
+    def test_map_geometry_check_shared_with_the_map(self):
+        for size, res in ((20.01, 0.05), (20.0, 0.07), (0.0, 0.05)):
+            with pytest.raises(ValueError) as from_cfg:
+                PipelineConfig(map_size=size, map_resolution=res)
+            with pytest.raises(ValueError) as from_map:
+                ElevationMap(size, res)
+            assert str(from_cfg.value) == str(from_map.value)
+        cfg = load_config("[run]\nmap_size = 10.0\nmap_resolution = 0.1\n", is_text=True)
+        assert ElevationMap(cfg.map_size, cfg.map_resolution).cells == 100
 
 
 class TestReferenceText:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from terraforge.config import PipelineConfig
-from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, read_jsonl
+from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, pose_record, read_jsonl
+from terraforge.mapping import ElevationMap
 from terraforge.pipeline import (
     PipelineInvariantError,
     PipelineResult,
@@ -174,6 +175,39 @@ class TestRunBench:
         assert rep.within_budget
         rep2 = run_bench(iters=20, budget_ms=1e-9)
         assert not rep2.within_budget
+
+
+class TestBenchDrivesTheReplay:
+    def test_bench_maps_at_the_replay_poses_and_recenters(self, tmp_path, monkeypatch):
+        iters = 200  # 1 s at 200 Hz, the whole trajectory below
+        cfg = PipelineConfig(trajectory=TrajectorySpec(
+            kind=TrajectoryKind.CONSTANT_VELOCITY, duration=1.0, speed=1.0))
+        extracted, shifts = [], []
+        extract_local, recenter = ElevationMap.extract_local, ElevationMap.recenter
+
+        def spy_extract(self, pose, spec=None):
+            extracted.append(pose)
+            return extract_local(self, pose, spec)
+
+        def spy_recenter(self, center_xy):
+            shifts.append(recenter(self, center_xy))
+            return shifts[-1]
+
+        monkeypatch.setattr(ElevationMap, "extract_local", spy_extract)
+        monkeypatch.setattr(ElevationMap, "recenter", spy_recenter)
+        run_bench(cfg, iters=iters, budget_ms=1e9)
+        monkeypatch.undo()
+
+        assert any(k != (0, 0) for k in shifts)
+        run_pipeline(cfg, tmp_path)
+        fused = read_jsonl(tmp_path / "fused_poses.jsonl")
+        policy = fused[cfg.ticks_per_policy - 1::cfg.ticks_per_policy]
+        assert len(extracted) == iters // cfg.ticks_per_policy == len(policy)
+        assert [pose_record(p) for p in extracted] == policy
+
+    def test_iters_must_be_positive(self):
+        with pytest.raises(ValueError, match="iters"):
+            run_bench(iters=0)
 
 
 def test_invariant_error_is_runtime_error():

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 import terraforge.sensors as sensors_mod
 from terraforge.geometry import GRAVITY, Pose, quat_from_rotvec, quat_multiply, quat_to_matrix
 from terraforge.sensors import (
+    Delivered,
+    ImuSample,
+    LidarScan,
     NoiseConfig,
     ScanPattern,
+    SensorUnderground,
     TrajectoryKind,
     TrajectorySpec,
     apply_delay,
     imu_stream,
     lidar_scan,
+    merge_delivered,
     odometry_stream,
     scan_points_world,
     true_state,
@@ -181,10 +186,9 @@ class TestLidarScan:
                 assert abs(z - truth) < 0.011
 
     def test_empty_pattern(self):
-        hf = generate(TerrainSpec(TerrainType.SLOPE, 0))
-        pose = true_state(static_traj(), 0.0).pose
-        scan = lidar_scan(hf, pose, ScanPattern(n_azimuth=0))
-        assert scan.points.shape == (0, 3)
+        for empty in ({"n_azimuth": 0}, {"n_elevation": 0}):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                ScanPattern(**empty)
 
     def test_sensor_underground(self):
         hf = generate(TerrainSpec(TerrainType.HIGH_PLATFORM, 9))
@@ -192,6 +196,12 @@ class TestLidarScan:
         pose = pose_cls(np.array([6.0, 0.0, 0.3]),  # platform top is 0.55
                         true_state(static_traj(), 0.0).pose.orientation, 0)
         with pytest.raises(ValueError, match="sensor underground"):
+            lidar_scan(hf, pose)
+
+    def test_sensor_underground_is_typed_and_reports_heights(self):
+        hf = generate(TerrainSpec(TerrainType.HIGH_PLATFORM, 9))
+        pose = Pose(np.array([6.0, 0.0, 0.3]), true_state(static_traj(), 0.0).pose.orientation, 0)
+        with pytest.raises(SensorUnderground, match=r"z 0\.300 m .* ground at 0\.550 m"):
             lidar_scan(hf, pose)
 
     def test_sensor_off_tile_scans(self):
@@ -361,6 +371,33 @@ class TestApplyDelay:
     def test_range_enforced(self):
         with pytest.raises(ValueError, match="delay"):
             apply_delay([], 15.1)
+
+
+class TestMergeDelivered:
+    def test_ties_go_odometry_scan_imu(self):
+        odom = odometry_stream(static_traj(0.1), 10.0)
+        scans = [LidarScan(p.timestamp_ns, np.zeros((0, 3))) for p in odom]
+        imu = imu_stream(static_traj(0.1), 200.0)
+        events = merge_delivered(odom, scans, imu)
+        assert [k for _, k, _ in events[:3]] == [0, 1, 2]  # all at t = 0
+        times = [t for t, _, _ in events]
+        assert times == sorted(times)
+        assert len(events) == len(odom) + len(scans) + len(imu)
+
+    def test_delivered_unwrapped_and_ordered_by_delivery(self):
+        odom = odometry_stream(static_traj(0.1), 10.0)
+        imu = imu_stream(static_traj(0.1), 200.0)
+        events = merge_delivered(apply_delay(odom, 15.0), imu)
+        assert all(not isinstance(item, Delivered) for _, _, item in events)
+        first_fix = next(i for i, (_, k, _) in enumerate(events) if k == 0)
+        assert events[first_fix][0] == 15_000_000
+        assert events[first_fix][2] is odom[0]
+        assert [k for _, k, _ in events[:first_fix]] == [1, 1, 1]  # imu at 0, 5, 10 ms
+
+    def test_order_within_a_stream_is_stable(self):
+        same_time = [ImuSample(0, np.zeros(3), np.full(3, float(i))) for i in range(5)]
+        events = merge_delivered(same_time)
+        assert [item for _, _, item in events] == same_time
 
 
 class TestNoiseConfig:
