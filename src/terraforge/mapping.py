@@ -7,9 +7,11 @@ Kalman update whose measurement variance grows with range. Cells written
 by a virtual edit are pinned: scans never overwrite them, which is what
 lets an operator paint a trench onto flat ground.
 
-The map has one writer: integrate_scan, apply_edit and recenter update
-its grids in place. snapshot() returns a copy, so a reader holds a
-consistent map that later writes do not change.
+The map is three grids (heights, variance, pinned); a cell is known iff
+its variance is finite. It has one writer: integrate_scan, apply_edit and
+recenter update the grids in place, a shift being one in-place move per
+grid. snapshot() returns a copy, so a reader holds a consistent map that
+later writes do not change.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def grid_cells(size: float, resolution: float) -> int:
 
 
 class ElevationMap:
-    """Rolling global elevation grid with one writer that updates the
-    grids in place; readers take a copy through snapshot()."""
+    """Rolling heights/variance/pinned grids, known iff variance is finite,
+    with one in-place writer; readers take a copy through snapshot()."""
 
     def __init__(self, size: float = 20.0, resolution: float = 0.05,
                  center: tuple[float, float] = (0.0, 0.0)):
@@ -136,12 +138,11 @@ class ElevationMap:
         self._origin = np.array([center[0] - extent / 2, center[1] - extent / 2])
         self._heights = np.zeros((n, n))
         self._variance = np.full((n, n), np.inf)
-        self._valid = np.zeros((n, n), dtype=bool)
         self._pinned = np.zeros((n, n), dtype=bool)
 
     def snapshot(self) -> MapSnapshot:
         return MapSnapshot(self._heights.copy(), self._variance.copy(),
-                           self._valid.copy(), self._pinned.copy(),
+                           np.isfinite(self._variance), self._pinned.copy(),
                            self._origin.copy(), self.resolution)
 
     @property
@@ -160,7 +161,7 @@ class ElevationMap:
     def height_at(self, x: float, y: float) -> float | None:
         """Height of the cell containing (x, y), or None if unknown."""
         ix, iy, ok = self._cell_index(np.array([[x, y]], dtype=float))
-        if not ok[0] or not self._valid[ix[0], iy[0]]:
+        if not ok[0] or not np.isfinite(self._variance[ix[0], iy[0]]):
             return None
         return float(self._heights[ix[0], iy[0]])
 
@@ -174,15 +175,22 @@ class ElevationMap:
         if kx == 0 and ky == 0:
             return (0, 0)
 
-        # cell i of the shifted window is cell i + k of the old one
-        mx, my = max(self.cells - abs(kx), 0), max(self.cells - abs(ky), 0)
-        src = (slice(max(kx, 0), max(kx, 0) + mx), slice(max(ky, 0), max(ky, 0) + my))
-        dst = (slice(max(-kx, 0), max(-kx, 0) + mx), slice(max(-ky, 0), max(-ky, 0) + my))
+        # new cell (i, j) is old (i + kx, j + ky), flat index f + d: one 1-D
+        # move (no temporary for overlapping 1-D slices) carries every kept
+        # cell and leaves stale exactly the exposed row and column strips
+        n = self.cells
+        d = kx * n + ky
+        rows = slice(max(n - kx, 0), n) if kx > 0 else slice(0, -kx)
+        cols = slice(max(n - ky, 0), n) if ky > 0 else slice(0, -ky)
         for grid, fill in ((self._heights, 0.0), (self._variance, np.inf),
-                           (self._valid, False), (self._pinned, False)):
-            kept = grid[src].copy()
-            grid.fill(fill)
-            grid[dst] = kept
+                           (self._pinned, False)):
+            flat = grid.reshape(-1)
+            if d > 0:
+                flat[:-d] = flat[d:]
+            elif d < 0:
+                flat[-d:] = flat[:d]
+            grid[rows] = fill
+            grid[:, cols] = fill
         self._origin = self._origin + shift * self.resolution
         return (kx, ky)
 
@@ -227,7 +235,7 @@ class ElevationMap:
             return 0
 
         heights, variance = self._heights, self._variance
-        seen = self._valid[tix, tiy]
+        seen = np.isfinite(variance[tix, tiy])
         # fresh cells take the measurement directly
         heights[tix[~seen], tiy[~seen]] = z_cell[~seen]
         variance[tix[~seen], tiy[~seen]] = var_cell[~seen]
@@ -236,7 +244,6 @@ class ElevationMap:
         k = p / (p + var_cell[seen])
         heights[tix[seen], tiy[seen]] += k * (z_cell[seen] - heights[tix[seen], tiy[seen]])
         variance[tix[seen], tiy[seen]] = (1.0 - k) * p
-        self._valid[tix, tiy] = True
         return int(tix.size)
 
     def apply_edit(self, edit: VirtualEdit) -> int:
@@ -245,7 +252,6 @@ class ElevationMap:
                               self._heights.shape)
         self._heights[window] = edit.height
         self._variance[window] = EDIT_VARIANCE
-        self._valid[window] = True
         self._pinned[window] = True
         return self._heights[window].size
 
@@ -263,7 +269,7 @@ class ElevationMap:
         pts = np.column_stack([wx.ravel(), wy.ravel()])
         ix, iy, ok = self._cell_index(pts)
         known = np.zeros(len(pts), dtype=bool)
-        known[ok] = self._valid[ix[ok], iy[ok]]
+        known[ok] = np.isfinite(self._variance[ix[ok], iy[ok]])
         rel = np.zeros(len(pts))
         rel[known] = self._heights[ix[known], iy[known]] - pose.position[2]
         heights = rel.reshape(spec.samples_x, spec.samples_y)

@@ -3,8 +3,8 @@ rewards, plus the per-tick latency benchmark.
 
 Replay is virtual-time and event-driven; (config, seed) determines every
 output byte. One _Replay object holds the event loop's stages: run_pipeline
-drives it and writes the logs, and run_bench drives the same stages on the
-configured trajectory with a wall-clock timer between them, spreading each
+drives it and writes the logs, and run_bench drives the same stages over
+back-to-back replays with a wall-clock timer between them, spreading each
 scan's cost over the ticks between scans. Only run_bench reads the clock.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +23,11 @@ from .fileformats import (encode_local_map, imu_record, pose_record, write_jsonl
 from .fusion import PoseFuser
 from .geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
 from .mapping import ElevationMap, inject_map_noise
-from .observations import ObservationFrame, ObservationHistory, sample_command
+from .observations import ObservationFrame, sample_command
 from .rewards import RewardInput, compute_rewards, fit_plane
 from .sensors import (apply_delay, imu_stream, lidar_scan, merge_delivered,
                       odometry_stream, true_state)
-from .terrain import generate, sample_height
+from .terrain import generate, sample_height_vec
 from . import telemetry
 
 log = logging.getLogger(__name__)
@@ -63,25 +63,18 @@ def _seeds(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in ss.spawn(n)]
 
 
-def _ground_height(hf, x: float, y: float) -> float:
-    try:
-        return sample_height(hf, x, y)
-    except ValueError:
-        return 0.0  # off-tile: base plane
-
-
 def _reward_frame(cfg: PipelineConfig, hf, state, command):
     q = state.pose.orientation
     v_body = rotate_vec(quat_conjugate(q), state.velocity)
     gravity_body = rotate_vec(quat_conjugate(q), vec3(0, 0, -1.0))
     yaw = quat_yaw(q)
-    ground = _ground_height(hf, state.pose.position[0], state.pose.position[1])
     c, s = np.cos(yaw), np.sin(yaw)
     feet_xy = state.pose.position[:2] + FOOT_OFFSETS @ np.array([[c, s], [-s, c]])
-    feet = np.column_stack([
-        feet_xy,
-        [_ground_height(hf, fx, fy) for fx, fy in feet_xy],
-    ])
+    # ground under the body, then under each foot; off the tile: base plane
+    xy = np.vstack([state.pose.position[:2], feet_xy])
+    h, on_tile = sample_height_vec(hf, xy[:, 0], xy[:, 1])
+    ground = np.where(on_tile, h, 0.0)
+    feet = np.column_stack([feet_xy, ground[1:]])
     forces = np.zeros((4, 3))
     forces[:, 2] = NOMINAL_CONTACT_FORCE
     zeros12 = np.zeros(12)
@@ -93,7 +86,7 @@ def _reward_frame(cfg: PipelineConfig, hf, state, command):
         gravity_body=gravity_body,
         yaw=yaw,
         joint_acc=zeros12,
-        body_height=float(state.pose.position[2] - ground),
+        body_height=float(state.pose.position[2] - ground[0]),
         desired_height=cfg.desired_height,
         action=zeros12, prev_action=zeros12, prev_prev_action=zeros12,
         hip_angles=np.zeros(4), hip_angles_desired=np.zeros(4),
@@ -136,7 +129,6 @@ class _Replay:
 
         self.emap = ElevationMap(cfg.map_size, cfg.map_resolution)
         self.fuser = PoseFuser(cfg.fusion)
-        self.history = ObservationHistory.zeros()
         self.fused_records, self.imu_records, self.reward_records = [], [], []
         self.trajectory_records, self.local_blobs = [], []
         self.imu_count = self.policy_count = self.scan_count = 0
@@ -198,7 +190,6 @@ class _Replay:
             omega=rin.omega, gravity=rin.gravity_body, command=self.command,
             joint_angles=np.zeros(12), joint_velocities=np.zeros(12),
             prev_action=np.zeros(12))
-        self.history = self.history.push(frame)
         self.trajectory_records.append({
             "timestamp_ns": ts, "yaw": rin.yaw, "body_height": rin.body_height,
             "fill_ratio": local.fill_ratio,
@@ -291,21 +282,20 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
               budget_ms: float = 5.0) -> BenchReport:
     """Wall-clock latency of the replay's own stages, per IMU tick.
 
-    Replays the config's trajectory stretched to iters / imu_hz seconds,
-    with run_pipeline's seeds and events but no telemetry and no files, and
-    times its first iters IMU ticks. A tick is charged the odometry updates
-    delivered since the tick before it, and the last scan's cost spread
-    over the ticks between scans.
+    Replays the configured scenario back to back, each replay the one
+    run_pipeline makes (same seeds, duration and events, so it stays on the
+    terrain) but with no telemetry and no files, until iters IMU ticks are
+    timed. A tick is charged the odometry updates delivered since the tick
+    before it, and the cost of the scan before it spread over the ticks
+    between scans.
     """
     cfg = cfg or PipelineConfig()
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    replay = _Replay(replace(cfg, trajectory=replace(
-        cfg.trajectory, duration=iters / cfg.imu_hz)))
     ticks_per_scan = max(1, cfg.imu_hz // cfg.lidar_hz)
     pending = dict.fromkeys(_BENCH_STAGES.values(), 0)  # ns since the last tick
     rows = []
-    scan_ns = mark = 0
+    mark = 0
 
     def lap(stage: str) -> None:
         nonlocal mark
@@ -313,17 +303,19 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
         pending[_BENCH_STAGES[stage]] += now - mark
         mark = now
 
-    for _, kind, item in replay.events:
-        mark = time.perf_counter_ns()
-        replay.step(kind, item, lap)
-        if kind == SCAN:
-            scan_ns, pending["scan_amortized"] = pending["scan_amortized"], 0
-        elif replay.imu_count > len(rows):
-            pending["scan_amortized"] = scan_ns / ticks_per_scan
-            rows.append(list(pending.values()))
-            pending.update(dict.fromkeys(pending, 0))
-            if len(rows) == iters:
-                break
+    while len(rows) < iters:
+        replay, done, scan_ns = _Replay(cfg), len(rows), 0
+        for _, kind, item in replay.events:
+            mark = time.perf_counter_ns()
+            replay.step(kind, item, lap)
+            if kind == SCAN:
+                scan_ns, pending["scan_amortized"] = pending["scan_amortized"], 0
+            elif done + replay.imu_count > len(rows):
+                pending["scan_amortized"] = scan_ns / ticks_per_scan
+                rows.append(list(pending.values()))
+                pending.update(dict.fromkeys(pending, 0))
+                if len(rows) == iters:
+                    break
 
     ticks = np.array(rows) * 1e-6  # ms, one row per tick, one column per stage
     p50, p99 = np.percentile(ticks, [50, 99], axis=0).tolist()

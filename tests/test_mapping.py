@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terraforge.geometry import Pose, Quaternion, quat_from_yaw, vec3
 from terraforge.mapping import (
@@ -177,6 +179,84 @@ class TestInPlaceWrites:
         finally:
             tracemalloc.stop()
         assert peak < grid_bytes
+
+    @pytest.mark.parametrize("step", [(1, 0), (1, -1)])
+    def test_recenter_allocates_less_than_a_row(self, step):
+        _, pose, scan = scan_flat_field()
+        emap = ElevationMap(center=(4.0, 0.0))
+        emap.integrate_scan(scan, pose)
+        res = emap.resolution
+        emap.recenter((4.0 + step[0] * res, step[1] * res))  # warm up
+        tracemalloc.start()
+        try:
+            shift = emap.recenter((4.0 + 2 * step[0] * res, 2 * step[1] * res))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shift == step
+        assert peak < emap.cells * 8
+
+
+def shifted_oracle(snap, kx, ky):
+    """The shift as first written: copy the kept block, refill, copy back."""
+    n = snap.heights.shape[0]
+    mx, my = max(n - abs(kx), 0), max(n - abs(ky), 0)
+    src = (slice(max(kx, 0), max(kx, 0) + mx), slice(max(ky, 0), max(ky, 0) + my))
+    dst = (slice(max(-kx, 0), max(-kx, 0) + mx), slice(max(-ky, 0), max(-ky, 0) + my))
+    grids = []
+    for grid, fill in ((snap.heights, 0.0), (snap.variance, np.inf),
+                       (snap.valid, False), (snap.pinned, False)):
+        kept = grid[src].copy()
+        grid = np.full_like(grid, fill)
+        grid[dst] = kept
+        grids.append(grid)
+    return grids
+
+
+# whole-cell shifts: none, one cell, a few, to the window edge and past it
+CELL_SHIFTS = st.sampled_from([0, 0, 1, -1, 2, -3, 19, -19, 20, -20, 27, -27])
+MAP_OPS = st.one_of(
+    st.tuples(st.just("scan"), st.integers(0, 2**32 - 1), st.integers(1, 300)),
+    st.tuples(st.just("edit"), st.floats(-1.0, 0.8), st.floats(-1.0, 0.8),
+              st.floats(0.15, 1.5), st.floats(0.15, 1.5), st.floats(-2.0, 2.0)),
+    st.tuples(st.just("recenter"), CELL_SHIFTS, CELL_SHIFTS,
+              st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+)
+
+
+class TestRecenterMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(MAP_OPS, min_size=1, max_size=12))
+    def test_shift_matches_copy_fill_copy_back(self, ops):
+        emap = ElevationMap(size=2.0, resolution=0.1)
+        res, extent = emap.resolution, (emap.cells - 1) * emap.resolution
+        for op in ops:
+            center = emap.origin + extent / 2
+            if op[0] == "scan":
+                # points anywhere over the window, so shifted strips hold data
+                rng = np.random.default_rng(op[1])
+                pts = np.column_stack([rng.uniform(-1.1, 1.1, (op[2], 2)),
+                                       rng.uniform(-0.6, 0.2, op[2])])
+                emap.integrate_scan(LidarScan(0, pts),
+                                    pose_at(center[0], center[1], 0.4))
+            elif op[0] == "edit":
+                x0, y0 = center[0] + op[1], center[1] + op[2]
+                emap.apply_edit(VirtualEdit((x0, y0, x0 + op[3], y0 + op[4]), op[5]))
+            else:
+                _, kx, ky, fx, fy = op
+                before = emap.snapshot()
+                shift = emap.recenter(center + np.array([kx + fx, ky + fy]) * res)
+                assert shift == (kx, ky)
+                after = emap.snapshot()
+                expected = shifted_oracle(before, kx, ky)
+                got = (after.heights, after.variance, after.valid, after.pinned)
+                for want, have in zip(expected, got):
+                    assert have.dtype == want.dtype
+                    assert have.tobytes() == want.tobytes()
+                assert np.array_equal(after.origin,
+                                      before.origin + np.array([kx, ky]) * res)
+            snap = emap.snapshot()
+            assert np.array_equal(snap.valid, np.isfinite(snap.variance))
 
 
 class TestExtractLocal:

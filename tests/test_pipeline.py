@@ -205,6 +205,20 @@ class TestBenchDrivesTheReplay:
         assert len(extracted) == iters // cfg.ticks_per_policy == len(policy)
         assert [pose_record(p) for p in extracted] == policy
 
+    def test_every_benched_scan_has_points(self, monkeypatch):
+        # 2,000 ticks are 10 s at 200 Hz, twice the default 5 s run; a
+        # trajectory stretched to 10 s at 1 m/s would leave the 8 m tile
+        points = []
+        integrate_scan = ElevationMap.integrate_scan
+
+        def spy_integrate(self, scan, pose):
+            points.append(len(scan.points))
+            return integrate_scan(self, scan, pose)
+
+        monkeypatch.setattr(ElevationMap, "integrate_scan", spy_integrate)
+        run_bench(PipelineConfig(), iters=2000, budget_ms=1e9)
+        assert points and min(points) > 0
+
     def test_iters_must_be_positive(self):
         with pytest.raises(ValueError, match="iters"):
             run_bench(iters=0)
