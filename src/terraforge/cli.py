@@ -69,7 +69,7 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         return _fail(f"config: {e}", 2)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -89,7 +89,7 @@ def cmd_bench(args) -> int:
         return _fail("--iters must be >= 1", 2)
     try:
         cfg = load_config(args.config) if args.config else PipelineConfig()
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         return _fail(f"config: {e}", 2)
     try:
         report = run_bench(cfg, iters=args.iters)
@@ -118,23 +118,15 @@ def cmd_edit_map(args) -> int:
     return 0
 
 
-def cmd_stream(args) -> int:
-    try:
-        telemetry.parse_endpoint(args.endpoint)
-    except ValueError as e:
-        return _fail(str(e), 2)
-    run_dir = Path(args.run_dir)
-    pose_path = run_dir / "fused_poses.jsonl"
-    reward_path = run_dir / "rewards.jsonl"
-    maps_path = run_dir / "localmaps.bin"
-    if not pose_path.exists():
-        return _fail(f"no pose log at {pose_path}", 2)
-
-    messages: list[tuple[int, int, bytes]] = []
-    for rec in fileformats.read_jsonl(pose_path):
+def _log_messages(run_dir: Path) -> list[tuple[int, int, bytes]]:
+    """(timestamp, kind, datagram) for every pose, reward and local map
+    logged in run_dir, in send order."""
+    messages = []
+    for rec in fileformats.read_jsonl(run_dir / "fused_poses.jsonl"):
         pose = fileformats.pose_from_record(rec)
         messages.append((pose.timestamp_ns, 0, telemetry.encode_pose(pose)))
 
+    reward_path = run_dir / "rewards.jsonl"
     reward_ts = []
     if reward_path.exists():
         for rec in fileformats.read_jsonl(reward_path):
@@ -143,17 +135,28 @@ def cmd_stream(args) -> int:
             values = [v for k, v in rec.items() if k.startswith("weighted_")]
             messages.append((ts, 2, telemetry.encode_reward(ts, values)))
 
+    maps_path = run_dir / "localmaps.bin"
     if maps_path.exists() and reward_ts:
-        blob = maps_path.read_bytes()
-        off, idx = 0, 0
-        while off < len(blob) and idx < len(reward_ts):
-            heights, res = fileformats.decode_local_map(blob[off:])
-            off += fileformats.LOCAL_BLOB_HEADER_SIZE + 4 * heights.size
-            for frag in telemetry.encode_local_map(reward_ts[idx], heights, res):
-                messages.append((reward_ts[idx], 1, frag))
-            idx += 1
+        for ts, (heights, res) in zip(reward_ts, fileformats.read_local_maps(maps_path)):
+            for frag in telemetry.encode_local_map(ts, heights, res):
+                messages.append((ts, 1, frag))
 
     messages.sort(key=lambda m: (m[0], m[1]))
+    return messages
+
+
+def cmd_stream(args) -> int:
+    try:
+        telemetry.parse_endpoint(args.endpoint)
+    except ValueError as e:
+        return _fail(str(e), 2)
+    run_dir = Path(args.run_dir)
+    if not (run_dir / "fused_poses.jsonl").exists():
+        return _fail(f"no pose log at {run_dir / 'fused_poses.jsonl'}", 2)
+    try:
+        messages = _log_messages(run_dir)
+    except ValueError as e:
+        return _fail(f"damaged run log in {run_dir}: {e}", 2)
     sent, dropped = telemetry.stream_telemetry(args.endpoint,
                                                (m[2] for m in messages))
     print(f"sent {sent}")

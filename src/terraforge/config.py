@@ -7,8 +7,8 @@ config with every default spelled out.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 
 from .fusion import FusionConfig
 from .mapping import LocalMapSpec, grid_cells
@@ -52,23 +52,48 @@ class PipelineConfig:
         return self.imu_hz // self.policy_hz
 
 
-def _build(section_name, parser, base, conversions, used_sections, renames=None):
-    renames = renames or {}
-    section = parser[section_name] if parser.has_section(section_name) else None
-    if section is not None:
-        used_sections.add(section_name)
-    used_keys: set[str] = set()
-    kwargs = {}
-    for f in fields(base):
-        key = renames.get(f.name, f.name)
-        used_keys.add(key)
-        if section is not None and key in section:
-            kwargs[f.name] = conversions.get(f.name, float)(section[key])
-    if section is not None:
-        unknown = set(section) - used_keys
-        if unknown:
-            raise ValueError(f"unknown key(s) in [{section_name}]: {sorted(unknown)}")
-    return replace(base, **kwargs)
+# INI section -> the PipelineConfig field it sets; [run] sets the
+# PipelineConfig fields that no other section claims
+_SECTIONS = {"terrain": "terrain", "trajectory": "trajectory", "noise": "noise",
+             "fusion": "fusion", "local_map": "local_map", "rewards": "weights",
+             "lidar": "scan_pattern", "run": None}
+_KEYS = {"terrain_type": "type"}  # field name -> INI key, where they differ
+
+_NOTES = {  # "section.key" -> comment in the reference listing
+    "terrain.type": "tau1..tau5: slope, stones, stairs, gap, platform",
+    "terrain.level": "curriculum level, 0..9",
+    "terrain.robot": "lite3 | x30",
+    "terrain.tile_size": "m, square tile side",
+    "terrain.resolution": "m per cell",
+    "terrain.seed": "stone placement seed",
+    "trajectory.kind": "static | constant_velocity | circle | sinusoid",
+    "trajectory.duration": "s",
+    "trajectory.height_above_ground": "m, body z over the base plane; raise to clear tall terrain",
+    "trajectory.speed": "m/s in [0, 3]",
+    "trajectory.radius": "m, circle only",
+    "trajectory.amplitude": "m, sinusoid vertical oscillation",
+    "trajectory.frequency": "Hz, sinusoid only",
+    "noise.gyro_std": "rad/s",
+    "noise.accel_std": "m/s^2",
+    "noise.odom_pos_std": "m per axis",
+    "noise.odom_yaw_std": "rad",
+    "noise.lidar_range_std": "m along the ray",
+    "noise.map_noise_ratio": "fraction of local-map cells, [0, 0.1]",
+    "noise.map_noise_magnitude": "m, uniform perturbation range",
+    "noise.system_delay_ms": "ms, [0, 15], applied to sensor delivery",
+    "fusion.gyro_noise": "rad/s/sqrt(Hz)",
+    "fusion.accel_noise": "m/s^2/sqrt(Hz)",
+    "fusion.odom_pos_std": "m",
+    "fusion.odom_rot_std": "rad",
+    "local_map.length_x": "m, leading 2/3 forward of the body",
+    "lidar.elevation_min": "rad",
+    "lidar.elevation_max": "rad",
+    "lidar.max_range": "m",
+    "lidar.ray_step": "m",
+    "run.policy_hz": "imu_hz must divide evenly",
+    "run.map_size": "m, rolling global map extent",
+    "run.endpoint": "optional UDP telemetry target, host:port such as 127.0.0.1:9870",
+}
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -78,123 +103,76 @@ def _pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+# field annotation -> parser of its INI value; the config modules all use
+# `from __future__ import annotations`, so Field.type is the annotation text
+_PARSERS = {
+    "int": int, "float": float, "tuple[float, float]": _pair, "str | None": str,
+    "TerrainType": TerrainType.from_name, "Robot": Robot.from_name,
+    "TrajectoryKind": lambda s: TrajectoryKind(s.lower()),
+}
+
+
+def _schema(cfg: PipelineConfig):
+    """Per INI section: its name, the PipelineConfig field it sets (None
+    for [run]), the object holding its defaults, and its (key, field) rows."""
+    for section, attr in _SECTIONS.items():
+        owner = cfg if attr is None else getattr(cfg, attr)
+        rows = [(_KEYS.get(f.name, f.name), f) for f in fields(owner)
+                if attr is not None or f.name not in _SECTIONS.values()]
+        yield section, attr, owner, rows
+
+
 def load_config(path_or_text, *, is_text: bool = False) -> PipelineConfig:
-    """Parse an INI config; unknown sections or keys are errors."""
+    """Parse an INI config; unknown sections or keys, and malformed INI,
+    are ValueErrors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if is_text:
-        parser.read_string(path_or_text)
-    else:
-        with open(path_or_text) as f:
-            parser.read_file(f)
+    try:
+        if is_text:
+            parser.read_string(path_or_text)
+        else:
+            with open(path_or_text) as f:
+                parser.read_file(f)
+        given = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as e:  # reading a value interpolates it
+        raise ValueError(str(e)) from e
 
-    base = PipelineConfig()
-    used: set[str] = set()
-    terrain = _build("terrain", parser, base.terrain, {
-        "terrain_type": TerrainType.from_name,
-        "robot": lambda s: Robot[s.upper()],
-        "level": int, "seed": int,
-    }, used, renames={"terrain_type": "type"})
-    trajectory = _build("trajectory", parser, base.trajectory,
-                        {"kind": lambda s: TrajectoryKind(s.lower())}, used)
-    noise = _build("noise", parser, base.noise,
-                   {"map_noise_magnitude": _pair}, used)
-    fusion = _build("fusion", parser, base.fusion, {}, used)
-    local_map = _build("local_map", parser, base.local_map, {}, used)
-    weights = _build("rewards", parser, base.weights, {}, used)
-    scan = _build("lidar", parser, base.scan_pattern,
-                  {"n_azimuth": int, "n_elevation": int}, used)
-
-    run_kwargs = {}
-    if parser.has_section("run"):
-        used.add("run")
-        section = parser["run"]
-        convs = {"imu_hz": int, "odom_hz": int, "lidar_hz": int, "policy_hz": int,
-                 "map_size": float, "map_resolution": float,
-                 "desired_height": float, "seed": int, "endpoint": str}
-        unknown = set(section) - set(convs)
-        if unknown:
-            raise ValueError(f"unknown key(s) in [run]: {sorted(unknown)}")
-        for key, conv in convs.items():
-            if key in section:
-                run_kwargs[key] = conv(section[key])
-        if "endpoint" in run_kwargs:
-            parse_endpoint(run_kwargs["endpoint"])  # raises ValueError unless host:port
-
-    stray = set(parser.sections()) - used
+    stray = set(given) - set(_SECTIONS)
     if stray:
         raise ValueError(f"unknown section(s): {sorted(stray)}")
-    return PipelineConfig(terrain=terrain, trajectory=trajectory, noise=noise,
-                          fusion=fusion, local_map=local_map, weights=weights,
-                          scan_pattern=scan, **run_kwargs)
+    parts = {}
+    for section, attr, owner, rows in _schema(PipelineConfig()):
+        values = given.get(section, {})
+        unknown = set(values) - {key for key, _ in rows}
+        if unknown:
+            raise ValueError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
+        kwargs = {f.name: _PARSERS[f.type](values[key]) for key, f in rows if key in values}
+        if attr is None:
+            parts.update(kwargs)
+        else:
+            parts[attr] = replace(owner, **kwargs)
+    if parts.get("endpoint") is not None:
+        parse_endpoint(parts["endpoint"])  # raises ValueError unless host:port
+    return PipelineConfig(**parts)
+
+
+def _render(value) -> str:
+    if isinstance(value, Enum):
+        return value.name.lower()
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return str(value)  # a float's str is its shortest round-tripping repr
 
 
 def reference_text() -> str:
-    """Annotated config listing every key at its default value."""
-    cfg = PipelineConfig()
-    out = io.StringIO()
-    w = out.write
-    w("# pipeline configuration reference; every key optional, defaults shown\n\n")
-    w("[terrain]\n")
-    w("type = tau1            # tau1..tau5: slope, stones, stairs, gap, platform\n")
-    w("level = 0              # curriculum level, 0..9\n")
-    w("robot = lite3          # lite3 | x30\n")
-    w(f"tile_size = {cfg.terrain.tile_size}        # m, square tile side\n")
-    w(f"resolution = {cfg.terrain.resolution}      # m per cell\n")
-    w("seed = 0               # stone placement seed\n\n")
-    w("[trajectory]\n")
-    w("kind = constant_velocity  # static | constant_velocity | circle | sinusoid\n")
-    w("duration = 5.0         # s\n")
-    w("speed = 1.0            # m/s in [0, 3]\n")
-    w("height_above_ground = 0.4  # m, body z over the base plane; raise to clear tall terrain\n")
-    w("radius = 1.0           # m, circle only\n")
-    w("amplitude = 0.0        # m, sinusoid vertical oscillation\n")
-    w("frequency = 1.0        # Hz, sinusoid only\n\n")
-    w("[noise]\n")
-    n = cfg.noise
-    w(f"gyro_std = {n.gyro_std}         # rad/s\n")
-    w(f"accel_std = {n.accel_std}        # m/s^2\n")
-    w(f"odom_pos_std = {n.odom_pos_std}     # m per axis\n")
-    w(f"odom_yaw_std = {n.odom_yaw_std}     # rad\n")
-    w(f"lidar_range_std = {n.lidar_range_std}  # m along the ray\n")
-    w(f"map_noise_ratio = {n.map_noise_ratio}  # fraction of local-map cells, [0, 0.1]\n")
-    w("map_noise_magnitude = -1.0 2.0  # m, uniform perturbation range\n")
-    w(f"system_delay_ms = {n.system_delay_ms}  # ms, [0, 15], applied to sensor delivery\n\n")
-    w("[fusion]\n")
-    f = cfg.fusion
-    w(f"gyro_noise = {f.gyro_noise}      # rad/s/sqrt(Hz)\n")
-    w(f"accel_noise = {f.accel_noise}      # m/s^2/sqrt(Hz)\n")
-    w(f"gyro_bias_walk = {f.gyro_bias_walk}\n")
-    w(f"accel_bias_walk = {f.accel_bias_walk}\n")
-    w(f"odom_pos_std = {f.odom_pos_std}      # m\n")
-    w(f"odom_rot_std = {f.odom_rot_std:.6f}  # rad\n")
-    w(f"init_pos_std = {f.init_pos_std}\n")
-    w(f"init_vel_std = {f.init_vel_std}\n")
-    w(f"init_att_std = {f.init_att_std:.6f}\n")
-    w(f"init_gyro_bias_std = {f.init_gyro_bias_std}\n")
-    w(f"init_accel_bias_std = {f.init_accel_bias_std}\n\n")
-    w("[local_map]\n")
-    w(f"length_x = {cfg.local_map.length_x}   # m, leading 2/3 forward of the body\n")
-    w(f"length_y = {cfg.local_map.length_y}\n")
-    w(f"resolution = {cfg.local_map.resolution}\n\n")
-    w("[rewards]\n")
-    for fld in fields(RewardWeights):
-        w(f"{fld.name} = {getattr(cfg.weights, fld.name)}\n")
-    w("\n[lidar]\n")
-    s = cfg.scan_pattern
-    w(f"n_azimuth = {s.n_azimuth}\n")
-    w(f"n_elevation = {s.n_elevation}\n")
-    w(f"elevation_min = {s.elevation_min:.6f}  # rad\n")
-    w(f"elevation_max = {s.elevation_max:.6f}  # rad\n")
-    w(f"max_range = {s.max_range}       # m\n")
-    w(f"ray_step = {s.ray_step}       # m\n\n")
-    w("[run]\n")
-    w(f"imu_hz = {cfg.imu_hz}\n")
-    w(f"odom_hz = {cfg.odom_hz}\n")
-    w(f"lidar_hz = {cfg.lidar_hz}\n")
-    w(f"policy_hz = {cfg.policy_hz}          # imu_hz must divide evenly\n")
-    w(f"map_size = {cfg.map_size}        # m, rolling global map extent\n")
-    w(f"map_resolution = {cfg.map_resolution}\n")
-    w(f"desired_height = {cfg.desired_height}\n")
-    w(f"seed = {cfg.seed}\n")
-    w("# endpoint = 127.0.0.1:9870  # optional UDP telemetry target\n")
-    return out.getvalue()
+    """Annotated config listing every key at its default value; it loads
+    back to exactly PipelineConfig(). A key whose default is None is
+    shown commented out."""
+    lines = ["# pipeline configuration reference; every key optional, defaults shown"]
+    for section, _, owner, rows in _schema(PipelineConfig()):
+        lines += ["", f"[{section}]"]
+        for key, f in rows:
+            value = getattr(owner, f.name)
+            line = f"# {key} =" if value is None else f"{key} = {_render(value)}"
+            note = _NOTES.get(f"{section}.{key}")
+            lines.append(f"{line:<26} # {note}" if note else line)
+    return "\n".join(lines) + "\n"

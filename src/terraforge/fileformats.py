@@ -58,10 +58,24 @@ def encode_local_map(heights: np.ndarray, resolution: float) -> bytes:
 
 
 def decode_local_map(blob: bytes) -> tuple[np.ndarray, float]:
+    """The local map at the start of blob; bytes after it are ignored."""
+    if len(blob) < _LOCAL_HEAD.size:
+        raise ValueError("local map blob shorter than its header")
     rows, cols, res = _LOCAL_HEAD.unpack_from(blob)
+    if len(blob) < _LOCAL_HEAD.size + 4 * rows * cols:
+        raise ValueError(f"local map blob shorter than its {rows}x{cols} cells")
     cells = np.frombuffer(blob, dtype="<f4", count=rows * cols,
                           offset=_LOCAL_HEAD.size)
     return cells.reshape(rows, cols).astype(float), float(res)
+
+
+def read_local_maps(path) -> list[tuple[np.ndarray, float]]:
+    """Every (heights, resolution) in a file of back-to-back local map blobs."""
+    blob, off, out = memoryview(Path(path).read_bytes()), 0, []
+    while off < len(blob):
+        out.append(decode_local_map(blob[off:]))
+        off += _LOCAL_HEAD.size + 4 * out[-1][0].size
+    return out
 
 
 LOCAL_BLOB_HEADER_SIZE = _LOCAL_HEAD.size

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -113,6 +114,18 @@ class ScanPattern:
         if self.max_range <= 0 or self.ray_step <= 0:
             raise ValueError("max_range and ray_step must be positive")
 
+    @cached_property
+    def ray_directions(self) -> np.ndarray:
+        """(n_azimuth * n_elevation, 3) read-only unit ray directions in the
+        sensor frame, azimuth-major; computed once per pattern."""
+        az = np.linspace(-math.pi, math.pi, self.n_azimuth, endpoint=False)
+        el = np.linspace(self.elevation_min, self.elevation_max, self.n_elevation)
+        azg, elg = np.meshgrid(az, el, indexing="ij")
+        ce = np.cos(elg)
+        dirs = np.stack([ce * np.cos(azg), ce * np.sin(azg), np.sin(elg)], axis=-1).reshape(-1, 3)
+        dirs.flags.writeable = False
+        return dirs
+
 
 class SensorUnderground(ValueError):
     """The LiDAR origin is at or below the terrain under it."""
@@ -207,15 +220,6 @@ def odometry_stream(traj: TrajectorySpec, rate: float = 10.0,
     return out
 
 
-def _ray_directions(pattern: ScanPattern) -> np.ndarray:
-    az = np.linspace(-math.pi, math.pi, pattern.n_azimuth, endpoint=False)
-    el = np.linspace(pattern.elevation_min, pattern.elevation_max, pattern.n_elevation)
-    azg, elg = np.meshgrid(az, el, indexing="ij")
-    ce = np.cos(elg)
-    dirs = np.stack([ce * np.cos(azg), ce * np.sin(azg), np.sin(elg)], axis=-1)
-    return dirs.reshape(-1, 3)
-
-
 def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
                   step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per ray, the first and the last step index to sample (see lidar_scan)."""
@@ -271,7 +275,7 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
                                 f"below the ground at {ground[0]:.3f} m")
 
     rot = quat_to_matrix(pose.orientation)
-    dirs_body = _ray_directions(pattern)
+    dirs_body = pattern.ray_directions
     dirs = dirs_body @ rot.T  # world-frame ray directions
 
     step = pattern.ray_step

@@ -12,7 +12,7 @@ import pytest
 
 import terraforge
 from terraforge.cli import main
-from terraforge.config import PipelineConfig
+from terraforge.config import PipelineConfig, load_config
 from terraforge.fileformats import read_heightfield
 from terraforge.pipeline import run_pipeline
 from terraforge.sensors import NoiseConfig, TrajectoryKind, TrajectorySpec
@@ -175,6 +175,34 @@ class TestConfigErrors:
         assert err.startswith("error: config:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_robot_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text("[terrain]\nrobot = bogus\n")
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown robot" in err and "Traceback" not in err
+
+
+MALFORMED_INI = {"no-header": "seed = 1\n",
+                 "duplicate-section": "[run]\nseed = 1\n[run]\nseed = 2\n",
+                 "duplicate-key": "[run]\nseed = 1\nseed = 2\n"}
+
+
+class TestMalformedIni:
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("text", MALFORMED_INI.values(), ids=MALFORMED_INI.keys())
+    def test_exits_2(self, tmp_path, capsys, command, text):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(text)
+        argv = [command, "--config", str(cfg_path)]
+        argv += ["--out", str(tmp_path / "out")] if command == "run" else ["--iters", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config:")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestEditMap:
     def test_edit_round_trip(self, tmp_path, capsys):
@@ -234,6 +262,21 @@ class TestStream:
         decode_message(rx.recv(2048))  # first datagram parses
         rx.close()
 
+    @pytest.mark.parametrize("cut, match", [(8, "shorter than its header"),
+                                            (16 + 40, "shorter than its 17x11 cells")])
+    def test_truncated_local_maps_exit_2(self, tmp_path, capsys, cut, match):
+        cfg = PipelineConfig(trajectory=TrajectorySpec(
+            kind=TrajectoryKind.CONSTANT_VELOCITY, duration=0.2, speed=1.0))
+        run_dir = tmp_path / "run"
+        run_pipeline(cfg, run_dir)
+        maps = run_dir / "localmaps.bin"
+        maps.write_bytes(maps.read_bytes()[:3 * (16 + 17 * 11 * 4) + cut])  # 3 whole blobs
+        code = main(["stream", "--endpoint", "127.0.0.1:9", "--run-dir", str(run_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert match in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_bad_endpoint(self, tmp_path, capsys):
         code = main(["stream", "--endpoint", "nonsense",
                      "--run-dir", str(tmp_path)])
@@ -256,6 +299,7 @@ class TestConfigRef:
         path = tmp_path / "ref.ini"
         assert main(["config-ref", "--out", str(path)]) == 0
         assert "[fusion]" in path.read_text()
+        assert load_config(path) == PipelineConfig()
 
 
 class TestTopLevel:

@@ -1,7 +1,6 @@
 """INI config parsing, strict key checking, and the reference listing."""
 
 import dataclasses
-import math
 
 import pytest
 
@@ -124,8 +123,22 @@ class TestLoadConfig:
         assert cfg.terrain.level == 9
 
     def test_bad_enum_value(self):
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError):
             load_config("[terrain]\ntype = tau9\n", is_text=True)
+
+    def test_unknown_robot(self):
+        with pytest.raises(ValueError, match="unknown robot 'bogus'"):
+            load_config("[terrain]\nrobot = bogus\n", is_text=True)
+
+    @pytest.mark.parametrize("text, match", [
+        ("seed = 1\n", "no section headers"),
+        ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
+        ("[run]\nseed = 1\nseed = 2\n", "option 'seed' in section 'run' already exists"),
+        ("[run]\nendpoint = 127.0.0.1:%(port)s\n", "port"),
+    ], ids=["no-header", "duplicate-section", "duplicate-key", "interpolation"])
+    def test_malformed_ini_is_a_value_error(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            load_config(text, is_text=True)
 
     def test_invalid_combo_propagates(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -170,24 +183,27 @@ class TestReferenceText:
             assert name in text
 
     def test_parses_back_to_near_defaults(self):
-        cfg = load_config(reference_text(), is_text=True)
-        base = PipelineConfig()
-        assert cfg.terrain == base.terrain
-        assert cfg.trajectory == base.trajectory
-        assert cfg.noise == base.noise
-        assert cfg.local_map == base.local_map
-        assert cfg.weights == base.weights
-        assert (cfg.imu_hz, cfg.policy_hz) == (base.imu_hz, base.policy_hz)
-        # angles render rounded to 6 decimals in the listing
-        assert math.isclose(cfg.fusion.odom_rot_std, base.fusion.odom_rot_std,
-                            abs_tol=1e-6)
-        for f in dataclasses.fields(cfg.fusion):
-            got = getattr(cfg.fusion, f.name)
-            want = getattr(base.fusion, f.name)
-            assert math.isclose(got, want, rel_tol=0, abs_tol=1e-6), f.name
+        assert load_config(reference_text(), is_text=True) == PipelineConfig()
 
-    def test_every_reward_weight_listed(self):
-        text = reference_text()
-        from terraforge.rewards import RewardWeights
-        for f in dataclasses.fields(RewardWeights):
-            assert f"{f.name} = " in text
+    def test_every_key_listed_and_loads_back(self):
+        base = PipelineConfig()
+        sections = {"terrain": base.terrain, "trajectory": base.trajectory,
+                    "noise": base.noise, "fusion": base.fusion,
+                    "local_map": base.local_map, "rewards": base.weights,
+                    "lidar": base.scan_pattern}
+        want = {(name, "type" if f.name == "terrain_type" else f.name)
+                for name, sub in sections.items() for f in dataclasses.fields(sub)}
+        want |= {("run", f.name) for f in dataclasses.fields(base)
+                 if not dataclasses.is_dataclass(getattr(base, f.name))}
+        listed, section = {}, None
+        for line in reference_text().splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif " = " in line:
+                listed[(section, line.lstrip("# ").split(" = ")[0])] = line
+        assert set(listed) == want
+        for (section, key), line in listed.items():
+            if line.startswith("#"):  # no default value to list
+                assert getattr(base, key) is None
+            else:
+                assert load_config(f"[{section}]\n{line}\n", is_text=True) == base, line

@@ -15,6 +15,7 @@ from terraforge.fileformats import (
     pose_record,
     read_heightfield,
     read_jsonl,
+    read_local_maps,
     write_heightfield,
     write_jsonl,
 )
@@ -104,6 +105,23 @@ class TestLocalMapBlob:
     def test_requires_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             encode_local_map(np.zeros(187), 0.1)
+
+    @pytest.mark.parametrize("size, match", [(0, "header"), (15, "header"),
+                                             (16, "17x11 cells"), (16 + 17 * 11 * 4 - 1, "17x11 cells")])
+    def test_truncated_blob_rejected(self, size, match):
+        blob = encode_local_map(np.zeros((17, 11)), 0.1)
+        with pytest.raises(ValueError, match=f"shorter than its {match}"):
+            decode_local_map(blob[:size])
+
+    def test_read_back_to_back_blobs(self, tmp_path):
+        maps = [np.full((17, 11), float(i)) for i in range(3)] + [np.ones((2, 3))]
+        path = tmp_path / "localmaps.bin"
+        path.write_bytes(b"".join(encode_local_map(m, 0.1) for m in maps))
+        back = read_local_maps(path)
+        assert [h.tolist() for h, _ in back] == [m.tolist() for m in maps]
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="2x3 cells"):
+            read_local_maps(path)
 
 
 class TestJsonlLogs:

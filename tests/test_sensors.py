@@ -185,6 +185,15 @@ class TestLidarScan:
             if 0.15 < frac < 0.85:
                 assert abs(z - truth) < 0.011
 
+    def test_ray_directions_computed_once_and_read_only(self):
+        pattern = ScanPattern()
+        dirs = pattern.ray_directions
+        assert pattern.ray_directions is dirs
+        assert dirs.shape == (64 * 32, 3) and not dirs.flags.writeable
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            dirs[0, 0] = 0.0
+
     def test_empty_pattern(self):
         for empty in ({"n_azimuth": 0}, {"n_elevation": 0}):
             with pytest.raises(ValueError, match="must be >= 1"):
