@@ -130,7 +130,7 @@ def _log_messages(run_dir: Path) -> list[tuple[int, int, bytes]]:
     reward_ts = []
     if reward_path.exists():
         for rec in fileformats.read_jsonl(reward_path):
-            ts = int(rec["timestamp_ns"])
+            ts = int(fileformats.record_fields(rec, "timestamp_ns")[0])
             reward_ts.append(ts)
             values = [v for k, v in rec.items() if k.startswith("weighted_")]
             messages.append((ts, 2, telemetry.encode_reward(ts, values)))

@@ -5,6 +5,7 @@ logs. Binary layouts are little-endian.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -91,10 +92,26 @@ def pose_record(pose: Pose) -> dict:
     }
 
 
+def record_fields(rec, *keys) -> list:
+    """The values of keys in one decoded log record, each a finite number.
+    A record that is not a JSON object, lacks a key or holds anything else
+    under it raises ValueError naming the key."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"log record is a {type(rec).__name__}, not an object")
+    for k in keys:
+        if k not in rec:
+            raise ValueError(f"log record has no {k!r}")
+        v = rec[k]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"log record field {k!r} is not a finite number")
+    return [rec[k] for k in keys]
+
+
 def pose_from_record(rec: dict) -> Pose:
-    q = quat_normalize(Quaternion(rec["qw"], rec["qx"], rec["qy"], rec["qz"]))
-    return Pose(np.array([rec["px"], rec["py"], rec["pz"]]), q,
-                int(rec["timestamp_ns"]))
+    ts, px, py, pz, qw, qx, qy, qz = record_fields(
+        rec, "timestamp_ns", "px", "py", "pz", "qw", "qx", "qy", "qz")
+    q = quat_normalize(Quaternion(qw, qx, qy, qz))
+    return Pose(np.array([px, py, pz]), q, int(ts))
 
 
 def imu_record(sample: ImuSample) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .geometry import (
     Quaternion,
     quat_conjugate,
     quat_from_rotvec,
-    quat_integrate,
     quat_log,
     quat_multiply,
     quat_normalize,
@@ -112,8 +112,51 @@ def initial_state(odom: Pose, cfg: FusionConfig) -> FusionState:
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_GRAVITY_WORLD = _read_only(vec3(0, 0, -GRAVITY))
+_EYE15 = _read_only(np.eye(15))
+# odometry measures position and attitude directly
+_H = np.zeros((6, 15))
+_H[0:3, _POS] = np.eye(3)
+_H[3:6, _ATT] = np.eye(3)
+_read_only(_H)
+
+
+@lru_cache(maxsize=64)
+def _transition_base(dt: float) -> np.ndarray:
+    """The blocks of F that depend on dt alone; predict fills in the rest."""
+    F = np.eye(15)
+    F[_POS, _VEL] = np.eye(3) * dt
+    F[_ATT, _BG] = -np.eye(3) * dt
+    return _read_only(F)
+
+
+@lru_cache(maxsize=64)
+def _process_noise(cfg: FusionConfig, dt: float) -> np.ndarray:
+    Q = np.zeros((15, 15))
+    Q[_VEL, _VEL] = np.eye(3) * cfg.accel_noise**2 * dt
+    Q[_ATT, _ATT] = np.eye(3) * cfg.gyro_noise**2 * dt
+    Q[_BG, _BG] = np.eye(3) * cfg.gyro_bias_walk**2 * dt
+    Q[_BA, _BA] = np.eye(3) * cfg.accel_bias_walk**2 * dt
+    return _read_only(Q)
+
+
+@lru_cache(maxsize=8)
+def _odometry_noise(cfg: FusionConfig) -> np.ndarray:
+    return _read_only(np.diag(
+        [cfg.odom_pos_std**2] * 3 + [cfg.odom_rot_std**2] * 3
+    ))
+
+
 def predict(state: FusionState, imu: ImuSample, cfg: FusionConfig) -> FusionState:
-    """Strapdown propagation of the nominal state plus covariance transport."""
+    """Strapdown propagation of the nominal state plus covariance transport.
+
+    F's dt-only blocks and Q are built once per dt (and config), so a step
+    builds only the blocks that depend on the state."""
     dt = (imu.timestamp_ns - state.timestamp_ns) * 1e-9
     if dt <= 0:
         raise ValueError("time regression")
@@ -121,28 +164,24 @@ def predict(state: FusionState, imu: ImuSample, cfg: FusionConfig) -> FusionStat
         raise ValueError(f"imu gap {dt * 1e3:.1f} ms exceeds {MAX_IMU_GAP_S * 1e3:.0f} ms")
 
     omega = imu.angular_velocity - state.gyro_bias
+    if not np.isfinite(omega).all():
+        raise ValueError("non-finite angular velocity")
     f_body = imu.linear_acceleration - state.accel_bias
     rot = quat_to_matrix(state.orientation)
-    a_world = rot @ f_body + vec3(0, 0, -GRAVITY)
+    a_world = rot @ f_body + _GRAVITY_WORLD
 
-    new_q = quat_integrate(state.orientation, omega, dt)
+    # exact exponential of the body rate, composed on the body side
+    dq = quat_from_rotvec(omega * dt)
+    new_q = quat_normalize(quat_multiply(state.orientation, dq))
     new_p = state.position + state.velocity * dt + 0.5 * a_world * dt * dt
     new_v = state.velocity + a_world * dt
 
-    F = np.eye(15)
-    F[_POS, _VEL] = np.eye(3) * dt
+    F = _transition_base(dt).copy()
     F[_VEL, _ATT] = -rot @ skew(f_body) * dt
     F[_VEL, _BA] = -rot * dt
-    F[_ATT, _ATT] = quat_to_matrix(quat_from_rotvec(omega * dt)).T
-    F[_ATT, _BG] = -np.eye(3) * dt
+    F[_ATT, _ATT] = quat_to_matrix(dq).T
 
-    Q = np.zeros((15, 15))
-    Q[_VEL, _VEL] = np.eye(3) * cfg.accel_noise**2 * dt
-    Q[_ATT, _ATT] = np.eye(3) * cfg.gyro_noise**2 * dt
-    Q[_BG, _BG] = np.eye(3) * cfg.gyro_bias_walk**2 * dt
-    Q[_BA, _BA] = np.eye(3) * cfg.accel_bias_walk**2 * dt
-
-    P = F @ state.covariance @ F.T + Q
+    P = F @ state.covariance @ F.T + _process_noise(cfg, dt)
     P = 0.5 * (P + P.T)
     return FusionState(new_p, new_v, new_q, state.gyro_bias.copy(),
                        state.accel_bias.copy(), P, imu.timestamp_ns)
@@ -168,18 +207,12 @@ def update_pose(state: FusionState, odom: Pose, cfg: FusionConfig) -> FusionStat
     y[0:3] = odom.position - state.position
     y[3:6] = quat_log(quat_multiply(quat_conjugate(state.orientation), odom.orientation))
 
-    H = np.zeros((6, 15))
-    H[0:3, _POS] = np.eye(3)
-    H[3:6, _ATT] = np.eye(3)
-    R = np.diag(
-        [cfg.odom_pos_std**2] * 3 + [cfg.odom_rot_std**2] * 3
-    )
-
+    H, R = _H, _odometry_noise(cfg)
     P = state.covariance
     S = H @ P @ H.T + R
     K = np.linalg.solve(S.T, (P @ H.T).T).T  # P H^T S^-1 without explicit inverse
     dx = K @ y
-    IKH = np.eye(15) - K @ H
+    IKH = _EYE15 - K @ H
     P_new = IKH @ P @ IKH.T + K @ R @ K.T  # Joseph form keeps P PSD
     P_new = 0.5 * (P_new + P_new.T)
 
@@ -223,10 +256,16 @@ class PoseFuser:
 
     def handle_imu(self, imu: ImuSample) -> Pose:
         """Predict to the IMU timestamp and return the propagated pose.
-        Samples that do not advance time are passed through unchanged."""
+
+        Samples that do not advance time, or that lie more than
+        MAX_IMU_GAP_S past the state (the IMU stream stalled, or the fix
+        that seeded the filter was older than the stream), are passed
+        through unchanged and counted in skipped_imu: the pose holds until
+        a fix re-seeds the filter (see handle_odometry)."""
         if self.state is None:
             raise RuntimeError("fuser not initialized")
-        if imu.timestamp_ns <= self.state.timestamp_ns:
+        dt = (imu.timestamp_ns - self.state.timestamp_ns) * 1e-9
+        if dt <= 0 or dt > MAX_IMU_GAP_S:
             self.stats.skipped_imu += 1
             return self.state.pose()
         self.state = predict(self.state, imu, self.cfg)

@@ -136,12 +136,19 @@ def quat_integrate(q: Quaternion, omega_body, dt: float) -> Quaternion:
 
 def rotate_vec(q: Quaternion, v) -> np.ndarray:
     """Rotate body-frame v into the world frame by unit quaternion q."""
-    v = as_vec3(v)
-    if not np.all(np.isfinite(v)):
+    vx, vy, vz = as_vec3(v).tolist()
+    if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
         raise ValueError("non-finite vector")
-    u = np.array([q.x, q.y, q.z])
-    t = 2.0 * np.cross(u, v)
-    return v + q.w * t + np.cross(u, t)
+    # v + w t + u x t with t = 2 u x v, u = (x, y, z): np.cross's own
+    # per-component products (multiply, then subtract) in Python floats,
+    # so the result is bit-equal to the array formula at scalar cost
+    w, x, y, z = q.w, q.x, q.y, q.z
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return np.array([vx + w * tx + (y * tz - z * ty),
+                     vy + w * ty + (z * tx - x * tz),
+                     vz + w * tz + (x * ty - y * tx)])
 
 
 def quat_to_matrix(q: Quaternion) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,18 @@ class LocalMapSpec:
     @property
     def samples_y(self) -> int:
         return round(self.length_y / self.resolution) + 1
+
+    @cached_property
+    def sample_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (xs, ys, gx, gy): the sample offsets along each axis of
+        the yaw-aligned body frame and their "ij" meshgrid; computed once
+        per spec."""
+        xs = -self.length_x / 3 + self.resolution * np.arange(self.samples_x)
+        ys = -self.length_y / 2 + self.resolution * np.arange(self.samples_y)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        for a in (xs, ys, gx, gy):
+            a.flags.writeable = False
+        return xs, ys, gx, gy
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,9 +272,7 @@ class ElevationMap:
         """Sample e_t around the body: yaw-aligned, leading 2/3 forward,
         heights relative to body z. Unknown samples fill with 0 relative."""
         spec = spec or LocalMapSpec()
-        xs = -spec.length_x / 3 + spec.resolution * np.arange(spec.samples_x)
-        ys = -spec.length_y / 2 + spec.resolution * np.arange(spec.samples_y)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        xs, ys, gx, gy = spec.sample_grid
         yaw = quat_yaw(pose.orientation)
         c, s = math.cos(yaw), math.sin(yaw)
         wx = pose.position[0] + c * gx - s * gy

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .terrain import Heightfield, TerrainType
+from .terrain import Heightfield, TerrainType, edge_cells  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -184,19 +184,6 @@ def feet_stumble_penalty(foot_contact_forces, ratio: float = 2.0):
     return flags, float(flags.sum())
 
 
-def edge_cells(hf: Heightfield, grad_threshold: float = 0.5) -> np.ndarray:
-    """Boolean grid marking cells adjacent to a height jump larger than
-    grad_threshold (one-sided differences, so both sides of a step count)."""
-    mask = np.zeros(hf.heights.shape, dtype=bool)
-    dx = np.abs(np.diff(hf.heights, axis=0)) > grad_threshold
-    mask[:-1][dx] = True
-    mask[1:][dx] = True
-    dy = np.abs(np.diff(hf.heights, axis=1)) > grad_threshold
-    mask[:, :-1][dy] = True
-    mask[:, 1:][dy] = True
-    return mask
-
-
 def feet_edge_penalty(foot_positions, foot_contact_forces, hf: Heightfield,
                       edge_margin: float = 0.05, grad_threshold: float = 0.5,
                       contact_force_min: float = 1.0):
@@ -206,20 +193,14 @@ def feet_edge_penalty(foot_positions, foot_contact_forces, hf: Heightfield,
         raise ValueError("non-finite foot positions")
     forces = np.asarray(foot_contact_forces, dtype=float)
     in_contact = np.abs(forces[:, 2]) >= contact_force_min
-    mask = edge_cells(hf, grad_threshold)
-    if not mask.any():
+    ex, ey = hf.edge_xy(grad_threshold)
+    if not ex.size:
         flags = np.zeros(4, dtype=bool)
         return flags, 0.0
 
-    exi, eyi = np.nonzero(mask)
-    ex = hf.origin[0] + exi * hf.resolution
-    ey = hf.origin[1] + eyi * hf.resolution
-    flags = np.zeros(4, dtype=bool)
-    for i in range(4):
-        if not in_contact[i]:
-            continue
-        d2 = (ex - pos[i, 0]) ** 2 + (ey - pos[i, 1]) ** 2
-        flags[i] = bool(np.min(d2) <= edge_margin**2)
+    # squared distance from each foot (row) to each edge cell (column)
+    d2 = (ex - pos[:, 0:1]) ** 2 + (ey - pos[:, 1:2]) ** 2
+    flags = in_contact & (np.min(d2, axis=1) <= edge_margin**2)
     return flags, float(flags.sum())
 
 

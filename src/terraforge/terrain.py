@@ -105,6 +105,8 @@ class TerrainSpec:
             raise ValueError(f"level {self.level} outside [0, 9]")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
+        if not self.tile_size > 0:
+            raise ValueError(f"tile_size must be positive, got {self.tile_size}")
         cells = self.tile_size / self.resolution
         if abs(cells - round(cells)) > 1e-9:
             raise ValueError("tile_size must be an integer multiple of resolution")
@@ -139,11 +141,40 @@ class Heightfield:
         grown = np.pad(grown, ((0, -w % b), (0, -h % b)), mode="edge")
         return grown.reshape(-(-w // b), b, -(-h // b), b).max(axis=(1, 3))
 
+    @cached_property
+    def _edge_xy(self) -> dict[float, tuple[np.ndarray, np.ndarray]]:
+        return {}
+
+    def edge_xy(self, grad_threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only world x and y of every edge_cells cell, computed once
+        per grad_threshold and kept with the field."""
+        xy = self._edge_xy.get(grad_threshold)
+        if xy is None:
+            exi, eyi = np.nonzero(edge_cells(self, grad_threshold))
+            ex = self.origin[0] + exi * self.resolution
+            ey = self.origin[1] + eyi * self.resolution
+            ex.flags.writeable = ey.flags.writeable = False
+            xy = self._edge_xy[grad_threshold] = (ex, ey)
+        return xy
+
     def x_extent(self) -> float:
         return (self.width - 1) * self.resolution
 
     def y_extent(self) -> float:
         return (self.height - 1) * self.resolution
+
+
+def edge_cells(hf: Heightfield, grad_threshold: float = 0.5) -> np.ndarray:
+    """Boolean grid marking cells adjacent to a height jump larger than
+    grad_threshold (one-sided differences, so both sides of a step count)."""
+    mask = np.zeros(hf.heights.shape, dtype=bool)
+    dx = np.abs(np.diff(hf.heights, axis=0)) > grad_threshold
+    mask[:-1][dx] = True
+    mask[1:][dx] = True
+    dy = np.abs(np.diff(hf.heights, axis=1)) > grad_threshold
+    mask[:, :-1][dy] = True
+    mask[:, 1:][dy] = True
+    return mask
 
 
 def terrain_parameter(spec: TerrainSpec) -> float:

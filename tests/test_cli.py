@@ -60,6 +60,13 @@ class TestGen:
         assert code == 2
         assert "outside [0, 9]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-8"])
+    def test_non_positive_tile_size(self, tmp_path, capsys, size):
+        code = main(["gen", "--tile-size", size, "--out", str(tmp_path / "x.hfld")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "tile_size must be positive" in err and "Traceback" not in err
+
     def test_unknown_terrain_name(self, tmp_path, capsys):
         code = main(["gen", "--terrain", "volcano",
                      "--out", str(tmp_path / "x.hfld")])
@@ -271,6 +278,26 @@ class TestStream:
         run_pipeline(cfg, run_dir)
         maps = run_dir / "localmaps.bin"
         maps.write_bytes(maps.read_bytes()[:3 * (16 + 17 * 11 * 4) + cut])  # 3 whole blobs
+        code = main(["stream", "--endpoint", "127.0.0.1:9", "--run-dir", str(run_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert match in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("log, record, match", [
+        ("fused_poses.jsonl", '{"timestamp_ns": 1}', "no 'px'"),
+        ("fused_poses.jsonl", '[1, 2, 3]', "not an object"),
+        ("fused_poses.jsonl", '{"timestamp_ns": 1, "px": 0, "py": 0, "pz": 0, '
+                              '"qw": "one", "qx": 0, "qy": 0, "qz": 0}', "'qw' is not"),
+        ("rewards.jsonl", '{"total": 0.0}', "no 'timestamp_ns'"),
+    ])
+    def test_damaged_record_exits_2(self, tmp_path, capsys, log, record, match):
+        cfg = PipelineConfig(trajectory=TrajectorySpec(
+            kind=TrajectoryKind.CONSTANT_VELOCITY, duration=0.2, speed=1.0))
+        run_dir = tmp_path / "run"
+        run_pipeline(cfg, run_dir)
+        with open(run_dir / log, "a") as f:
+            f.write(record + "\n")
         code = main(["stream", "--endpoint", "127.0.0.1:9", "--run-dir", str(run_dir)])
         assert code == 2
         captured = capsys.readouterr()

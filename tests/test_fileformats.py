@@ -139,6 +139,20 @@ class TestJsonlLogs:
                "qw": 2.0, "qx": 0.0, "qy": 0.0, "qz": 0.0}
         assert pose_from_record(rec).orientation.w == 1.0
 
+    @pytest.mark.parametrize("rec, match", [
+        ({"timestamp_ns": 1}, "no 'px'"),
+        ({"timestamp_ns": 1, "px": 0.0, "py": 0.0, "pz": 0.0, "qw": 1.0,
+          "qx": 0.0, "qy": 0.0}, "no 'qz'"),
+        ({"timestamp_ns": None, "px": 0.0, "py": 0.0, "pz": 0.0, "qw": 1.0,
+          "qx": 0.0, "qy": 0.0, "qz": 0.0}, "'timestamp_ns' is not a finite number"),
+        ({"timestamp_ns": 1, "px": float("inf"), "py": 0.0, "pz": 0.0, "qw": 1.0,
+          "qx": 0.0, "qy": 0.0, "qz": 0.0}, "'px' is not a finite number"),
+        ([0.0] * 8, "not an object"),
+    ])
+    def test_damaged_pose_record_names_the_field(self, rec, match):
+        with pytest.raises(ValueError, match=match):
+            pose_from_record(rec)
+
     def test_imu_record_keys(self):
         s = ImuSample(timestamp_ns=9,
                       angular_velocity=np.array([0.1, 0.2, 0.3]),

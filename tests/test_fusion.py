@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terraforge.fusion import (
     FusionConfig,
+    FusionState,
     MeasurementAhead,
     PoseFuser,
     StaleMeasurement,
@@ -19,10 +22,19 @@ from terraforge.geometry import (
     Pose,
     Quaternion,
     orientation_angle,
+    quat_conjugate,
+    quat_from_rotvec,
     quat_from_yaw,
+    quat_integrate,
+    quat_log,
+    quat_multiply,
+    quat_normalize,
+    quat_to_matrix,
+    skew,
     vec3,
 )
 from terraforge.sensors import (
+    Delivered,
     ImuSample,
     NoiseConfig,
     TrajectoryKind,
@@ -202,6 +214,32 @@ class TestRunFusion:
         # 15 ms transport delay stays inside the 50 ms staleness window
         assert fuser.stats.rejected_stale == 0
 
+    def test_imu_stall_holds_pose_until_a_fix_reseeds(self):
+        fuser = PoseFuser()
+        fuser.initialize(identity_pose(0))
+        fuser.handle_imu(static_imu(5_000_000))
+        # the stream resumes 60 ms later: past the IMU gap limit, so held
+        held = fuser.handle_imu(static_imu(65_000_000))
+        assert held.timestamp_ns == 5_000_000
+        assert (fuser.stats.predicts, fuser.stats.skipped_imu) == (1, 1)
+        # the next fix is 95 ms ahead of the state: it re-seeds, and the
+        # stream integrates again from there
+        assert fuser.handle_odometry(identity_pose(100_000_000)) is True
+        assert fuser.stats.reseeds == 1
+        assert fuser.handle_imu(static_imu(105_000_000)).timestamp_ns == 105_000_000
+        assert fuser.stats.predicts == 2
+
+    def test_fix_older_than_the_stream_does_not_raise(self):
+        # odometry delayed past the IMU gap limit: the seed is 55 ms behind
+        # the first IMU sample delivered after it
+        traj = TrajectorySpec(TrajectoryKind.STATIC, 0.5)
+        odom = [Delivered(p.timestamp_ns + 51_000_000, p)
+                for p in odometry_stream(traj, 10.0)]
+        fuser = PoseFuser()
+        out = run_fusion(imu_stream(traj, 200.0), odom, fuser=fuser)
+        assert len(out) == len(imu_stream(traj, 200.0)) - 11  # before the seed
+        assert fuser.stats.predicts == 0
+
     def test_stale_injection_counted(self):
         fuser = PoseFuser()
         fuser.initialize(identity_pose(0))
@@ -258,3 +296,151 @@ def test_uninitialized_fuser_raises():
     fuser = PoseFuser()
     with pytest.raises(RuntimeError, match="not initialized"):
         fuser.handle_imu(static_imu(0))
+
+
+def reference_predict(state, imu, cfg):
+    """predict as first written: F and Q built from scratch on every call."""
+    dt = (imu.timestamp_ns - state.timestamp_ns) * 1e-9
+    omega = imu.angular_velocity - state.gyro_bias
+    f_body = imu.linear_acceleration - state.accel_bias
+    rot = quat_to_matrix(state.orientation)
+    a_world = rot @ f_body + vec3(0, 0, -GRAVITY)
+    new_q = quat_integrate(state.orientation, omega, dt)
+    new_p = state.position + state.velocity * dt + 0.5 * a_world * dt * dt
+    new_v = state.velocity + a_world * dt
+    F = np.eye(15)
+    F[0:3, 3:6] = np.eye(3) * dt
+    F[3:6, 6:9] = -rot @ skew(f_body) * dt
+    F[3:6, 12:15] = -rot * dt
+    F[6:9, 6:9] = quat_to_matrix(quat_from_rotvec(omega * dt)).T
+    F[6:9, 9:12] = -np.eye(3) * dt
+    Q = np.zeros((15, 15))
+    Q[3:6, 3:6] = np.eye(3) * cfg.accel_noise**2 * dt
+    Q[6:9, 6:9] = np.eye(3) * cfg.gyro_noise**2 * dt
+    Q[9:12, 9:12] = np.eye(3) * cfg.gyro_bias_walk**2 * dt
+    Q[12:15, 12:15] = np.eye(3) * cfg.accel_bias_walk**2 * dt
+    P = F @ state.covariance @ F.T + Q
+    return new_p, new_v, new_q, 0.5 * (P + P.T)
+
+
+def reference_update(state, odom, cfg):
+    """update_pose as first written: H, R and I built on every call."""
+    y = np.empty(6)
+    y[0:3] = odom.position - state.position
+    y[3:6] = quat_log(quat_multiply(quat_conjugate(state.orientation), odom.orientation))
+    H = np.zeros((6, 15))
+    H[0:3, 0:3] = np.eye(3)
+    H[3:6, 6:9] = np.eye(3)
+    R = np.diag([cfg.odom_pos_std**2] * 3 + [cfg.odom_rot_std**2] * 3)
+    P = state.covariance
+    S = H @ P @ H.T + R
+    K = np.linalg.solve(S.T, (P @ H.T).T).T
+    dx = K @ y
+    IKH = np.eye(15) - K @ H
+    P_new = IKH @ P @ IKH.T + K @ R @ K.T
+    new_q = quat_normalize(quat_multiply(state.orientation, quat_from_rotvec(dx[6:9])))
+    return state.position + dx[0:3], new_q, 0.5 * (P_new + P_new.T)
+
+
+def random_state(rng, ts):
+    a = rng.normal(size=(15, 15)) * 0.1
+    q = quat_normalize(Quaternion(*rng.normal(size=4)))
+    return FusionState(rng.normal(size=3), rng.normal(size=3), q,
+                       rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.1,
+                       a @ a.T + np.eye(15) * 1e-6, ts)
+
+
+def random_config(rng):
+    return FusionConfig(*(rng.uniform(0.5, 2.0, size=11)
+                          * np.array(list(vars(FusionConfig()).values()))))
+
+
+class TestCachedNoiseIsBitEqual:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 50_000_000), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_predict_matches_from_scratch(self, seed, dt_ns, default_cfg):
+        rng = np.random.default_rng(seed)
+        cfg = CFG if default_cfg else random_config(rng)
+        state = random_state(rng, 1_000_000_000)
+        imu = ImuSample(state.timestamp_ns + dt_ns, rng.normal(size=3),
+                        rng.normal(size=3) + vec3(0, 0, GRAVITY))
+        got = predict(state, imu, cfg)
+        p, v, q, P = reference_predict(state, imu, cfg)
+        assert np.array_equal(got.covariance, P)
+        assert np.array_equal(got.position, p) and np.array_equal(got.velocity, v)
+        assert got.orientation == q
+        assert got.covariance.flags.writeable
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-50_000_000, 50_000_000))
+    @settings(max_examples=100, deadline=None)
+    def test_update_matches_from_scratch(self, seed, age_ns):
+        rng = np.random.default_rng(seed)
+        cfg = random_config(rng)
+        state = random_state(rng, 1_000_000_000)
+        odom = Pose(state.position + rng.normal(size=3) * 0.05,
+                    quat_multiply(state.orientation, quat_from_rotvec(rng.normal(size=3) * 0.05)),
+                    state.timestamp_ns - age_ns)
+        got = update_pose(state, odom, cfg)
+        p, q, P = reference_update(state, odom, cfg)
+        assert np.array_equal(got.covariance, P)
+        assert np.array_equal(got.position, p)
+        assert got.orientation == q
+
+    def test_non_finite_rate_rejected(self):
+        st0 = initial_state(identity_pose(), CFG)
+        bad = ImuSample(5_000_000, vec3(np.nan, 0, 0), vec3(0, 0, GRAVITY))
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(st0, bad, CFG)
+
+
+class CheckedFuser(PoseFuser):
+    """Checks the filter invariants after every event it handles."""
+
+    def _check(self):
+        P, q = self.state.covariance, self.state.orientation
+        assert np.array_equal(P, P.T)
+        assert np.linalg.eigvalsh(P).min() >= 0.0
+        assert abs(q.norm() - 1.0) <= 1e-12
+
+    def handle_imu(self, imu):
+        pose = super().handle_imu(imu)
+        self._check()
+        return pose
+
+    def handle_odometry(self, odom):
+        accepted = super().handle_odometry(odom)
+        self._check()
+        return accepted
+
+
+class TestFilterInvariants:
+    """Symmetric PSD covariance and a unit quaternion over random IMU and
+    odometry streams: noisy, with dropped IMU samples (so dt varies) and
+    transport delays up to beyond the staleness window."""
+
+    @given(kind=st.sampled_from(list(TrajectoryKind)),
+           speed=st.floats(0.0, 3.0), seed=st.integers(0, 2**16),
+           gyro_std=st.floats(0.0, 0.05), accel_std=st.floats(0.0, 0.5),
+           odom_pos_std=st.floats(0.0, 0.05), odom_yaw_std=st.floats(0.0, 0.05),
+           imu_delay_ms=st.floats(0.0, 15.0), odom_delay_ms=st.integers(0, 80),
+           drop=st.floats(0.0, 0.6))
+    @settings(max_examples=100, deadline=None)
+    def test_covariance_psd_and_quaternion_unit(self, kind, speed, seed, gyro_std,
+                                                accel_std, odom_pos_std, odom_yaw_std,
+                                                imu_delay_ms, odom_delay_ms, drop):
+        traj = TrajectorySpec(kind, 1.0, speed=speed, radius=1.5, amplitude=0.05)
+        noise = NoiseConfig(gyro_std=gyro_std, accel_std=accel_std,
+                            odom_pos_std=odom_pos_std, odom_yaw_std=odom_yaw_std)
+        rng = np.random.default_rng(seed)
+        imu = imu_stream(traj, 200.0, noise, seed)
+        # every fifth sample kept, so no gap exceeds the 50 ms IMU limit
+        keep = (rng.random(len(imu)) >= drop) | (np.arange(len(imu)) % 5 == 0)
+        imu = [s for s, k in zip(imu, keep) if k]
+        shift = odom_delay_ms * 1_000_000
+        odom = [Delivered(p.timestamp_ns + shift, p)
+                for p in odometry_stream(traj, 10.0, noise, seed + 1)]
+        fuser = CheckedFuser()
+        out = run_fusion(apply_delay(imu, imu_delay_ms), odom, fuser=fuser)
+        stats = fuser.stats
+        assert stats.predicts + stats.skipped_imu == len(imu)
+        assert stats.updates + stats.rejected_stale + stats.reseeds == len(odom)

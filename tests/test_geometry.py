@@ -210,3 +210,24 @@ def test_yaw_round_trip(yaw):
 def test_integrate_always_unit_norm(wx, wy, wz, dt):
     q = quat_integrate(IDENTITY, vec3(wx, wy, wz), dt)
     assert abs(q.norm() - 1.0) < 1e-9
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@given(st.tuples(unit, unit, unit, unit).filter(lambda c: math.hypot(*c) > 1e-3),
+       st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 3))
+@settings(max_examples=200, deadline=None)
+def test_rotate_vec_bit_equal_to_cross_formula(coeffs, v):
+    q = quat_normalize(Quaternion(*coeffs))
+    v = np.array(v)
+    u = np.array([q.x, q.y, q.z])
+    t = 2.0 * np.cross(u, v)
+    assert np.array_equal(rotate_vec(q, v), v + q.w * t + np.cross(u, t))
+
+
+def test_rotate_vec_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        rotate_vec(IDENTITY, vec3(0, math.inf, 0))
+    with pytest.raises(ValueError, match="3-vector"):
+        rotate_vec(IDENTITY, [1.0, 2.0])

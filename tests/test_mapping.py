@@ -270,6 +270,19 @@ class TestExtractLocal:
         assert local.xs[-1] == pytest.approx(2 * 1.6 / 3)
         assert local.ys[0] == pytest.approx(-0.5)
 
+    @given(st.integers(1, 30), st.integers(1, 30), st.sampled_from([0.05, 0.1, 0.25]))
+    @settings(max_examples=50, deadline=None)
+    def test_sample_grid_bit_equal_built_once_read_only(self, nx, ny, res):
+        spec = LocalMapSpec(nx * res, ny * res, res)
+        xs = -spec.length_x / 3 + spec.resolution * np.arange(spec.samples_x)
+        ys = -spec.length_y / 2 + spec.resolution * np.arange(spec.samples_y)
+        grid = spec.sample_grid
+        for got, want in zip(grid, (xs, ys, *np.meshgrid(xs, ys, indexing="ij"))):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        assert spec.sample_grid is grid
+        local = ElevationMap().extract_local(pose_at(0, 0, 0.4), spec)
+        assert local.xs is grid[0] and local.ys is grid[1]
+
     def test_flat_world_reads_minus_body_height(self):
         hf = generate(TerrainSpec(TerrainType.SLOPE, 0))
         pose = pose_at(4.0, 0.0, 0.5)

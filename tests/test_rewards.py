@@ -1,10 +1,15 @@
 """Reward term tests: plane fitting, guided direction, the full table."""
 
+import gc
 import math
+import weakref
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terraforge.rewards import (
     PlaneFit,
@@ -17,7 +22,7 @@ from terraforge.rewards import (
     fit_plane,
     guided_direction,
 )
-from terraforge.terrain import TerrainSpec, TerrainType, generate
+from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate
 
 
 def grid_points(fn, n=11, span=1.0):
@@ -192,6 +197,77 @@ class TestFeetEdge:
         xs = platform.origin[0] + np.flatnonzero(mask[:, iy]) * platform.resolution
         assert xs.size == 2  # one cell each side of the jump
         assert np.all(np.abs(xs - 3.975) <= 0.026)
+
+
+def reference_feet_edge(pos, forces, hf, edge_margin, grad_threshold,
+                        contact_force_min):
+    """feet_edge_penalty as first written: the edge grid rebuilt and
+    scanned on every call, one foot at a time."""
+    in_contact = np.abs(forces[:, 2]) >= contact_force_min
+    mask = edge_cells(hf, grad_threshold)
+    flags = np.zeros(4, dtype=bool)
+    if not mask.any():
+        return flags
+    exi, eyi = np.nonzero(mask)
+    ex = hf.origin[0] + exi * hf.resolution
+    ey = hf.origin[1] + eyi * hf.resolution
+    for i in range(4):
+        if in_contact[i]:
+            d2 = (ex - pos[i, 0]) ** 2 + (ey - pos[i, 1]) ** 2
+            flags[i] = bool(np.min(d2) <= edge_margin**2)
+    return flags
+
+
+@lru_cache(maxsize=None)
+def tile(terrain, level, robot):
+    return generate(TerrainSpec(terrain, level, robot))
+
+
+TILES = [(t, level, robot) for t in (TerrainType.GAP, TerrainType.HIGH_PLATFORM)
+         for level in (0, 4, 9) for robot in Robot]
+TILES += [(TerrainType.SLOPE, 0, Robot.LITE3)]  # flat: no edges at any threshold
+
+
+class TestCachedEdgeField:
+    @given(st.sampled_from(TILES),
+           st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9, 1.5]),
+           st.floats(0.0, 0.4),
+           st.lists(st.tuples(st.floats(2.5, 5.5), st.floats(-4.5, 4.5),
+                              st.sampled_from([0.0, 0.5, 1.0, 30.0])),
+                    min_size=8, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_flags_match_brute_force(self, key, grad, margin, feet):
+        hf = tile(*key)
+        a = np.array(feet)
+        for pos_xy, fz in ((a[:4, :2], a[:4, 2]), (a[4:, :2], a[4:, 2])):
+            pos = np.column_stack([pos_xy, np.zeros(4)])
+            forces = np.column_stack([np.zeros((4, 2)), fz])
+            flags, count = feet_edge_penalty(pos, forces, hf, margin, grad, 1.0)
+            want = reference_feet_edge(pos, forces, hf, margin, grad, 1.0)
+            assert np.array_equal(flags, want)
+            assert count == float(want.sum())
+
+    def test_flat_tile_flags_nothing(self):
+        flat = tile(TerrainType.SLOPE, 0, Robot.LITE3)
+        pos = np.tile([4.0, 0.0, 0.0], (4, 1))
+        forces = np.tile([0.0, 0.0, 30.0], (4, 1))
+        flags, count = feet_edge_penalty(pos, forces, flat, 1.0, 0.0)
+        assert not flags.any() and count == 0.0
+        assert flat.edge_xy(0.0)[0].size == 0
+
+    def test_edge_field_built_once_and_read_only(self, platform):
+        ex, ey = platform.edge_xy(0.5)
+        assert platform.edge_xy(0.5)[0] is ex
+        assert not ex.flags.writeable and not ey.flags.writeable
+        assert platform.edge_xy(0.1)[0] is not ex
+
+    def test_cache_dies_with_its_terrain(self):
+        hf = generate(TerrainSpec(TerrainType.GAP, 9))
+        feet_edge_penalty(np.zeros((4, 3)), np.tile([0.0, 0.0, 30.0], (4, 1)), hf)
+        ref = weakref.ref(hf)
+        del hf
+        gc.collect()
+        assert ref() is None
 
 
 class TestComputeRewards:

@@ -170,3 +170,9 @@ def test_block_max_covers_block_and_rim():
              for j in range(-(-6 // b))] for i in range(-(-11 // b))]
     assert np.array_equal(hf.block_max, want)
     assert hf.block_max is hf.block_max  # built once, on first use
+
+
+@pytest.mark.parametrize("size", [0.0, -8.0, float("nan")])
+def test_non_positive_tile_size_rejected(size):
+    with pytest.raises(ValueError, match="tile_size must be positive"):
+        TerrainSpec(TerrainType.SLOPE, 0, tile_size=size)
