@@ -100,9 +100,13 @@ class LocalMap:
     timestamp_ns: int
 
     def to_points(self) -> np.ndarray:
-        """Flatten to (n, 3) body-frame points for plane fitting."""
-        gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel(), self.heights.ravel()])
+        """Flatten to (n, 3) body-frame points for plane fitting, row-major
+        over (xs, ys) like the "ij" meshgrid of xs and ys."""
+        pts = np.empty(self.heights.shape + (3,))
+        pts[..., 0] = self.xs[:, None]
+        pts[..., 1] = self.ys
+        pts[..., 2] = self.heights
+        return pts.reshape(-1, 3)
 
 
 @dataclass(frozen=True, eq=False)

@@ -140,7 +140,12 @@ class _Replay:
         skipped_imu."""
         fuser = self.fuser
         if kind == ODOMETRY:
-            fuser.handle_odometry(item)
+            reseeds = fuser.stats.reseeds
+            if not fuser.handle_odometry(item):
+                log.debug("rejected stale odometry fix at %d ns", item.timestamp_ns)
+            elif fuser.stats.reseeds != reseeds:
+                log.debug("re-seeded the filter from the odometry fix at %d ns",
+                          item.timestamp_ns)
             lap("odometry")
             return
         if fuser.state is None:
@@ -242,6 +247,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
     )
     (out / "run_summary.json").write_text(
         json.dumps(result.summary(), indent=2) + "\n")
+    stats = replay.fuser.stats
+    log.info("run to %s: %d fused poses, %d policy ticks, %d scans, %d rejected_stale, "
+             "%d skipped_imu, %d reseeds", out, imu_count, policy_count,
+             replay.scan_count, stats.rejected_stale, stats.skipped_imu, stats.reseeds)
     return result
 
 

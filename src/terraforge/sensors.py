@@ -231,13 +231,15 @@ def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
     t_stop = (last + 2) * step  # past the last sample
 
     # t: where the ray comes down to the tile top, then past each block whose
-    # max it clears; block_max has a one-cell rim, so rounding cannot put a
-    # sample outside the block it was checked against
+    # max it clears, then, in the first block it does not clear, down to that
+    # block's max; block_max has a one-cell rim, so rounding cannot put a
+    # sample outside the block it was checked against, and every sample
+    # skipped is above the surface
     above = origin[2] - (hf.heights.max() + 1e-5)
     b0 = (origin[:2] - hf.origin) / (BLOCK_CELLS * hf.resolution)  # in blocks
     db = dirs[:, :2] / (BLOCK_CELLS * hf.resolution)
     top_block = np.array(hf.block_max.shape) - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = np.where(above <= 0, 0.0, np.where(dirs[:, 2] < 0, above / -dirs[:, 2], np.inf))
         idx = np.flatnonzero(t < t_stop)
         while idx.size:
@@ -247,8 +249,11 @@ def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
             t_out = np.where(d != 0, (np.where(d > 0, block + 1, block) - b0) / d, np.inf)
             t_out = np.maximum(t_out.min(axis=1), ti + 1e-9)
             i, j = np.clip(block, 0, top_block).astype(np.int64).T  # off the tile: edge block
-            clear = origin[2] + np.minimum(dirs[idx, 2], 0.0) * t_out > hf.block_max[i, j] + 1e-5
-            t[idx[clear]] = t_out[clear]
+            top = hf.block_max[i, j] + 1e-5
+            dz = dirs[idx, 2]
+            clear = origin[2] + np.minimum(dz, 0.0) * t_out > top
+            down = np.where(dz < 0, np.maximum(ti, (origin[2] - top) / -dz), ti)
+            t[idx] = np.where(clear, t_out, down)
             idx = idx[clear & (t_out < t_stop[idx])]
         start = np.where(t < t_stop, np.floor(t / step) - 3, n_steps)
     return np.maximum(start, 0).astype(np.int64), last
@@ -261,10 +266,15 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     A ray is sampled at t = (k+1)*ray_step; its first on-tile sample at or
     below the surface is refined by linear interpolation from the sample
     before it, so noise-free hits sit on the surface to within one step.
-    Sampling starts three steps before the first block of hf.block_max that
-    the ray reaches below its top, in windows of 8 growing to 64 steps. A
-    ray is dropped after max_range, or at the end of the first 64-step chunk
-    from t = 0 whose last sample is off the tile, even if it re-enters later.
+    Each ray skips, without sampling, the blocks of hf.block_max whose max it
+    clears and, in the first block it does not clear, its descent down to
+    that block's max: no skipped sample is at or below the surface. Sampling
+    starts three steps before that point, so the sample that a hit
+    interpolates from is always taken. It runs in windows of 4 steps,
+    doubling up to 64; most hits fall about three steps in, inside the first
+    window. A ray is dropped after max_range, or at the end of the first
+    64-step chunk from t = 0 whose last sample is off the tile, even if it
+    re-enters later.
     """
     pattern = pattern or ScanPattern()
     noise = noise or NoiseConfig()
@@ -285,7 +295,7 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     active = np.flatnonzero(start <= last)
     pos, last = start[active], last[active]
     prev_f = np.full(active.size, np.nan)  # signed clearance at the previous step
-    width = 8
+    width = 4
     while active.size:
         ks = pos[:, None] + np.arange(width)
         ts = (ks + 1) * step

@@ -1,4 +1,12 @@
+import os
 import sys
+
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
+# blob that replays a failure with @reproduce_failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -338,7 +338,8 @@ class TestTopLevel:
         assert main(["config-ref"]) == 0
         assert "TERRAFORGE_LOG" in capsys.readouterr().err
 
-    def test_console_script_installed(self, tmp_path):
+    @staticmethod
+    def _console_script(args, cwd, **env_vars):
         # Run what the console-script wrapper generated from this checkout's
         # pyproject.toml would run, so no install is needed and no other
         # copy of terraforge on PATH can stand in for this one.
@@ -349,14 +350,26 @@ class TestTopLevel:
         module, attr = entry.split(":")
         wrapper = (f'import sys; sys.argv[0] = "terraforge"; '
                    f'from {module} import {attr}; sys.exit({attr}())')
-        env = dict(os.environ)
+        env = dict(os.environ, **env_vars)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(src_dir), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", wrapper, "config-ref"],
+        return subprocess.run([sys.executable, "-c", wrapper, *args],
                               capture_output=True, text=True, timeout=60,
-                              env=env, cwd=tmp_path)
+                              env=env, cwd=cwd)
+
+    def test_console_script_installed(self, tmp_path):
+        proc = self._console_script(["config-ref"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "[terrain]" in proc.stdout
+
+    def test_info_log_reports_the_run_on_stderr(self, tmp_path):
+        (tmp_path / "cfg.ini").write_text(RUN_CONFIG)
+        proc = self._console_script(["run", "--config", "cfg.ini", "--out", "out"],
+                                    tmp_path, TERRAFORGE_LOG="info")
+        assert proc.returncode == 0, proc.stderr
+        assert ("INFO terraforge.pipeline: run to out: 201 fused poses, 50 policy ticks, "
+                "11 scans, 0 rejected_stale, 1 skipped_imu, 0 reseeds\n") in proc.stderr
+        assert "fused_pose_count 201" in proc.stdout
 
     @pytest.mark.skipif(shutil.which("terraforge") is None,
                         reason="terraforge console script not on PATH")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from terraforge.geometry import Pose, Quaternion, quat_from_yaw, vec3
 from terraforge.mapping import (
     ElevationMap,
+    LocalMap,
     LocalMapSpec,
     VirtualEdit,
     edit_heightfield,
@@ -437,3 +438,19 @@ def test_local_map_to_points_shape():
     # first point is the rear-left corner in body coordinates
     assert pts[0, 0] == pytest.approx(-1.6 / 3)
     assert pts[0, 1] == pytest.approx(-0.5)
+
+
+@given(st.integers(1, 30), st.integers(1, 30), st.sampled_from([0.05, 0.1, 0.25]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_local_map_to_points_bit_equal_meshgrid(nx, ny, res, seed):
+    spec = LocalMapSpec(nx * res, ny * res, res)
+    xs, ys, _, _ = spec.sample_grid
+    heights = np.random.default_rng(seed).normal(size=(spec.samples_x, spec.samples_y))
+    heights[0, -1] = np.nan  # values are copied, not computed on
+    local = LocalMap(heights=heights, xs=xs, ys=ys, resolution=res,
+                     fill_ratio=0.0, timestamp_ns=0)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    want = np.column_stack([gx.ravel(), gy.ravel(), heights.ravel()])
+    got = local.to_points()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

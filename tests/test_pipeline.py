@@ -1,6 +1,7 @@
 """End-to-end replay determinism, log outputs, and the tick benchmark."""
 
 import json
+import logging
 import socket
 
 import numpy as np
@@ -10,8 +11,10 @@ from terraforge.config import PipelineConfig
 from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, pose_record, read_jsonl
 from terraforge.mapping import ElevationMap
 from terraforge.pipeline import (
+    ODOMETRY,
     PipelineInvariantError,
     PipelineResult,
+    _Replay,
     run_bench,
     run_pipeline,
 )
@@ -151,6 +154,34 @@ class TestRunPipeline:
         assert set(res.summary()) == {
             "fused_pose_count", "policy_tick_count", "scan_count",
             "rejected_stale", "telemetry_sent", "telemetry_dropped"}
+
+
+class TestRunLogging:
+    def test_one_info_line_per_run(self, tmp_path, caplog):
+        cfg = small_cfg(trajectory=TrajectorySpec(kind=TrajectoryKind.CONSTANT_VELOCITY,
+                                                  duration=0.5, speed=1.0))
+        with caplog.at_level(logging.DEBUG, logger="terraforge.pipeline"):
+            run_pipeline(cfg, tmp_path / "r")
+        records = [r for r in caplog.records if r.name == "terraforge.pipeline"]
+        assert [r.levelno for r in records] == [logging.INFO]  # nothing rejected
+        assert records[0].getMessage() == (
+            f"run to {tmp_path / 'r'}: 101 fused poses, 25 policy ticks, 6 scans, "
+            f"0 rejected_stale, 1 skipped_imu, 0 reseeds")
+
+    def test_debug_line_per_stale_fix_and_reseed(self, caplog):
+        replay = _Replay(small_cfg(trajectory=TrajectorySpec(
+            kind=TrajectoryKind.CONSTANT_VELOCITY, duration=0.5, speed=1.0)))
+        for _, kind, item in replay.events:
+            replay.step(kind, item)
+        fix = replay.odom[-1]  # the state is at 500 ms, the window is 50 ms
+        with caplog.at_level(logging.DEBUG, logger="terraforge.pipeline"):
+            replay.step(ODOMETRY, Pose(fix.position, fix.orientation, 400_000_000))
+            replay.step(ODOMETRY, Pose(fix.position, fix.orientation, 600_000_000))
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, "rejected stale odometry fix at 400000000 ns"),
+            (logging.DEBUG, "re-seeded the filter from the odometry fix at 600000000 ns")]
+        stats = replay.fuser.stats
+        assert (stats.rejected_stale, stats.reseeds) == (1, 1)
 
 
 class TestRunBench:
