@@ -16,9 +16,10 @@ from .fusion import (FusionConfig, FusionState, PoseFuser, predict,
                      run_fusion, update_pose, zero_order_hold)
 from .mapping import (ElevationMap, LocalMap, LocalMapSpec, VirtualEdit,
                       edit_heightfield, inject_map_noise)
-from .rewards import (PlaneFit, RewardBreakdown, RewardInput, RewardWeights,
-                      compute_rewards, feet_edge_penalty, feet_stumble_penalty,
-                      fit_plane, guided_direction)
+from .rewards import (PlaneFit, RewardBreakdown, RewardInput, RewardTable,
+                      RewardWeights, compute_rewards, feet_edge_penalty,
+                      feet_stumble_penalty, fit_plane, guided_direction,
+                      reward_table)
 from .observations import (ObservationFrame, ObservationHistory, PDGains,
                            PrivilegedState, RandomizationDraw, joint_targets,
                            kl_diag_gaussian, loss_cenet, loss_est,

@@ -1,18 +1,23 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 2 usage or config problems, 3 invariant violations
-(including a failed benchmark budget). TERRAFORGE_LOG selects verbosity
-(error, warn, info, debug).
+Exit codes: 0 ok, 2 usage or config problems (including an output path
+that cannot be written), 3 invariant violations (including a failed
+benchmark budget). TERRAFORGE_LOG selects verbosity (error, warn, info,
+debug).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import fileformats, telemetry
 from .config import PipelineConfig, load_config, reference_text
@@ -48,6 +53,14 @@ def _underground(e: SensorUnderground) -> int:
     return _fail(f"{e}; raise [trajectory] height_above_ground to clear the terrain", 2)
 
 
+def _unwritable(e: OSError) -> int:
+    """Exit 2 for an output path that cannot be written; an OSError that
+    names no file is not about an output path and propagates."""
+    if e.filename is None:
+        raise e
+    return _fail(f"cannot write {e.filename}: {e.strerror}", 2)
+
+
 def cmd_gen(args) -> int:
     try:
         robot = Robot.from_name(args.robot)
@@ -58,9 +71,12 @@ def cmd_gen(args) -> int:
         hf = generate(spec)
     except ValueError as e:
         return _fail(str(e), 2)
-    fileformats.write_heightfield(hf, args.out)
-    if args.csv:
-        fileformats.heightfield_to_csv(hf, args.csv)
+    try:
+        fileformats.write_heightfield(hf, args.out)
+        if args.csv:
+            fileformats.heightfield_to_csv(hf, args.csv)
+    except OSError as e:
+        return _unwritable(e)
     log.info("wrote %s (%dx%d cells)", args.out, hf.width, hf.height)
     print(f"{PARAMETER_NAMES[ttype]} {terrain_parameter(spec):.3f}")
     return 0
@@ -79,6 +95,8 @@ def cmd_run(args) -> int:
         return _underground(e)
     except PipelineInvariantError as e:
         return _fail(f"pipeline invariant: {e}", 3)
+    except OSError as e:
+        return _unwritable(e)
     for key, val in result.summary().items():
         print(f"{key} {val}")
     return 0
@@ -97,9 +115,31 @@ def cmd_bench(args) -> int:
         return _underground(e)
     text = report.render()
     print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    try:
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        if args.json:
+            record = {**report.as_record(), "config": args.config,
+                      "environment": _environment()}
+            Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
+    except OSError as e:
+        return _unwritable(e)
     return 0 if report.within_budget else 3
+
+
+def _environment() -> dict:
+    """What a bench record was measured on."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return {"nproc": nproc, "cpu_model": cpu,
+            "python": platform.python_version(), "numpy": np.__version__}
 
 
 def cmd_edit_map(args) -> int:
@@ -113,7 +153,10 @@ def cmd_edit_map(args) -> int:
         edited, count = edit_heightfield(hf, edit)
     except ValueError as e:
         return _fail(str(e), 2)
-    fileformats.write_heightfield(edited, args.map)
+    try:
+        fileformats.write_heightfield(edited, args.map)
+    except OSError as e:
+        return _unwritable(e)
     print(f"affected_cells {count}")
     return 0
 
@@ -167,7 +210,10 @@ def cmd_stream(args) -> int:
 def cmd_config_ref(args) -> int:
     text = reference_text()
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            return _unwritable(e)
     else:
         print(text, end="")
     return 0
@@ -201,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--config", default=None)
     b.add_argument("--iters", type=int, default=10000)
     b.add_argument("--out", default=None, help="also write the report here")
+    b.add_argument("--json", default=None,
+                   help="also write the report, with the machine it ran on, as JSON")
     b.set_defaults(func=cmd_bench)
 
     e = sub.add_parser("edit-map", help="write a virtual edit into a map file")

@@ -24,7 +24,8 @@ ELEVATION_LATENT_DIM = 32  # z^e, terrain context
 
 @dataclass(frozen=True, eq=False)
 class ObservationFrame:
-    """One 45-dim proprioceptive frame o_t.
+    """One 45-dim proprioceptive frame o_t, or n frames stacked on a
+    leading axis of every field.
 
     All-zero frames are legal (history padding at episode start); any
     other frame must carry a unit gravity direction.
@@ -38,22 +39,23 @@ class ObservationFrame:
     prev_action: np.ndarray
 
     def __post_init__(self):
+        lead = np.shape(self.omega)[:-1]  # () for one frame, (n,) for n
         for name, n in (("omega", 3), ("gravity", 3), ("command", 3),
                         ("joint_angles", JOINT_COUNT),
                         ("joint_velocities", JOINT_COUNT),
                         ("prev_action", JOINT_COUNT)):
             a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
+            if a.shape != lead + (n,):
+                raise ValueError(f"{name} must have shape {lead + (n,)}")
             object.__setattr__(self, name, a)
-        v = self.flatten()
-        if np.any(v) and abs(np.linalg.norm(self.gravity) - 1.0) > 1e-6:
+        live = np.any(self.flatten(), axis=-1)
+        if np.any(live & (np.abs(np.linalg.norm(self.gravity, axis=-1) - 1.0) > 1e-6)):
             raise ValueError("gravity must be unit-norm")
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.omega, self.gravity, self.command,
                                self.joint_angles, self.joint_velocities,
-                               self.prev_action])
+                               self.prev_action], axis=-1)
 
     @classmethod
     def zeros(cls) -> "ObservationFrame":

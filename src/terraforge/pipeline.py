@@ -6,6 +6,13 @@ output byte. One _Replay object holds the event loop's stages: run_pipeline
 drives it and writes the logs, and run_bench drives the same stages over
 back-to-back replays with a wall-clock timer between them, spreading each
 scan's cost over the ticks between scans. Only run_bench reads the clock.
+
+What does not depend on the filter or the map is replay set-up, done
+before the event loop: the LiDAR scans, and for every policy tick the true
+state, the ground under the body and feet, every reward term but the two
+that read the plane fit, and the observation. A policy tick itself extracts
+the local map, fits the plane, and adds the two fit terms and the weighted
+sum.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .fusion import PoseFuser
 from .geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
 from .mapping import ElevationMap, inject_map_noise
 from .observations import ObservationFrame, sample_command
-from .rewards import RewardInput, compute_rewards, fit_plane
+from .rewards import (RewardInput, RewardTable, compute_rewards, fit_plane,
+                      reward_table)
 from .sensors import (apply_delay, imu_stream, lidar_scan, merge_delivered,
                       odometry_stream, true_state)
 from .terrain import generate, sample_height_vec
@@ -63,38 +71,59 @@ def _seeds(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in ss.spawn(n)]
 
 
-def _reward_frame(cfg: PipelineConfig, hf, state, command):
-    q = state.pose.orientation
-    v_body = rotate_vec(quat_conjugate(q), state.velocity)
-    gravity_body = rotate_vec(quat_conjugate(q), vec3(0, 0, -1.0))
-    yaw = quat_yaw(q)
+@dataclass(frozen=True, eq=False)
+class _Ticks:
+    """The trajectory side of a replay's policy ticks, one row per tick:
+    everything a tick records that depends on neither the filter nor the map."""
+
+    timestamps_ns: list[int]
+    rewards: RewardTable
+    yaw: list[float]
+    body_height: list[float]
+    observations: np.ndarray  # (ticks, FRAME_DIM)
+
+
+def _policy_ticks(cfg: PipelineConfig, hf, command, timestamps_ns) -> _Ticks:
+    """The true state at each tick, the ground under the body and each foot
+    (off the tile: the base plane), and from them every reward term that
+    does not read the plane fit and the observation of each tick."""
+    rows, down = [], vec3(0, 0, -1.0)
+    for ts in timestamps_ns:
+        state = true_state(cfg.trajectory, ts * 1e-9)
+        q = state.pose.orientation
+        q_inv = quat_conjugate(q)
+        rows.append([*state.pose.position.tolist(), *state.velocity.tolist(),
+                     *state.angular_velocity.tolist(),
+                     *rotate_vec(q_inv, state.velocity)[:2].tolist(),
+                     *rotate_vec(q_inv, down).tolist(), quat_yaw(q)])
+    pos, vel, omega, v_body_xy, gravity, yaw = np.split(
+        np.array(rows).reshape(-1, 15), [3, 6, 9, 11, 14], axis=1)
+    yaw = yaw[:, 0]
     c, s = np.cos(yaw), np.sin(yaw)
-    feet_xy = state.pose.position[:2] + FOOT_OFFSETS @ np.array([[c, s], [-s, c]])
-    # ground under the body, then under each foot; off the tile: base plane
-    xy = np.vstack([state.pose.position[:2], feet_xy])
-    h, on_tile = sample_height_vec(hf, xy[:, 0], xy[:, 1])
+    feet_xy = pos[:, None, :2] + FOOT_OFFSETS @ np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
+    xy = np.concatenate([pos[:, None, :2], feet_xy], axis=1)  # body, then feet
+    h, on_tile = sample_height_vec(hf, xy[..., 0], xy[..., 1])
     ground = np.where(on_tile, h, 0.0)
-    feet = np.column_stack([feet_xy, ground[1:]])
-    forces = np.zeros((4, 3))
-    forces[:, 2] = NOMINAL_CONTACT_FORCE
-    zeros12 = np.zeros(12)
-    return RewardInput(
-        v_world=state.velocity,
-        v_body_xy=v_body[:2],
-        v_z=float(state.velocity[2]),
-        omega=state.angular_velocity,
-        gravity_body=gravity_body,
-        yaw=yaw,
-        joint_acc=zeros12,
-        body_height=float(state.pose.position[2] - ground[0]),
-        desired_height=cfg.desired_height,
+    n = len(timestamps_ns)
+    zeros4, zeros12 = np.zeros((n, 4)), np.zeros((n, 12))
+    commands = np.broadcast_to(command, (n, 3))
+    inp = RewardInput(
+        v_world=vel, v_body_xy=v_body_xy, v_z=vel[:, 2], omega=omega,
+        gravity_body=gravity, yaw=yaw, joint_acc=zeros12,
+        body_height=pos[:, 2] - ground[:, 0],
+        desired_height=np.full(n, cfg.desired_height),
         action=zeros12, prev_action=zeros12, prev_prev_action=zeros12,
-        hip_angles=np.zeros(4), hip_angles_desired=np.zeros(4),
-        foot_positions=feet,
-        foot_contact_forces=forces,
-        command=command,
-        terrain_type=cfg.terrain.terrain_type,
-    )
+        hip_angles=zeros4, hip_angles_desired=zeros4,
+        foot_positions=np.concatenate([feet_xy, ground[:, 1:, None]], axis=2),
+        foot_contact_forces=np.broadcast_to([0.0, 0.0, NOMINAL_CONTACT_FORCE], (n, 4, 3)),
+        command=commands, terrain_type=cfg.terrain.terrain_type)
+    observations = ObservationFrame(
+        omega=omega, gravity=gravity, command=commands, joint_angles=zeros12,
+        joint_velocities=zeros12, prev_action=zeros12).flatten()
+    return _Ticks(timestamps_ns=list(timestamps_ns),
+                  rewards=reward_table(inp, cfg.weights, hf),
+                  yaw=yaw.tolist(), body_height=inp.body_height.tolist(),
+                  observations=observations)
 
 
 ODOMETRY, SCAN, IMU = range(3)  # event stream indices, in tie order
@@ -116,6 +145,11 @@ class _Replay:
         self.command = sample_command(cfg.terrain.terrain_type, s_cmd)
 
         self.imu = imu_stream(cfg.trajectory, cfg.imu_hz, cfg.noise, s_imu)
+        # every IMU sample is handled in stream order, and each
+        # ticks_per_policy-th one is a policy tick
+        tpp = cfg.ticks_per_policy
+        self.ticks = _policy_ticks(cfg, self.hf, self.command,
+                                   [s.timestamp_ns for s in self.imu[tpp - 1::tpp]])
         self.odom = odometry_stream(cfg.trajectory, cfg.odom_hz, cfg.noise, s_odom)
         # noise-free odometry at the LiDAR rate: the true pose of each scan
         scans = [lidar_scan(self.hf, pose, cfg.scan_pattern, cfg.noise, s_lidar + i)
@@ -171,8 +205,11 @@ class _Replay:
         lap("record")
 
     def _policy_tick(self, ts: int, fused: Pose, lap) -> None:
-        cfg = self.cfg
+        cfg, ticks, i = self.cfg, self.ticks, self.policy_count
         self.policy_count += 1
+        if ticks.timestamps_ns[i] != ts:
+            raise PipelineInvariantError(
+                f"policy tick {i} at {ts} ns, expected {ticks.timestamps_ns[i]} ns")
         local = self.emap.extract_local(fused, cfg.local_map)
         if cfg.noise.map_noise_ratio > 0:
             local = inject_map_noise(local, cfg.noise.map_noise_ratio,
@@ -185,21 +222,15 @@ class _Replay:
         lap("local_map")
 
         fit = fit_plane(local.to_points())
-        state = true_state(cfg.trajectory, ts * 1e-9)
-        rin = _reward_frame(cfg, self.hf, state, self.command)
-        breakdown = compute_rewards(rin, fit, cfg.weights, terrain=self.hf)
+        breakdown = compute_rewards(ticks.rewards[i], fit)
         lap("reward")
 
         self.reward_records.append(breakdown.as_record(ts))
-        frame = ObservationFrame(
-            omega=rin.omega, gravity=rin.gravity_body, command=self.command,
-            joint_angles=np.zeros(12), joint_velocities=np.zeros(12),
-            prev_action=np.zeros(12))
         self.trajectory_records.append({
-            "timestamp_ns": ts, "yaw": rin.yaw, "body_height": rin.body_height,
+            "timestamp_ns": ts, "yaw": ticks.yaw[i], "body_height": ticks.body_height[i],
             "fill_ratio": local.fill_ratio,
             "plane_normal": [float(v) for v in fit.normal],
-            "observation": [float(v) for v in frame.flatten()]})
+            "observation": ticks.observations[i].tolist()})
         self.local_blobs.append(encode_local_map(local.heights, local.resolution))
         if self.streamer is not None:
             self.streamer.send(telemetry.encode_pose(fused))
@@ -279,6 +310,15 @@ class BenchReport:
                      f" (iters={self.iters})")
         return "\n".join(lines)
 
+    def as_record(self) -> dict:
+        return {
+            "iters": self.iters, "budget_ms": self.budget_ms,
+            "within_budget": self.within_budget,
+            "stages": {name: {"p50_ms": p50, "p99_ms": self.stage_p99_ms[name]}
+                       for name, p50 in self.stage_p50_ms.items()},
+            "tick_total": {"p50_ms": self.total_p50_ms, "p99_ms": self.total_p99_ms},
+        }
+
 
 # replay stage -> bench stage: odometry updates are filter work, and a
 # tick's log records count with the reward work they report
@@ -296,7 +336,9 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
     terrain) but with no telemetry and no files, until iters IMU ticks are
     timed. A tick is charged the odometry updates delivered since the tick
     before it, and the cost of the scan before it spread over the ticks
-    between scans.
+    between scans. Replay set-up is not timed: LiDAR synthesis and the
+    trajectory side of every policy tick, so reward_eval times only the
+    plane-fit terms, the weighted sum and the log records.
     """
     cfg = cfg or PipelineConfig()
     if iters < 1:

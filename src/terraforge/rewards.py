@@ -98,16 +98,22 @@ class RewardWeights:
     contact_force_min: float = 1.0  # N, below this a foot is airborne
 
 
-def _arr(v, n, name):
-    a = np.asarray(v, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},)")
-    return a
+TERMS = ("t_l_tracking", "l_tracking", "a_tracking", "v_z", "omega_x", "roll",
+         "yaw", "joint_acc", "body_height", "action_rate", "smoothness",
+         "hip_angle", "feet_edge", "feet_stumble")  # record order
+
+# per-frame shape of each array field of RewardInput
+_SHAPES = {"v_world": (3,), "v_body_xy": (2,), "omega": (3,), "gravity_body": (3,),
+           "joint_acc": (12,), "action": (12,), "prev_action": (12,),
+           "prev_prev_action": (12,), "hip_angles": (4,), "hip_angles_desired": (4,),
+           "foot_positions": (4, 3), "foot_contact_forces": (4, 3), "command": (3,)}
+_SCALARS = ("v_z", "yaw", "body_height", "desired_height")
 
 
 @dataclass(frozen=True, eq=False)
 class RewardInput:
-    """One policy-rate frame of everything the reward table reads."""
+    """One policy-rate frame of everything the reward table reads, or n
+    frames stacked on a leading axis of every field but terrain_type."""
 
     v_world: np.ndarray  # body velocity, world frame, m/s
     v_body_xy: np.ndarray  # body-frame planar velocity, m/s
@@ -129,35 +135,22 @@ class RewardInput:
     terrain_type: TerrainType
 
     def __post_init__(self):
-        object.__setattr__(self, "v_world", _arr(self.v_world, 3, "v_world"))
-        object.__setattr__(self, "v_body_xy", _arr(self.v_body_xy, 2, "v_body_xy"))
-        object.__setattr__(self, "omega", _arr(self.omega, 3, "omega"))
-        object.__setattr__(self, "gravity_body", _arr(self.gravity_body, 3, "gravity_body"))
-        object.__setattr__(self, "joint_acc", _arr(self.joint_acc, 12, "joint_acc"))
-        for name in ("action", "prev_action", "prev_prev_action"):
-            object.__setattr__(self, name, _arr(getattr(self, name), 12, name))
-        for name in ("hip_angles", "hip_angles_desired"):
-            object.__setattr__(self, name, _arr(getattr(self, name), 4, name))
-        for name in ("foot_positions", "foot_contact_forces"):
+        lead = np.shape(self.v_world)[:-1]  # () for one frame, (n,) for n
+        for name, shape in _SHAPES.items():
             a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (4, 3):
-                raise ValueError(f"{name} must have shape (4, 3)")
+            if a.shape != lead + shape:
+                raise ValueError(f"{name} must have shape {lead + shape}")
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "command", _arr(self.command, 3, "command"))
-        g = np.linalg.norm(self.gravity_body)
-        if abs(g - 1.0) > 1e-6:
+        for name in _SCALARS:
+            if getattr(getattr(self, name), "shape", ()) != lead:
+                raise ValueError(f"{name} must have shape {lead}")
+        g = np.linalg.norm(self.gravity_body, axis=-1)
+        if (abs(g - 1.0) > 1e-6).any():
             raise ValueError("gravity_body must be unit-norm")
 
     def _all_values(self) -> np.ndarray:
-        return np.concatenate([
-            self.v_world, self.v_body_xy, [self.v_z], self.omega,
-            self.gravity_body, [self.yaw], self.joint_acc,
-            [self.body_height, self.desired_height],
-            self.action, self.prev_action, self.prev_prev_action,
-            self.hip_angles, self.hip_angles_desired,
-            self.foot_positions.ravel(), self.foot_contact_forces.ravel(),
-            self.command,
-        ])
+        return np.concatenate([*(getattr(self, name).ravel() for name in _SHAPES),
+                               np.ravel([getattr(self, name) for name in _SCALARS])])
 
 
 @dataclass(frozen=True)
@@ -176,122 +169,155 @@ class RewardBreakdown:
 
 def feet_stumble_penalty(foot_contact_forces, ratio: float = 2.0):
     """Count feet whose horizontal force dominates the vertical one, the
-    signature of a toe catching an obstacle face."""
+    signature of a toe catching an obstacle face. Forces are (4, 3) for one
+    frame or (..., 4, 3); flags and counts keep the leading axes."""
     f = np.asarray(foot_contact_forces, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ValueError("non-finite contact forces")
-    flags = np.linalg.norm(f[:, :2], axis=1) > ratio * np.abs(f[:, 2])
-    return flags, float(flags.sum())
+    flags = np.linalg.norm(f[..., :2], axis=-1) > ratio * np.abs(f[..., 2])
+    return flags, flags.sum(axis=-1, dtype=float)
 
 
 def feet_edge_penalty(foot_positions, foot_contact_forces, hf: Heightfield,
                       edge_margin: float = 0.05, grad_threshold: float = 0.5,
                       contact_force_min: float = 1.0):
-    """Count contacting feet within edge_margin of a sharp height jump."""
+    """Count contacting feet within edge_margin of a sharp height jump.
+    Feet are (4, 3) for one frame or (..., 4, 3); flags and counts keep the
+    leading axes."""
     pos = np.asarray(foot_positions, dtype=float)
     if not np.all(np.isfinite(pos)):
         raise ValueError("non-finite foot positions")
     forces = np.asarray(foot_contact_forces, dtype=float)
-    in_contact = np.abs(forces[:, 2]) >= contact_force_min
+    in_contact = np.abs(forces[..., 2]) >= contact_force_min
     ex, ey = hf.edge_xy(grad_threshold)
-    if not ex.size:
-        flags = np.zeros(4, dtype=bool)
-        return flags, 0.0
-
-    # squared distance from each foot (row) to each edge cell (column)
-    d2 = (ex - pos[:, 0:1]) ** 2 + (ey - pos[:, 1:2]) ** 2
-    flags = in_contact & (np.min(d2, axis=1) <= edge_margin**2)
-    return flags, float(flags.sum())
+    flags = np.zeros(pos.shape[:-1], dtype=bool)
+    # a cell within the margin is within it along x, and ex ascends, so a
+    # foot is checked only against the cells in its x-window; the window is
+    # wider than the margin by more than any rounding of the squares below
+    x, y = pos[..., 0].ravel(), pos[..., 1].ravel()
+    reach = abs(edge_margin) * (1.0 + 1e-9) + 1e-6
+    lo = np.searchsorted(ex, x - reach)
+    hi = np.searchsorted(ex, x + reach, side="right")
+    flat = flags.reshape(-1)
+    for k in np.flatnonzero(in_contact.ravel() & (hi > lo)):
+        d2 = (ex[lo[k]:hi[k]] - x[k]) ** 2 + (ey[lo[k]:hi[k]] - y[k]) ** 2
+        flat[k] = np.min(d2) <= edge_margin**2
+    return flags, flags.sum(axis=-1, dtype=float)
 
 
 _GAP_PLATFORM = (TerrainType.GAP, TerrainType.HIGH_PLATFORM)
 
 
-def compute_rewards(inp: RewardInput, fit: PlaneFit,
-                    weights: RewardWeights | None = None,
-                    terrain: Heightfield | None = None) -> RewardBreakdown:
-    """Evaluate every applicable term for one frame.
+def _pow2(x: np.ndarray) -> np.ndarray:
+    # pow(x, 2) per element, the value of a scalar x ** 2; array ** 2 is
+    # x * x, which differs in the last bit on ~0.1% of inputs, and the
+    # golden logs pin pow
+    return np.float_power(x, 2)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    # math.exp per element: np.exp's vector kernel differs in the last bit
+    # on a few percent of inputs, and the golden logs pin math.exp
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+@dataclass(frozen=True, eq=False)
+class RewardTable:
+    """The reward table of n frames before their plane fits are known.
+
+    raw[i] holds frame i's raw value of every term, in TERMS order, with
+    t_l_tracking and roll, the two terms that read the plane fit, at 0;
+    compute_rewards sets them from table[i] and a fit. The other fields
+    are the terrain-gated weight of each term and what those two terms read
+    of each frame.
+    """
+
+    raw: np.ndarray  # (n, len(TERMS))
+    weights: dict[str, float]
+    v_world: np.ndarray  # (n, 3)
+    gravity_x: np.ndarray  # (n,)
+    v_cmd_x: np.ndarray  # (n,)
+    terrain_type: TerrainType
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, i: int) -> "RewardTable":
+        """Frame i alone, as a one-frame table."""
+        i = range(len(self.raw))[i]
+        s = slice(i, i + 1)
+        return RewardTable(self.raw[s], self.weights, self.v_world[s],
+                           self.gravity_x[s], self.v_cmd_x[s], self.terrain_type)
+
+
+def reward_table(inp: RewardInput, weights: RewardWeights | None = None,
+                 terrain: Heightfield | None = None) -> RewardTable:
+    """Every term that does not read the plane fit, for each frame of inp.
 
     Rows gated to other terrain types contribute raw 0. The feet-edge term
     needs ground truth geometry; without a terrain it reads 0.
     """
     w = weights or RewardWeights()
-    if not np.all(np.isfinite(inp._all_values())):
+    if not np.isfinite(inp._all_values()).all():
         raise ValueError("non-finite reward input")
+    n = math.prod(np.shape(inp.v_world)[:-1])
+
+    def col(name, *shape):
+        return np.asarray(getattr(inp, name)).reshape(n, *shape)
+
     tau = inp.terrain_type
-    on_gap_platform = tau in _GAP_PLATFORM
-    v_cmd_x, v_cmd_y, w_cmd = inp.command
-
-    raw: dict[str, float] = {}
-    wts: dict[str, float] = {}
-
-    if tau is TerrainType.HIGH_PLATFORM:
-        n_v = guided_direction(fit)
-        raw["t_l_tracking"] = float(min(np.dot(inp.v_world, n_v), v_cmd_x))
+    platform = tau is TerrainType.HIGH_PLATFORM
+    cmd, v_body, omega = col("command", 3), col("v_body_xy", 2), col("omega", 3)
+    action, prev = col("action", 12), col("prev_action", 12)
+    raw = dict.fromkeys(TERMS, np.zeros(n))
+    if not platform:
+        err = _pow2(cmd[:, 0] - v_body[:, 0]) + _pow2(cmd[:, 1] - v_body[:, 1])
+        raw["l_tracking"] = 2.0 * _exp(-4.0 * err)
+        raw["v_z"] = -_pow2(col("v_z"))
     else:
-        raw["t_l_tracking"] = 0.0
-    wts["t_l_tracking"] = w.t_l_tracking
+        raw["yaw"] = -_pow2(col("yaw"))
+    raw["a_tracking"] = 0.5 * _exp(-4.0 * _pow2(cmd[:, 2] - omega[:, 2]))
+    raw["omega_x"] = -_pow2(omega[:, 0])
+    raw["joint_acc"] = -(col("joint_acc", 12) ** 2).sum(axis=1)
+    raw["body_height"] = -_pow2(col("desired_height") - col("body_height"))
+    raw["action_rate"] = -((action - prev) ** 2).sum(axis=1)
+    raw["smoothness"] = -((action - 2.0 * prev + col("prev_prev_action", 12)) ** 2).sum(axis=1)
+    raw["hip_angle"] = -((col("hip_angles_desired", 4) - col("hip_angles", 4)) ** 2).sum(axis=1)
+    if tau in _GAP_PLATFORM:
+        forces = col("foot_contact_forces", 4, 3)
+        if terrain is not None:
+            _, raw["feet_edge"] = feet_edge_penalty(
+                col("foot_positions", 4, 3), forces, terrain,
+                w.edge_margin, w.grad_threshold, w.contact_force_min)
+        _, raw["feet_stumble"] = feet_stumble_penalty(forces, w.stumble_ratio)
 
-    if tau is not TerrainType.HIGH_PLATFORM:
-        err = (v_cmd_x - inp.v_body_xy[0]) ** 2 + (v_cmd_y - inp.v_body_xy[1]) ** 2
-        raw["l_tracking"] = float(2.0 * math.exp(-4.0 * err))
-    else:
-        raw["l_tracking"] = 0.0
-    wts["l_tracking"] = w.l_tracking
-
-    raw["a_tracking"] = float(0.5 * math.exp(-4.0 * (w_cmd - inp.omega[2]) ** 2))
-    wts["a_tracking"] = w.a_tracking
-
-    raw["v_z"] = float(-inp.v_z**2) if tau is not TerrainType.HIGH_PLATFORM else 0.0
-    wts["v_z"] = w.v_z
-
-    raw["omega_x"] = float(-inp.omega[0] ** 2)
-    wts["omega_x"] = w.omega_x
-
-    # x-components by the book, oddity and all
-    raw["roll"] = float(-abs(inp.gravity_body[0] - fit.normal[0]) ** 2)
-    wts["roll"] = w.roll
-
-    raw["yaw"] = float(-inp.yaw**2) if tau is TerrainType.HIGH_PLATFORM else 0.0
-    wts["yaw"] = w.yaw
-
-    raw["joint_acc"] = float(-np.sum(inp.joint_acc**2))
-    wts["joint_acc"] = w.joint_acc
-
-    raw["body_height"] = float(-((inp.desired_height - inp.body_height) ** 2))
-    wts["body_height"] = w.body_height
-
-    raw["action_rate"] = float(-np.sum((inp.action - inp.prev_action) ** 2))
-    wts["action_rate"] = w.action_rate
-
-    raw["smoothness"] = float(
-        -np.sum((inp.action - 2.0 * inp.prev_action + inp.prev_prev_action) ** 2)
-    )
-    wts["smoothness"] = w.smoothness
-
-    raw["hip_angle"] = float(-np.sum((inp.hip_angles_desired - inp.hip_angles) ** 2))
-    wts["hip_angle"] = w.hip_angle
-
-    if on_gap_platform and terrain is not None:
-        _, edge_count = feet_edge_penalty(
-            inp.foot_positions, inp.foot_contact_forces, terrain,
-            w.edge_margin, w.grad_threshold, w.contact_force_min)
-    else:
-        edge_count = 0.0
-    raw["feet_edge"] = edge_count
+    wts = {k: getattr(w, k) for k in TERMS[:-2]}
     wts["feet_edge"] = (w.feet_edge_gap if tau is TerrainType.GAP
-                        else w.feet_edge_platform if tau is TerrainType.HIGH_PLATFORM
-                        else 0.0)
-
-    if on_gap_platform:
-        _, stumble_count = feet_stumble_penalty(inp.foot_contact_forces, w.stumble_ratio)
-    else:
-        stumble_count = 0.0
-    raw["feet_stumble"] = stumble_count
+                        else w.feet_edge_platform if platform else 0.0)
     wts["feet_stumble"] = (w.feet_stumble_gap if tau is TerrainType.GAP
-                           else w.feet_stumble_platform if tau is TerrainType.HIGH_PLATFORM
-                           else 0.0)
+                           else w.feet_stumble_platform if platform else 0.0)
+    return RewardTable(raw=np.array([raw[k] for k in TERMS]).T, weights=wts,
+                       v_world=col("v_world", 3), gravity_x=col("gravity_body", 3)[:, 0],
+                       v_cmd_x=cmd[:, 0], terrain_type=tau)
 
-    weighted = {k: raw[k] * wts[k] for k in raw}
+
+def compute_rewards(inp: RewardInput | RewardTable, fit: PlaneFit,
+                    weights: RewardWeights | None = None,
+                    terrain: Heightfield | None = None) -> RewardBreakdown:
+    """Evaluate every term for one frame: a one-frame RewardInput, whose
+    other terms reward_table evaluates with weights and terrain, or a
+    one-frame RewardTable (table[i]), which carries the weights and terrain
+    it was built with. Only t_l_tracking and roll read the fit.
+    """
+    table = inp if isinstance(inp, RewardTable) else reward_table(inp, weights, terrain)
+    if len(table) != 1:
+        raise ValueError(f"compute_rewards takes one frame, got {len(table)}")
+    raw = dict(zip(TERMS, table.raw[0].tolist()))
+    if table.terrain_type is TerrainType.HIGH_PLATFORM:
+        n_v = guided_direction(fit)
+        raw["t_l_tracking"] = float(min(np.dot(table.v_world[0], n_v), table.v_cmd_x[0]))
+    # x-components by the book, oddity and all
+    raw["roll"] = float(-abs(table.gravity_x[0] - fit.normal[0]) ** 2)
+    weighted = {k: v * table.weights[k] for k, v in raw.items()}
     total = float(sum(weighted.values()))
     return RewardBreakdown(raw=raw, weighted=weighted, total=total)

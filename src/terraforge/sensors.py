@@ -178,24 +178,44 @@ def _sample_times_ns(duration: float, rate: float) -> list[int]:
     return [round(i * 1e9 / rate) for i in range(n)]
 
 
+def _noise_rows(rng: np.random.Generator, n: int,
+                *streams: tuple[float, int]) -> list[np.ndarray | None]:
+    """Zero-mean Gaussian noise for n samples of streams drawn in turn at
+    each sample, given as (std, size); a stream whose std is 0 draws nothing
+    and gets None. One standard_normal draw for all of them: 0 + std * z is
+    what rng.normal(0, std, size) computes, so the numbers are those of
+    per-sample draws."""
+    z = rng.standard_normal((n, sum(size for std, size in streams if std > 0)))
+    out, col = [], 0
+    for std, size in streams:
+        if std > 0:
+            out.append(0.0 + std * z[:, col:col + size])
+            col += size
+        else:
+            out.append(None)
+    return out
+
+
 def imu_stream(traj: TrajectorySpec, rate: float = 200.0,
                noise: NoiseConfig | None = None, seed: int = 0) -> list[ImuSample]:
     """Body-frame gyro and specific-force samples at exact 1/rate spacing."""
     if not 100 <= rate <= 1000:
         raise ValueError("imu rate outside [100, 1000] Hz")
     noise = noise or NoiseConfig()
-    rng = np.random.default_rng(seed)
+    times = _sample_times_ns(traj.duration, rate)
+    gyro, accel_noise = _noise_rows(np.random.default_rng(seed), len(times),
+                                    (noise.gyro_std, 3), (noise.accel_std, 3))
     g_up = vec3(0, 0, GRAVITY)
     out = []
-    for ts in _sample_times_ns(traj.duration, rate):
+    for i, ts in enumerate(times):
         s = true_state(traj, ts * 1e-9)
         rot_wb = quat_to_matrix(s.pose.orientation).T  # world -> body
         accel = rot_wb @ (s.acceleration + g_up)
         omega = s.angular_velocity.copy()
-        if noise.gyro_std > 0:
-            omega = omega + rng.normal(0.0, noise.gyro_std, 3)
-        if noise.accel_std > 0:
-            accel = accel + rng.normal(0.0, noise.accel_std, 3)
+        if gyro is not None:
+            omega = omega + gyro[i]
+        if accel_noise is not None:
+            accel = accel + accel_noise[i]
         out.append(ImuSample(ts, omega, accel))
     return out
 
@@ -206,16 +226,18 @@ def odometry_stream(traj: TrajectorySpec, rate: float = 10.0,
     if rate < 1:
         raise ValueError("odometry rate must be >= 1 Hz")
     noise = noise or NoiseConfig()
-    rng = np.random.default_rng(seed)
+    times = _sample_times_ns(traj.duration, rate)
+    pos_noise, yaw_noise = _noise_rows(np.random.default_rng(seed), len(times),
+                                       (noise.odom_pos_std, 3), (noise.odom_yaw_std, 1))
     out = []
-    for ts in _sample_times_ns(traj.duration, rate):
+    for i, ts in enumerate(times):
         s = true_state(traj, ts * 1e-9)
         pos = s.pose.position
         q = s.pose.orientation
-        if noise.odom_pos_std > 0:
-            pos = pos + rng.normal(0.0, noise.odom_pos_std, 3)
-        if noise.odom_yaw_std > 0:
-            q = quat_multiply(quat_from_yaw(rng.normal(0.0, noise.odom_yaw_std)), q)
+        if pos_noise is not None:
+            pos = pos + pos_noise[i]
+        if yaw_noise is not None:
+            q = quat_multiply(quat_from_yaw(float(yaw_noise[i, 0])), q)
         out.append(Pose(pos, q, ts))
     return out
 

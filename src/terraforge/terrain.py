@@ -146,8 +146,8 @@ class Heightfield:
         return {}
 
     def edge_xy(self, grad_threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only world x and y of every edge_cells cell, computed once
-        per grad_threshold and kept with the field."""
+        """Read-only world x and y of every edge_cells cell, in ascending
+        x, computed once per grad_threshold and kept with the field."""
         xy = self._edge_xy.get(grad_threshold)
         if xy is None:
             exi, eyi = np.nonzero(edge_cells(self, grad_threshold))

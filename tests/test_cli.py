@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and printed output."""
 
+import json
 import os
+import platform
 import shutil
 import socket
 import subprocess
@@ -14,7 +16,7 @@ import terraforge
 from terraforge.cli import main
 from terraforge.config import PipelineConfig, load_config
 from terraforge.fileformats import read_heightfield
-from terraforge.pipeline import run_pipeline
+from terraforge.pipeline import run_bench, run_pipeline
 from terraforge.sensors import NoiseConfig, TrajectoryKind, TrajectorySpec
 from terraforge.telemetry import decode_message
 
@@ -144,6 +146,28 @@ class TestBench:
         assert main(["bench", "--iters", "0"]) == 2
         err = capsys.readouterr().err
         assert "--iters" in err and "Traceback" not in err
+
+    def test_json_record(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        code = main(["bench", "--iters", "50", "--json", str(path)])
+        rec = json.loads(path.read_text())
+        assert code == (0 if rec["within_budget"] else 3)
+        assert rec["iters"] == 50 and rec["budget_ms"] == 5.0 and rec["config"] is None
+        assert set(rec["stages"]) == {"fusion_step", "scan_amortized",
+                                      "local_extract", "reward_eval"}
+        for times in (*rec["stages"].values(), rec["tick_total"]):
+            assert times["p99_ms"] >= times["p50_ms"] >= 0.0
+        env = rec["environment"]
+        assert env["nproc"] >= 1 and env["cpu_model"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+
+    def test_json_written_when_over_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("terraforge.cli.run_bench",
+                            lambda cfg, iters: run_bench(cfg, iters, budget_ms=1e-9))
+        path = tmp_path / "bench.json"
+        assert main(["bench", "--iters", "20", "--json", str(path)]) == 3
+        assert json.loads(path.read_text())["within_budget"] is False
 
 
 class TestTallTerrain:
@@ -327,6 +351,44 @@ class TestConfigRef:
         assert main(["config-ref", "--out", str(path)]) == 0
         assert "[fusion]" in path.read_text()
         assert load_config(path) == PipelineConfig()
+
+
+class TestUnwritableOutput:
+    """An output path below a regular file is a usage problem: exit 2 with
+    the path, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--out", "{bad}"],
+        ["gen", "--out", "{ok}", "--csv", "{bad}"],
+        ["run", "--config", "{cfg}", "--out", "{bad}"],
+        ["bench", "--iters", "5", "--out", "{bad}"],
+        ["bench", "--iters", "5", "--json", "{bad}"],
+        ["config-ref", "--out", "{bad}"],
+    ], ids=["gen", "gen-csv", "run", "bench-out", "bench-json", "config-ref"])
+    def test_exits_2(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "cfg.ini").write_text(RUN_CONFIG)
+        paths = dict(bad=str(tmp_path / "file" / "out"), ok=str(tmp_path / "ok.hfld"),
+                     cfg=str(tmp_path / "cfg.ini"))
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and paths["bad"] in err
+        assert "Traceback" not in err
+
+    def test_edit_map_in_place(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "tile.hfld"
+        assert main(["gen", "--out", str(path)]) == 0
+
+        def refuse(hf, out):
+            raise PermissionError(13, "Permission denied", str(out))
+
+        monkeypatch.setattr("terraforge.fileformats.write_heightfield", refuse)
+        code = main(["edit-map", "--map", str(path), "--xmin", "2.0", "--ymin", "0.0",
+                     "--xmax", "3.0", "--ymax", "1.0", "--height", "0.3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {path}: Permission denied" in err
+        assert "Traceback" not in err
 
 
 class TestTopLevel:

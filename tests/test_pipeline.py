@@ -2,25 +2,36 @@
 
 import json
 import logging
+import math
 import socket
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from terraforge.config import PipelineConfig
 from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, pose_record, read_jsonl
 from terraforge.mapping import ElevationMap
+from terraforge.observations import ObservationFrame, sample_command
 from terraforge.pipeline import (
+    FOOT_OFFSETS,
+    NOMINAL_CONTACT_FORCE,
     ODOMETRY,
     PipelineInvariantError,
     PipelineResult,
+    _policy_ticks,
     _Replay,
     run_bench,
     run_pipeline,
 )
-from terraforge.sensors import NoiseConfig, TrajectoryKind, TrajectorySpec
+from terraforge.rewards import PlaneFit, RewardInput, RewardWeights, compute_rewards
+from terraforge.sensors import NoiseConfig, TrajectoryKind, TrajectorySpec, true_state
 from terraforge.telemetry import LocalMapFragment, RewardMessage, decode_message
-from terraforge.geometry import Pose
+from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate, sample_height_vec
+from terraforge.geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
 
 
 def small_cfg(**kw):
@@ -257,3 +268,113 @@ class TestBenchDrivesTheReplay:
 
 def test_invariant_error_is_runtime_error():
     assert issubclass(PipelineInvariantError, RuntimeError)
+
+
+def reference_reward_frame(cfg, hf, state, command):
+    """One policy tick's reward input as first built, tick by tick."""
+    q = state.pose.orientation
+    v_body = rotate_vec(quat_conjugate(q), state.velocity)
+    gravity_body = rotate_vec(quat_conjugate(q), vec3(0, 0, -1.0))
+    yaw = quat_yaw(q)
+    c, s = np.cos(yaw), np.sin(yaw)
+    feet_xy = state.pose.position[:2] + FOOT_OFFSETS @ np.array([[c, s], [-s, c]])
+    xy = np.vstack([state.pose.position[:2], feet_xy])
+    h, on_tile = sample_height_vec(hf, xy[:, 0], xy[:, 1])
+    ground = np.where(on_tile, h, 0.0)
+    forces = np.zeros((4, 3))
+    forces[:, 2] = NOMINAL_CONTACT_FORCE
+    zeros12 = np.zeros(12)
+    return RewardInput(
+        v_world=state.velocity, v_body_xy=v_body[:2], v_z=float(state.velocity[2]),
+        omega=state.angular_velocity, gravity_body=gravity_body, yaw=yaw,
+        joint_acc=zeros12, body_height=float(state.pose.position[2] - ground[0]),
+        desired_height=cfg.desired_height, action=zeros12, prev_action=zeros12,
+        prev_prev_action=zeros12, hip_angles=np.zeros(4), hip_angles_desired=np.zeros(4),
+        foot_positions=np.column_stack([feet_xy, ground[1:]]), foot_contact_forces=forces,
+        command=command, terrain_type=cfg.terrain.terrain_type)
+
+
+@lru_cache(maxsize=None)
+def _tile(terrain, level, robot):
+    return generate(TerrainSpec(terrain, level, robot))
+
+
+@st.composite
+def trajectories(draw):
+    kind = draw(st.sampled_from(list(TrajectoryKind)))
+    return TrajectorySpec(
+        kind=kind, duration=draw(st.floats(0.05, 4.0)),
+        height_above_ground=draw(st.floats(0.2, 1.0)), speed=draw(st.floats(0.0, 3.0)),
+        radius=draw(st.floats(0.3, 5.0)), amplitude=draw(st.floats(0.0, 0.3)),
+        frequency=draw(st.floats(0.1, 3.0)))
+
+
+class TestPolicyTickTable:
+    @given(st.sampled_from(list(TerrainType)), st.sampled_from([0, 4, 9]),
+           st.sampled_from(list(Robot)), trajectories(),
+           st.floats(-20.0, 20.0), st.floats(0.0, 0.3), st.floats(0.0, 0.5),
+           st.integers(0, 2**32 - 1), st.floats(-0.9, 0.9))
+    @settings(max_examples=40, deadline=None)
+    # runs off the far end of the tile, where the ground is the base plane
+    @example(TerrainType.SLOPE, 9, Robot.X30, TrajectorySpec(
+        TrajectoryKind.CONSTANT_VELOCITY, 4.0, speed=3.0), -10.0, 0.05, 0.4, 7, 0.2)
+    # near the gap edges at walking pace, where feet_edge counts
+    @example(TerrainType.GAP, 9, Robot.LITE3, TrajectorySpec(
+        TrajectoryKind.CONSTANT_VELOCITY, 4.0, speed=1.0), -10.0, 0.05, 0.4, 7, 0.2)
+    def test_rows_bit_equal_to_tick_by_tick(self, terrain, level, robot, traj, weight,
+                                            margin, desired, seed, s):
+        """Each tick's reward record, yaw, body height and observation
+        equal the tick-by-tick build's, byte for byte."""
+        weights = RewardWeights(roll=weight, feet_edge_gap=weight, feet_edge_platform=-weight,
+                                body_height=weight / 3, edge_margin=margin)
+        cfg = PipelineConfig(terrain=TerrainSpec(terrain, level, robot), trajectory=traj,
+                             weights=weights, desired_height=desired)
+        hf = _tile(terrain, level, robot)
+        command = sample_command(terrain, seed)
+        stamps = [round(i * 1e9 / cfg.imu_hz)
+                  for i in range(cfg.ticks_per_policy - 1,
+                                 math.floor(traj.duration * cfg.imu_hz) + 1,
+                                 cfg.ticks_per_policy)]
+        ticks = _policy_ticks(cfg, hf, command, stamps)
+        fit = PlaneFit(np.array([s, 0.0, math.sqrt(1 - s * s)]), np.zeros(3), 0.0)
+        assert len(ticks.rewards) == len(stamps)
+        for i, ts in enumerate(stamps):
+            inp = reference_reward_frame(cfg, hf, true_state(traj, ts * 1e-9), command)
+            want = compute_rewards(inp, fit, weights, terrain=hf).as_record(ts)
+            got = compute_rewards(ticks.rewards[i], fit).as_record(ts)
+            assert json.dumps(got) == json.dumps(want)
+            assert json.dumps([ticks.yaw[i], ticks.body_height[i]]) == json.dumps(
+                [inp.yaw, inp.body_height])
+            frame = ObservationFrame(
+                omega=inp.omega, gravity=inp.gravity_body, command=command,
+                joint_angles=np.zeros(12), joint_velocities=np.zeros(12),
+                prev_action=np.zeros(12))
+            assert json.dumps(ticks.observations[i].tolist()) == json.dumps(
+                [float(v) for v in frame.flatten()])
+
+    def test_gap_policy_table_stays_small(self):
+        """The table of a 20 s gap crossing (1,000 ticks, 640 edge cells)
+        is built without a ticks x feet x edges distance matrix (20 MB)."""
+        cfg = PipelineConfig(
+            terrain=TerrainSpec(TerrainType.GAP, 9),
+            trajectory=TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 20.0, speed=0.25))
+        hf = _tile(TerrainType.GAP, 9, Robot.LITE3)
+        assert hf.edge_xy(cfg.weights.grad_threshold)[0].size == 640
+        command = sample_command(TerrainType.GAP, 0)
+        stamps = [round(i * 1e9 / cfg.imu_hz) for i in range(3, 4001, 4)]
+        tracemalloc.start()
+        try:
+            ticks = _policy_ticks(cfg, hf, command, stamps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ticks.rewards) == 1000
+        assert ticks.rewards.raw[:, -2].any()  # some feet do come near an edge
+        assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
+
+    def test_tick_at_an_unexpected_time_is_an_invariant_error(self):
+        replay = _Replay(small_cfg())
+        replay.ticks.timestamps_ns[0] += 1
+        with pytest.raises(PipelineInvariantError, match="policy tick 0"):
+            for _, kind, item in replay.events:
+                replay.step(kind, item)

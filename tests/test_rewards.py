@@ -1,6 +1,7 @@
 """Reward term tests: plane fitting, guided direction, the full table."""
 
 import gc
+import json
 import math
 import weakref
 from functools import lru_cache
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terraforge.rewards import (
+    TERMS,
     PlaneFit,
+    RewardBreakdown,
     RewardInput,
     RewardWeights,
     compute_rewards,
@@ -21,6 +24,7 @@ from terraforge.rewards import (
     feet_stumble_penalty,
     fit_plane,
     guided_direction,
+    reward_table,
 )
 from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate
 
@@ -239,13 +243,18 @@ class TestCachedEdgeField:
     def test_flags_match_brute_force(self, key, grad, margin, feet):
         hf = tile(*key)
         a = np.array(feet)
-        for pos_xy, fz in ((a[:4, :2], a[:4, 2]), (a[4:, :2], a[4:, 2])):
-            pos = np.column_stack([pos_xy, np.zeros(4)])
-            forces = np.column_stack([np.zeros((4, 2)), fz])
-            flags, count = feet_edge_penalty(pos, forces, hf, margin, grad, 1.0)
-            want = reference_feet_edge(pos, forces, hf, margin, grad, 1.0)
-            assert np.array_equal(flags, want)
-            assert count == float(want.sum())
+        pos = np.column_stack([a[:, :2], np.zeros(8)]).reshape(2, 4, 3)
+        forces = np.column_stack([np.zeros((8, 2)), a[:, 2]]).reshape(2, 4, 3)
+        want = [reference_feet_edge(pos[k], forces[k], hf, margin, grad, 1.0)
+                for k in range(2)]
+        for k in range(2):
+            flags, count = feet_edge_penalty(pos[k], forces[k], hf, margin, grad, 1.0)
+            assert np.array_equal(flags, want[k])
+            assert count == float(want[k].sum())
+        # both frames as one stack
+        flags, counts = feet_edge_penalty(pos, forces, hf, margin, grad, 1.0)
+        assert np.array_equal(flags, want)
+        assert counts.tolist() == [float(w.sum()) for w in want]
 
     def test_flat_tile_flags_nothing(self):
         flat = tile(TerrainType.SLOPE, 0, Robot.LITE3)
@@ -448,3 +457,154 @@ class TestRewardInput:
             frame(joint_acc=np.zeros(10))
         with pytest.raises(ValueError, match="foot_positions"):
             frame(foot_positions=np.zeros((3, 3)))
+
+
+def reference_compute_rewards(inp, fit, weights, terrain):
+    """compute_rewards as first written: one frame, scalar arithmetic."""
+    w = weights
+    tau = inp.terrain_type
+    v_cmd_x, v_cmd_y, w_cmd = inp.command
+    raw, wts = {}, {}
+    if tau is TerrainType.HIGH_PLATFORM:
+        raw["t_l_tracking"] = float(min(np.dot(inp.v_world, guided_direction(fit)), v_cmd_x))
+    else:
+        raw["t_l_tracking"] = 0.0
+    wts["t_l_tracking"] = w.t_l_tracking
+    if tau is not TerrainType.HIGH_PLATFORM:
+        err = (v_cmd_x - inp.v_body_xy[0]) ** 2 + (v_cmd_y - inp.v_body_xy[1]) ** 2
+        raw["l_tracking"] = float(2.0 * math.exp(-4.0 * err))
+    else:
+        raw["l_tracking"] = 0.0
+    wts["l_tracking"] = w.l_tracking
+    raw["a_tracking"] = float(0.5 * math.exp(-4.0 * (w_cmd - inp.omega[2]) ** 2))
+    wts["a_tracking"] = w.a_tracking
+    raw["v_z"] = float(-inp.v_z**2) if tau is not TerrainType.HIGH_PLATFORM else 0.0
+    wts["v_z"] = w.v_z
+    raw["omega_x"] = float(-inp.omega[0] ** 2)
+    wts["omega_x"] = w.omega_x
+    raw["roll"] = float(-abs(inp.gravity_body[0] - fit.normal[0]) ** 2)
+    wts["roll"] = w.roll
+    raw["yaw"] = float(-inp.yaw**2) if tau is TerrainType.HIGH_PLATFORM else 0.0
+    wts["yaw"] = w.yaw
+    raw["joint_acc"] = float(-np.sum(inp.joint_acc**2))
+    wts["joint_acc"] = w.joint_acc
+    raw["body_height"] = float(-((inp.desired_height - inp.body_height) ** 2))
+    wts["body_height"] = w.body_height
+    raw["action_rate"] = float(-np.sum((inp.action - inp.prev_action) ** 2))
+    wts["action_rate"] = w.action_rate
+    raw["smoothness"] = float(
+        -np.sum((inp.action - 2.0 * inp.prev_action + inp.prev_prev_action) ** 2))
+    wts["smoothness"] = w.smoothness
+    raw["hip_angle"] = float(-np.sum((inp.hip_angles_desired - inp.hip_angles) ** 2))
+    wts["hip_angle"] = w.hip_angle
+    gap_platform = tau in (TerrainType.GAP, TerrainType.HIGH_PLATFORM)
+    if gap_platform and terrain is not None:
+        flags = reference_feet_edge(inp.foot_positions, inp.foot_contact_forces, terrain,
+                                    w.edge_margin, w.grad_threshold, w.contact_force_min)
+        raw["feet_edge"] = float(flags.sum())
+    else:
+        raw["feet_edge"] = 0.0
+    wts["feet_edge"] = (w.feet_edge_gap if tau is TerrainType.GAP
+                        else w.feet_edge_platform if tau is TerrainType.HIGH_PLATFORM
+                        else 0.0)
+    f = inp.foot_contact_forces
+    stumble = np.linalg.norm(f[:, :2], axis=1) > w.stumble_ratio * np.abs(f[:, 2])
+    raw["feet_stumble"] = float(stumble.sum()) if gap_platform else 0.0
+    wts["feet_stumble"] = (w.feet_stumble_gap if tau is TerrainType.GAP
+                           else w.feet_stumble_platform if tau is TerrainType.HIGH_PLATFORM
+                           else 0.0)
+    weighted = {k: raw[k] * wts[k] for k in raw}
+    return RewardBreakdown(raw=raw, weighted=weighted, total=float(sum(weighted.values())))
+
+
+def record_bytes(breakdown) -> str:
+    return json.dumps(breakdown.as_record(0))  # repr floats: -0.0 and last bits count
+
+
+WEIGHT_FIELDS = ("t_l_tracking", "l_tracking", "a_tracking", "v_z", "omega_x", "roll",
+                 "yaw", "joint_acc", "body_height", "action_rate", "smoothness",
+                 "hip_angle", "feet_edge_gap", "feet_edge_platform", "feet_stumble_gap",
+                 "feet_stumble_platform")
+
+
+@st.composite
+def random_weights(draw):
+    values = {f: draw(st.floats(-20.0, 20.0)) for f in WEIGHT_FIELDS}
+    return RewardWeights(**values, edge_margin=draw(st.floats(0.0, 0.3)),
+                         grad_threshold=draw(st.sampled_from([0.1, 0.5])),
+                         stumble_ratio=draw(st.floats(0.5, 3.0)))
+
+
+def random_frames(seed, tau, n, hf):
+    """n random frames over the tile, with stumbling and airborne feet."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, 3))
+    forces = rng.normal(0.0, 20.0, (n, 4, 3))
+    forces[rng.random((n, 4)) < 0.3] = [0.0, 0.0, 30.0]
+    feet = np.concatenate([rng.uniform(2.5, 5.5, (n, 4, 1)),
+                           rng.uniform(-1.0, 1.0, (n, 4, 1)), rng.normal(size=(n, 4, 1))], axis=2)
+    return [frame(
+        tau, v_world=rng.normal(size=3), v_body_xy=rng.normal(size=2), v_z=rng.normal(),
+        omega=rng.normal(size=3), gravity_body=g[k] / np.linalg.norm(g[k]),
+        yaw=rng.normal(), joint_acc=rng.normal(0, 30, 12), body_height=rng.uniform(0, 1),
+        desired_height=rng.uniform(0.3, 0.5), action=rng.normal(size=12),
+        prev_action=rng.normal(size=12), prev_prev_action=rng.normal(size=12),
+        hip_angles=rng.normal(size=4), hip_angles_desired=rng.normal(size=4),
+        foot_positions=feet[k], foot_contact_forces=forces[k],
+        command=rng.uniform(-1.2, 1.2, 3)) for k in range(n)]
+
+
+def stack(frames):
+    """One RewardInput holding every frame along a leading axis."""
+    fields = {name: np.array([getattr(f, name) for f in frames])
+              for name in vars(frames[0]) if name != "terrain_type"}
+    return RewardInput(**fields, terrain_type=frames[0].terrain_type)
+
+
+class TestRewardTable:
+    @given(st.sampled_from(list(TerrainType)), st.sampled_from(TILES), random_weights(),
+           st.integers(0, 2**32 - 1), st.floats(-0.9, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_scalar_formulas(self, tau, key, weights, seed, s):
+        """Every term, weighted term and total of every frame, alone and
+        stacked, is the first-written scalar arithmetic's to the last bit."""
+        hf = tile(*key)
+        frames = random_frames(seed, tau, 5, hf)
+        fit = PlaneFit(np.array([s, 0.0, math.sqrt(1 - s * s)]), np.zeros(3), 0.0)
+        table = reward_table(stack(frames), weights, hf)
+        assert len(table) == 5
+        for k, inp in enumerate(frames):
+            want = record_bytes(reference_compute_rewards(inp, fit, weights, hf))
+            assert record_bytes(compute_rewards(inp, fit, weights, hf)) == want
+            assert record_bytes(compute_rewards(table[k], fit)) == want
+
+    def test_fit_terms_wait_for_the_fit(self):
+        table = reward_table(frame(TerrainType.HIGH_PLATFORM, v_world=np.array([1.0, 0, 0]),
+                                   gravity_body=np.array([0.6, 0.0, -0.8]),
+                                   command=np.array([1.2, 0, 0])))
+        fit_terms = [TERMS.index("t_l_tracking"), TERMS.index("roll")]
+        assert table.raw[0, fit_terms].tolist() == [0.0, 0.0]
+        out = compute_rewards(table[0], FLAT)
+        assert out.raw["t_l_tracking"] == 1.0 and out.raw["roll"] == -(0.6**2)
+
+    def test_table_indexing(self):
+        table = reward_table(stack([frame(v_z=0.1), frame(v_z=0.2), frame(v_z=0.3)]))
+        assert compute_rewards(table[-1], FLAT).raw["v_z"] == -(0.3**2)
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_compute_rewards_takes_one_frame(self):
+        with pytest.raises(ValueError, match="one frame, got 2"):
+            compute_rewards(stack([frame(), frame()]), FLAT)
+
+    def test_non_finite_anywhere_in_a_stack_rejected(self):
+        frames = [frame(), frame(foot_positions=np.full((4, 3), math.inf))]
+        with pytest.raises(ValueError, match="non-finite"):
+            reward_table(stack(frames))
+
+    def test_stack_shapes_checked(self):
+        frames = stack([frame(), frame()])
+        with pytest.raises(ValueError, match=r"v_z must have shape \(2,\)"):
+            RewardInput(**{**vars(frames), "v_z": 0.0})
+        with pytest.raises(ValueError, match="unit-norm"):
+            RewardInput(**{**vars(frames), "gravity_body": np.array([[0, 0, -1.0], [0, 0, -2.0]])})

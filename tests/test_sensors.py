@@ -8,7 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import terraforge.sensors as sensors_mod
-from terraforge.geometry import GRAVITY, Pose, quat_from_rotvec, quat_multiply, quat_to_matrix
+from terraforge.fileformats import imu_record, pose_record
+from terraforge.geometry import (GRAVITY, Pose, quat_from_rotvec, quat_from_yaw, quat_multiply,
+                                 quat_to_matrix, vec3)
 from terraforge.sensors import (
     Delivered,
     ImuSample,
@@ -144,6 +146,52 @@ class TestOdometryStream:
         errs = np.array([p.position - [0, 0, 0.4] for p in poses])
         std = errs.std()
         assert 0.008 <= std <= 0.012  # 1001 samples, 20% band
+
+
+def reference_streams(traj, noise, seed):
+    """imu_stream and odometry_stream as first written: rng.normal draws per
+    sample and stream."""
+    rng = np.random.default_rng(seed)
+    imu = []
+    for ts in sensors_mod._sample_times_ns(traj.duration, 200.0):
+        s = true_state(traj, ts * 1e-9)
+        accel = quat_to_matrix(s.pose.orientation).T @ (s.acceleration + vec3(0, 0, GRAVITY))
+        omega = s.angular_velocity.copy()
+        if noise.gyro_std > 0:
+            omega = omega + rng.normal(0.0, noise.gyro_std, 3)
+        if noise.accel_std > 0:
+            accel = accel + rng.normal(0.0, noise.accel_std, 3)
+        imu.append(ImuSample(ts, omega, accel))
+    rng = np.random.default_rng(seed)
+    odom = []
+    for ts in sensors_mod._sample_times_ns(traj.duration, 10.0):
+        s = true_state(traj, ts * 1e-9)
+        pos, q = s.pose.position, s.pose.orientation
+        if noise.odom_pos_std > 0:
+            pos = pos + rng.normal(0.0, noise.odom_pos_std, 3)
+        if noise.odom_yaw_std > 0:
+            q = quat_multiply(quat_from_yaw(rng.normal(0.0, noise.odom_yaw_std)), q)
+        odom.append(Pose(pos, q, ts))
+    return imu, odom
+
+
+STDS = st.sampled_from([0.0, 0.005, 0.05, 1.0])
+
+
+@given(st.sampled_from(list(TrajectoryKind)), STDS, STDS, STDS, STDS,
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_bulk_noise_equals_per_sample_draws(kind, gyro, accel, pos, yaw, seed):
+    traj = TrajectorySpec(kind, 1.0, speed=1.0, amplitude=0.1)
+    noise = NoiseConfig(gyro_std=gyro, accel_std=accel, odom_pos_std=pos, odom_yaw_std=yaw)
+    imu, odom = reference_streams(traj, noise, seed)
+    got = imu_stream(traj, 200.0, noise, seed)
+    assert [imu_record(x) for x in got] == [imu_record(x) for x in imu]
+    for a, b in zip(got, imu):
+        assert a.angular_velocity.tobytes() == b.angular_velocity.tobytes()
+        assert a.linear_acceleration.tobytes() == b.linear_acceleration.tobytes()
+    got = odometry_stream(traj, 10.0, noise, seed)
+    assert [repr(pose_record(p)) for p in got] == [repr(pose_record(p)) for p in odom]
 
 
 class TestLidarScan:
