@@ -85,10 +85,10 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     except (OSError, ValueError) as e:
         return _fail(f"config: {e}", 2)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     try:
         result = run_pipeline(cfg, args.out)
     except SensorUnderground as e:

@@ -7,6 +7,7 @@ config with every default spelled out.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -45,6 +46,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be positive")
         if self.imu_hz % self.policy_hz != 0:
             raise ValueError("imu_hz must be divisible by policy_hz")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         grid_cells(self.map_size, self.map_resolution)
 
     @property
@@ -96,20 +99,34 @@ _NOTES = {  # "section.key" -> comment in the reference listing
 }
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _pair(text: str) -> tuple[float, float]:
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
         raise ValueError(f"expected two numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _float(parts[0]), _float(parts[1])
 
 
 # field annotation -> parser of its INI value; the config modules all use
 # `from __future__ import annotations`, so Field.type is the annotation text
 _PARSERS = {
-    "int": int, "float": float, "tuple[float, float]": _pair, "str | None": str,
+    "int": int, "float": _float, "tuple[float, float]": _pair, "str | None": str,
     "TerrainType": TerrainType.from_name, "Robot": Robot.from_name,
     "TrajectoryKind": lambda s: TrajectoryKind(s.lower()),
 }
+
+
+def _parse(section: str, key: str, f, text: str):
+    try:
+        return _PARSERS[f.type](text)
+    except ValueError as e:
+        raise ValueError(f"[{section}] {key}: {e}") from e
 
 
 def _schema(cfg: PipelineConfig):
@@ -123,8 +140,8 @@ def _schema(cfg: PipelineConfig):
 
 
 def load_config(path_or_text, *, is_text: bool = False) -> PipelineConfig:
-    """Parse an INI config; unknown sections or keys, and malformed INI,
-    are ValueErrors."""
+    """Parse an INI config; unknown sections or keys, malformed INI, and
+    bad values (a float must be finite) are ValueErrors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         if is_text:
@@ -145,7 +162,7 @@ def load_config(path_or_text, *, is_text: bool = False) -> PipelineConfig:
         unknown = set(values) - {key for key, _ in rows}
         if unknown:
             raise ValueError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
-        kwargs = {f.name: _PARSERS[f.type](values[key]) for key, f in rows if key in values}
+        kwargs = {f.name: _parse(section, key, f, values[key]) for key, f in rows if key in values}
         if attr is None:
             parts.update(kwargs)
         else:

@@ -83,13 +83,9 @@ LOCAL_BLOB_HEADER_SIZE = _LOCAL_HEAD.size
 
 
 def pose_record(pose: Pose) -> dict:
-    q = pose.orientation
-    return {
-        "timestamp_ns": pose.timestamp_ns,
-        "px": float(pose.position[0]), "py": float(pose.position[1]),
-        "pz": float(pose.position[2]),
-        "qw": q.w, "qx": q.x, "qy": q.y, "qz": q.z,
-    }
+    q, (px, py, pz) = pose.orientation, pose.position.tolist()
+    return {"timestamp_ns": pose.timestamp_ns, "px": px, "py": py, "pz": pz,
+            "qw": q.w, "qx": q.x, "qy": q.y, "qz": q.z}
 
 
 def record_fields(rec, *keys) -> list:
@@ -115,12 +111,10 @@ def pose_from_record(rec: dict) -> Pose:
 
 
 def imu_record(sample: ImuSample) -> dict:
-    w, a = sample.angular_velocity, sample.linear_acceleration
-    return {
-        "timestamp_ns": sample.timestamp_ns,
-        "wx": float(w[0]), "wy": float(w[1]), "wz": float(w[2]),
-        "ax": float(a[0]), "ay": float(a[1]), "az": float(a[2]),
-    }
+    (wx, wy, wz), (ax, ay, az) = (sample.angular_velocity.tolist(),
+                                  sample.linear_acceleration.tolist())
+    return {"timestamp_ns": sample.timestamp_ns, "wx": wx, "wy": wy, "wz": wz,
+            "ax": ax, "ay": ay, "az": az}
 
 
 def write_jsonl(records, path) -> None:
@@ -131,10 +125,5 @@ def write_jsonl(records, path) -> None:
 
 
 def read_jsonl(path) -> list[dict]:
-    out = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+        return [json.loads(line) for line in f if line.strip()]

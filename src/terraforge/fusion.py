@@ -73,16 +73,9 @@ class FusionConfig:
                 raise ValueError(f"{name} must be positive")
 
     def initial_covariance(self) -> np.ndarray:
-        d = np.concatenate(
-            [
-                np.full(3, self.init_pos_std**2),
-                np.full(3, self.init_vel_std**2),
-                np.full(3, self.init_att_std**2),
-                np.full(3, self.init_gyro_bias_std**2),
-                np.full(3, self.init_accel_bias_std**2),
-            ]
-        )
-        return np.diag(d)
+        stds = (self.init_pos_std, self.init_vel_std, self.init_att_std,
+                self.init_gyro_bias_std, self.init_accel_bias_std)
+        return np.diag(np.repeat([s**2 for s in stds], 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +94,8 @@ class FusionState:
 
 def initial_state(odom: Pose, cfg: FusionConfig) -> FusionState:
     """Seed the filter from the first odometry pose; biases start at zero."""
-    return FusionState(
-        position=odom.position.copy(),
-        velocity=np.zeros(3),
-        orientation=quat_normalize(odom.orientation),
-        gyro_bias=np.zeros(3),
-        accel_bias=np.zeros(3),
-        covariance=cfg.initial_covariance(),
-        timestamp_ns=odom.timestamp_ns,
-    )
+    return FusionState(odom.position.copy(), np.zeros(3), quat_normalize(odom.orientation),
+                       np.zeros(3), np.zeros(3), cfg.initial_covariance(), odom.timestamp_ns)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -219,15 +205,9 @@ def update_pose(state: FusionState, odom: Pose, cfg: FusionConfig) -> FusionStat
     new_q = quat_normalize(
         quat_multiply(state.orientation, quat_from_rotvec(dx[_ATT]))
     )
-    return FusionState(
-        position=state.position + dx[_POS],
-        velocity=state.velocity + dx[_VEL],
-        orientation=new_q,
-        gyro_bias=state.gyro_bias + dx[_BG],
-        accel_bias=state.accel_bias + dx[_BA],
-        covariance=P_new,
-        timestamp_ns=state.timestamp_ns,
-    )
+    return FusionState(state.position + dx[_POS], state.velocity + dx[_VEL], new_q,
+                       state.gyro_bias + dx[_BG], state.accel_bias + dx[_BA], P_new,
+                       state.timestamp_ns)
 
 
 @dataclass

@@ -32,6 +32,13 @@ def as_vec3(v) -> np.ndarray:
     return a
 
 
+def elementwise(f, *arrays: np.ndarray) -> np.ndarray:
+    """f, a function of floats such as math.sin, mapped over 1-D arrays:
+    numpy's sin, cos, exp and atan2 can differ from math's in the last bit
+    on some CPUs or inputs, and the golden logs pin math's values."""
+    return np.array(list(map(f, *(a.tolist() for a in arrays))), dtype=np.float64)
+
+
 def skew(v) -> np.ndarray:
     """3x3 cross-product matrix: skew(a) @ b == cross(a, b)."""
     x, y, z = as_vec3(v)
@@ -136,31 +143,44 @@ def quat_integrate(q: Quaternion, omega_body, dt: float) -> Quaternion:
 
 def rotate_vec(q: Quaternion, v) -> np.ndarray:
     """Rotate body-frame v into the world frame by unit quaternion q."""
-    vx, vy, vz = as_vec3(v).tolist()
-    if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
+    v = as_vec3(v)
+    if not np.isfinite(v).all():
         raise ValueError("non-finite vector")
+    return rotate_vecs(np.array([[q.w, q.x, q.y, q.z]]), v[None])[0]
+
+
+def rotate_vecs(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rotate_vec row by row: (n, 4) quaternions (w, x, y, z) rotate (n, 3)
+    vectors."""
+    w, x, y, z = q.T
+    vx, vy, vz = v.T
     # v + w t + u x t with t = 2 u x v, u = (x, y, z): np.cross's own
-    # per-component products (multiply, then subtract) in Python floats,
-    # so the result is bit-equal to the array formula at scalar cost
-    w, x, y, z = q.w, q.x, q.y, q.z
+    # per-component products (multiply, then subtract), so each row is
+    # bit-equal to the cross-product formula
     tx = 2.0 * (y * vz - z * vy)
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
-    return np.array([vx + w * tx + (y * tz - z * ty),
+    return np.stack([vx + w * tx + (y * tz - z * ty),
                      vy + w * ty + (z * tx - x * tz),
-                     vz + w * tz + (x * ty - y * tx)])
+                     vz + w * tz + (x * ty - y * tx)], axis=1)
+
+
+def _matrix(w, x, y, z) -> list:
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
 
 
 def quat_to_matrix(q: Quaternion) -> np.ndarray:
     """Body-to-world rotation matrix of unit quaternion q."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array(_matrix(q.w, q.x, q.y, q.z))
+
+
+def quat_to_matrices(q: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) C-ordered quat_to_matrix of each (w, x, y, z) row of q."""
+    return np.ascontiguousarray(np.moveaxis(np.array(_matrix(*q.T)), -1, 0))
 
 
 def quat_from_yaw(yaw: float) -> Quaternion:
@@ -168,11 +188,18 @@ def quat_from_yaw(yaw: float) -> Quaternion:
     return Quaternion(math.cos(half), 0.0, 0.0, math.sin(half))
 
 
+def _yaw_args(w, x, y, z):
+    return 2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)
+
+
 def quat_yaw(q: Quaternion) -> float:
     """Yaw (rad) of the body x axis projected to the world x-y plane."""
-    siny = 2.0 * (q.w * q.z + q.x * q.y)
-    cosy = 1.0 - 2.0 * (q.y * q.y + q.z * q.z)
-    return math.atan2(siny, cosy)
+    return math.atan2(*_yaw_args(q.w, q.x, q.y, q.z))
+
+
+def quat_yaws(q: np.ndarray) -> np.ndarray:
+    """quat_yaw of each (w, x, y, z) row of q."""
+    return elementwise(math.atan2, *_yaw_args(*q.T))
 
 
 def orientation_angle(a: Quaternion, b: Quaternion) -> float:

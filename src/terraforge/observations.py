@@ -139,18 +139,10 @@ class RandomizationDraw:
 
 def sample_randomization(seed: int) -> RandomizationDraw:
     """One deterministic draw of every randomized physical parameter."""
-    rng = np.random.default_rng(seed)
-    return RandomizationDraw(
-        payload_kg=rng.uniform(*_RANGES["payload_kg"]),
-        kp_factor=rng.uniform(*_RANGES["kp_factor"]),
-        kd_factor=rng.uniform(*_RANGES["kd_factor"]),
-        motor_strength_factor=rng.uniform(*_RANGES["motor_strength_factor"]),
-        com_shift_mm=rng.uniform(*_RANGES["com_shift_mm"], size=3),
-        friction=rng.uniform(*_RANGES["friction"]),
-        system_delay_ms=rng.uniform(*_RANGES["system_delay_ms"]),
-        map_noise_ratio=rng.uniform(*_RANGES["map_noise_ratio"]),
-        map_noise_magnitude=rng.uniform(*_RANGES["map_noise_magnitude"]),
-    )
+    rng = np.random.default_rng(seed)  # drawn in _RANGES order
+    return RandomizationDraw(**{
+        name: rng.uniform(lo, hi, size=3 if name == "com_shift_mm" else None)
+        for name, (lo, hi) in _RANGES.items()})
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,13 +30,13 @@ import numpy as np
 from .config import PipelineConfig
 from .fileformats import (encode_local_map, imu_record, pose_record, write_jsonl)
 from .fusion import PoseFuser
-from .geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
+from .geometry import Pose, elementwise, quat_yaws, rotate_vecs, vec3
 from .mapping import ElevationMap, inject_map_noise
 from .observations import ObservationFrame, sample_command
 from .rewards import (RewardInput, RewardTable, compute_rewards, fit_plane,
                       reward_table)
 from .sensors import (apply_delay, imu_stream, lidar_scan, merge_delivered,
-                      odometry_stream, true_state)
+                      odometry_stream, sample_times_ns, true_states)
 from .terrain import generate, sample_height_vec
 from . import telemetry
 
@@ -87,24 +89,18 @@ def _policy_ticks(cfg: PipelineConfig, hf, command, timestamps_ns) -> _Ticks:
     """The true state at each tick, the ground under the body and each foot
     (off the tile: the base plane), and from them every reward term that
     does not read the plane fit and the observation of each tick."""
-    rows, down = [], vec3(0, 0, -1.0)
-    for ts in timestamps_ns:
-        state = true_state(cfg.trajectory, ts * 1e-9)
-        q = state.pose.orientation
-        q_inv = quat_conjugate(q)
-        rows.append([*state.pose.position.tolist(), *state.velocity.tolist(),
-                     *state.angular_velocity.tolist(),
-                     *rotate_vec(q_inv, state.velocity)[:2].tolist(),
-                     *rotate_vec(q_inv, down).tolist(), quat_yaw(q)])
-    pos, vel, omega, v_body_xy, gravity, yaw = np.split(
-        np.array(rows).reshape(-1, 15), [3, 6, 9, 11, 14], axis=1)
-    yaw = yaw[:, 0]
-    c, s = np.cos(yaw), np.sin(yaw)
+    state = true_states(cfg.trajectory, timestamps_ns)
+    n = len(timestamps_ns)
+    pos, vel, omega = state.position, state.velocity, state.angular_velocity
+    q_inv = state.orientation * (1, -1, -1, -1)  # conjugates
+    v_body_xy = rotate_vecs(q_inv, vel)[:, :2]
+    gravity = rotate_vecs(q_inv, np.broadcast_to(vec3(0, 0, -1.0), (n, 3)))
+    yaw = quat_yaws(state.orientation)
+    c, s = elementwise(math.cos, yaw), elementwise(math.sin, yaw)
     feet_xy = pos[:, None, :2] + FOOT_OFFSETS @ np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
     xy = np.concatenate([pos[:, None, :2], feet_xy], axis=1)  # body, then feet
     h, on_tile = sample_height_vec(hf, xy[..., 0], xy[..., 1])
     ground = np.where(on_tile, h, 0.0)
-    n = len(timestamps_ns)
     zeros4, zeros12 = np.zeros((n, 4)), np.zeros((n, 12))
     commands = np.broadcast_to(command, (n, 3))
     inp = RewardInput(
@@ -151,9 +147,11 @@ class _Replay:
         self.ticks = _policy_ticks(cfg, self.hf, self.command,
                                    [s.timestamp_ns for s in self.imu[tpp - 1::tpp]])
         self.odom = odometry_stream(cfg.trajectory, cfg.odom_hz, cfg.noise, s_odom)
-        # noise-free odometry at the LiDAR rate: the true pose of each scan
+        # each scan is taken from the true pose at its time
+        scan_poses = true_states(cfg.trajectory,
+                                 sample_times_ns(cfg.trajectory.duration, cfg.lidar_hz)).poses()
         scans = [lidar_scan(self.hf, pose, cfg.scan_pattern, cfg.noise, s_lidar + i)
-                 for i, pose in enumerate(odometry_stream(cfg.trajectory, cfg.lidar_hz))]
+                 for i, pose in enumerate(scan_poses)]
         # odometry first on delivery ties so the filter seeds before the
         # co-timed IMU sample, scans before the IMU tick that reads them
         delay = cfg.noise.system_delay_ms
@@ -329,7 +327,8 @@ _BENCH_STAGES = {"odometry": "fusion_step", "fusion": "fusion_step",
 
 def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
               budget_ms: float = 5.0) -> BenchReport:
-    """Wall-clock latency of the replay's own stages, per IMU tick.
+    """Wall-clock latency of the replay's own stages, per IMU tick; a
+    stage's percentiles are over the ticks it ran on (NaN if none).
 
     Replays the configured scenario back to back, each replay the one
     run_pipeline makes (same seeds, duration and events, so it stays on the
@@ -344,33 +343,39 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
     if iters < 1:
         raise ValueError("iters must be >= 1")
     ticks_per_scan = max(1, cfg.imu_hz // cfg.lidar_hz)
-    pending = dict.fromkeys(_BENCH_STAGES.values(), 0)  # ns since the last tick
+    # ns since the last tick; None for a stage that has not run since
+    pending = dict.fromkeys(_BENCH_STAGES.values())
     rows = []
     mark = 0
 
     def lap(stage: str) -> None:
         nonlocal mark
         now = time.perf_counter_ns()
-        pending[_BENCH_STAGES[stage]] += now - mark
+        name = _BENCH_STAGES[stage]
+        pending[name] = (pending[name] or 0) + now - mark
         mark = now
 
     while len(rows) < iters:
-        replay, done, scan_ns = _Replay(cfg), len(rows), 0
+        replay, done, scan_ns = _Replay(cfg), len(rows), None
         for _, kind, item in replay.events:
             mark = time.perf_counter_ns()
             replay.step(kind, item, lap)
             if kind == SCAN:
-                scan_ns, pending["scan_amortized"] = pending["scan_amortized"], 0
+                scan_ns, pending["scan_amortized"] = pending["scan_amortized"], None
             elif done + replay.imu_count > len(rows):
-                pending["scan_amortized"] = scan_ns / ticks_per_scan
+                if scan_ns is not None:
+                    pending["scan_amortized"] = scan_ns / ticks_per_scan
                 rows.append(list(pending.values()))
-                pending.update(dict.fromkeys(pending, 0))
+                pending.update(dict.fromkeys(pending))
                 if len(rows) == iters:
                     break
 
-    ticks = np.array(rows) * 1e-6  # ms, one row per tick, one column per stage
-    p50, p99 = np.percentile(ticks, [50, 99], axis=0).tolist()
-    total_p50, total_p99 = np.percentile(ticks.sum(axis=1), [50, 99]).tolist()
+    # ms, one row per tick, one column per stage, NaN where it did not run
+    ticks = np.array(rows, dtype=float) * 1e-6
+    with warnings.catch_warnings():  # all-NaN columns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        p50, p99 = np.nanpercentile(ticks, [50, 99], axis=0).tolist()
+    total_p50, total_p99 = np.percentile(np.nansum(ticks, axis=1), [50, 99]).tolist()
     return BenchReport(iters=iters, budget_ms=budget_ms,
                        stage_p50_ms=dict(zip(pending, p50)),
                        stage_p99_ms=dict(zip(pending, p99)),

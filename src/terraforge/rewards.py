@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import elementwise
 from .terrain import Heightfield, TerrainType, edge_cells  # noqa: F401 (re-exported)
 
 
@@ -160,11 +161,8 @@ class RewardBreakdown:
     total: float
 
     def as_record(self, timestamp_ns: int) -> dict:
-        rec = {"timestamp_ns": timestamp_ns}
-        rec.update({f"raw_{k}": v for k, v in self.raw.items()})
-        rec.update({f"weighted_{k}": v for k, v in self.weighted.items()})
-        rec["total"] = self.total
-        return rec
+        return {"timestamp_ns": timestamp_ns, **{f"raw_{k}": v for k, v in self.raw.items()},
+                **{f"weighted_{k}": v for k, v in self.weighted.items()}, "total": self.total}
 
 
 def feet_stumble_penalty(foot_contact_forces, ratio: float = 2.0):
@@ -213,12 +211,6 @@ def _pow2(x: np.ndarray) -> np.ndarray:
     # x * x, which differs in the last bit on ~0.1% of inputs, and the
     # golden logs pin pow
     return np.float_power(x, 2)
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    # math.exp per element: np.exp's vector kernel differs in the last bit
-    # on a few percent of inputs, and the golden logs pin math.exp
-    return np.array([math.exp(v) for v in x.tolist()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,11 +264,11 @@ def reward_table(inp: RewardInput, weights: RewardWeights | None = None,
     raw = dict.fromkeys(TERMS, np.zeros(n))
     if not platform:
         err = _pow2(cmd[:, 0] - v_body[:, 0]) + _pow2(cmd[:, 1] - v_body[:, 1])
-        raw["l_tracking"] = 2.0 * _exp(-4.0 * err)
+        raw["l_tracking"] = 2.0 * elementwise(math.exp, -4.0 * err)
         raw["v_z"] = -_pow2(col("v_z"))
     else:
         raw["yaw"] = -_pow2(col("yaw"))
-    raw["a_tracking"] = 0.5 * _exp(-4.0 * _pow2(cmd[:, 2] - omega[:, 2]))
+    raw["a_tracking"] = 0.5 * elementwise(math.exp, -4.0 * _pow2(cmd[:, 2] - omega[:, 2]))
     raw["omega_x"] = -_pow2(omega[:, 0])
     raw["joint_acc"] = -(col("joint_acc", 12) ** 2).sum(axis=1)
     raw["body_height"] = -_pow2(col("desired_height") - col("body_height"))

@@ -2,8 +2,11 @@
 trajectories over a heightfield.
 
 Trajectories have closed-form derivatives, so every stream is exact in the
-noise-free case and all randomness is seed-deterministic. The accelerometer
-model reports specific force in the body frame: a_meas = R^T (a_world + g_up)
+noise-free case and all randomness is seed-deterministic. true_states
+evaluates each kind's closed form once, over arrays, at integer-ns times;
+the IMU and odometry streams, the LiDAR poses and the policy-tick table all
+read it, and true_state is its one-row view. The accelerometer model
+reports specific force in the body frame: a_meas = R^T (a_world + g_up)
 with g_up = (0, 0, 9.81), i.e. (0, 0, 9.81) at rest.
 """
 
@@ -21,8 +24,10 @@ from .geometry import (
     GRAVITY,
     Pose,
     Quaternion,
+    elementwise,
     quat_from_yaw,
     quat_multiply,
+    quat_to_matrices,
     quat_to_matrix,
     vec3,
 )
@@ -139,41 +144,73 @@ class Delivered:
     item: object
 
 
-def true_state(traj: TrajectorySpec, t: float) -> TrueState:
-    """Closed-form kinematic state at time t in [0, duration]."""
-    if not 0.0 <= t <= traj.duration:
-        raise ValueError(f"t {t} outside [0, {traj.duration}]")
-    h = traj.height_above_ground
-    ts = round(t * 1e9)
+@dataclass(frozen=True, eq=False)
+class TrueStates:
+    """The kinematic state at n times, one row per time."""
+
+    times_ns: np.ndarray  # (n,) int64
+    position: np.ndarray  # (n, 3) world, m
+    velocity: np.ndarray  # (n, 3) world, m/s
+    angular_velocity: np.ndarray  # (n, 3) body, rad/s
+    acceleration: np.ndarray  # (n, 3) world, m/s^2
+    # (n, 4) body-to-world (w, x, y, z), yaw only; int64 (1, 0, 0, 0) rows
+    # for a trajectory that never turns, so its poses keep an int quaternion
+    orientation: np.ndarray
+
+    def poses(self) -> list[Pose]:
+        return [Pose(p, Quaternion(*q), ts) for p, q, ts in
+                zip(self.position, self.orientation.tolist(), self.times_ns.tolist())]
+
+
+def true_states(traj: TrajectorySpec, times_ns) -> TrueStates:
+    """Closed-form kinematic state at each time, given in integer ns in
+    [0, round(duration * 1e9)]. Each element is computed as the scalar
+    formula at t = ts * 1e-9 s would be, with math's sin and cos."""
+    ts = np.asarray(times_ns, dtype=np.int64).reshape(-1)
+    bad = ts[(ts < 0) | (ts > round(traj.duration * 1e9))]
+    if bad.size:
+        raise ValueError(f"t {bad[0] * 1e-9} outside [0, {traj.duration}]")
+    n, t, h = ts.size, ts * 1e-9, traj.height_above_ground
+    vel = omega = acc = (0.0, 0.0, 0.0)  # columns: scalars or (n,) arrays
+    quat = (1, 0, 0, 0)  # int, see TrueStates.orientation
     k = traj.kind
     if k is TrajectoryKind.STATIC:
-        pose = Pose(vec3(0, 0, h), Quaternion(1, 0, 0, 0), ts)
-        return TrueState(pose, np.zeros(3), np.zeros(3), np.zeros(3))
-    if k is TrajectoryKind.CONSTANT_VELOCITY:
+        pos = (0.0, 0.0, h)
+    elif k is TrajectoryKind.CONSTANT_VELOCITY:
         v = traj.speed
-        pose = Pose(vec3(v * t, 0, h), Quaternion(1, 0, 0, 0), ts)
-        return TrueState(pose, vec3(v, 0, 0), np.zeros(3), np.zeros(3))
-    if k is TrajectoryKind.CIRCLE:
+        pos, vel = (v * t, 0.0, h), (v, 0.0, 0.0)
+    elif k is TrajectoryKind.CIRCLE:
         v, r = traj.speed, traj.radius
         w = v / r
         th = w * t
-        pos = vec3(r * math.sin(th), r * (1.0 - math.cos(th)), h)
-        vel = vec3(v * math.cos(th), v * math.sin(th), 0.0)
-        acc = vec3(-v * w * math.sin(th), v * w * math.cos(th), 0.0)  # |acc| = v^2/r
-        pose = Pose(pos, quat_from_yaw(th), ts)
-        return TrueState(pose, vel, vec3(0, 0, w), acc)
-    if k is TrajectoryKind.SINUSOID:
+        sin, cos = elementwise(math.sin, th), elementwise(math.cos, th)
+        pos = (r * sin, r * (1.0 - cos), h)
+        vel = (v * cos, v * sin, 0.0)
+        acc = (-v * w * sin, v * w * cos, 0.0)  # |acc| = v^2/r
+        omega = (0.0, 0.0, w)
+        half = 0.5 * th  # quat_from_yaw(th)
+        quat = (elementwise(math.cos, half), 0.0, 0.0, elementwise(math.sin, half))
+    else:  # SINUSOID
         v, a, f = traj.speed, traj.amplitude, traj.frequency
         wf = 2.0 * math.pi * f
-        pos = vec3(v * t, 0.0, h + a * math.sin(wf * t))
-        vel = vec3(v, 0.0, a * wf * math.cos(wf * t))
-        acc = vec3(0.0, 0.0, -a * wf * wf * math.sin(wf * t))
-        pose = Pose(pos, Quaternion(1, 0, 0, 0), ts)
-        return TrueState(pose, vel, np.zeros(3), acc)
-    raise ValueError(f"unhandled trajectory kind {k}")
+        sin, cos = elementwise(math.sin, wf * t), elementwise(math.cos, wf * t)
+        pos, vel = (v * t, 0.0, h + a * sin), (v, 0.0, a * wf * cos)
+        acc = (0.0, 0.0, -a * wf * wf * sin)
+    return TrueStates(ts, *(np.column_stack([np.broadcast_to(c, n) for c in cols])
+                            for cols in (pos, vel, omega, acc, quat)))
 
 
-def _sample_times_ns(duration: float, rate: float) -> list[int]:
+def true_state(traj: TrajectorySpec, t: float) -> TrueState:
+    """Closed-form kinematic state at time t (s): true_states at t rounded
+    to the ns, as one TrueState."""
+    if not math.isfinite(t):
+        raise ValueError(f"t {t} outside [0, {traj.duration}]")
+    s = true_states(traj, [round(t * 1e9)])
+    return TrueState(s.poses()[0], s.velocity[0], s.angular_velocity[0], s.acceleration[0])
+
+
+def sample_times_ns(duration: float, rate: float) -> list[int]:
+    """Times (ns) of a stream sampled at rate Hz from 0 to duration."""
     n = int(math.floor(duration * rate)) + 1
     return [round(i * 1e9 / rate) for i in range(n)]
 
@@ -202,22 +239,18 @@ def imu_stream(traj: TrajectorySpec, rate: float = 200.0,
     if not 100 <= rate <= 1000:
         raise ValueError("imu rate outside [100, 1000] Hz")
     noise = noise or NoiseConfig()
-    times = _sample_times_ns(traj.duration, rate)
+    times = sample_times_ns(traj.duration, rate)
     gyro, accel_noise = _noise_rows(np.random.default_rng(seed), len(times),
                                     (noise.gyro_std, 3), (noise.accel_std, 3))
-    g_up = vec3(0, 0, GRAVITY)
-    out = []
-    for i, ts in enumerate(times):
-        s = true_state(traj, ts * 1e-9)
-        rot_wb = quat_to_matrix(s.pose.orientation).T  # world -> body
-        accel = rot_wb @ (s.acceleration + g_up)
-        omega = s.angular_velocity.copy()
-        if gyro is not None:
-            omega = omega + gyro[i]
-        if accel_noise is not None:
-            accel = accel + accel_noise[i]
-        out.append(ImuSample(ts, omega, accel))
-    return out
+    s = true_states(traj, times)
+    rot_wb = quat_to_matrices(s.orientation).swapaxes(1, 2)  # world -> body
+    accel = (rot_wb @ (s.acceleration + vec3(0, 0, GRAVITY))[:, :, None])[:, :, 0]
+    omega = s.angular_velocity
+    if gyro is not None:
+        omega = omega + gyro
+    if accel_noise is not None:
+        accel = accel + accel_noise
+    return [ImuSample(ts, w, a) for ts, w, a in zip(times, omega, accel)]
 
 
 def odometry_stream(traj: TrajectorySpec, rate: float = 10.0,
@@ -226,20 +259,16 @@ def odometry_stream(traj: TrajectorySpec, rate: float = 10.0,
     if rate < 1:
         raise ValueError("odometry rate must be >= 1 Hz")
     noise = noise or NoiseConfig()
-    times = _sample_times_ns(traj.duration, rate)
+    times = sample_times_ns(traj.duration, rate)
     pos_noise, yaw_noise = _noise_rows(np.random.default_rng(seed), len(times),
                                        (noise.odom_pos_std, 3), (noise.odom_yaw_std, 1))
-    out = []
-    for i, ts in enumerate(times):
-        s = true_state(traj, ts * 1e-9)
-        pos = s.pose.position
-        q = s.pose.orientation
-        if pos_noise is not None:
-            pos = pos + pos_noise[i]
-        if yaw_noise is not None:
-            q = quat_multiply(quat_from_yaw(float(yaw_noise[i, 0])), q)
-        out.append(Pose(pos, q, ts))
-    return out
+    s = true_states(traj, times)
+    pos = s.position if pos_noise is None else s.position + pos_noise
+    quats = [Quaternion(*q) for q in s.orientation.tolist()]
+    if yaw_noise is not None:
+        quats = [quat_multiply(quat_from_yaw(dyaw), q)
+                 for dyaw, q in zip(yaw_noise[:, 0].tolist(), quats)]
+    return [Pose(p, q, ts) for p, q, ts in zip(pos, quats, times)]
 
 
 def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,

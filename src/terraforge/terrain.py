@@ -30,20 +30,9 @@ class TerrainType(Enum):
     @classmethod
     def from_name(cls, name: str) -> "TerrainType":
         key = name.strip().lower().replace("-", "_")
-        aliases = {
-            "tau1": cls.SLOPE,
-            "slope": cls.SLOPE,
-            "tau2": cls.DISCRETE_STONES,
-            "stones": cls.DISCRETE_STONES,
-            "discrete_stones": cls.DISCRETE_STONES,
-            "tau3": cls.STAIRS,
-            "stairs": cls.STAIRS,
-            "tau4": cls.GAP,
-            "gap": cls.GAP,
-            "tau5": cls.HIGH_PLATFORM,
-            "platform": cls.HIGH_PLATFORM,
-            "high_platform": cls.HIGH_PLATFORM,
-        }
+        # tau1..tau5, each member's name, and two short names
+        aliases = {**{f"tau{t.value}": t for t in cls}, **{t.name.lower(): t for t in cls},
+                   "stones": cls.DISCRETE_STONES, "platform": cls.HIGH_PLATFORM}
         if key not in aliases:
             raise ValueError(f"unknown terrain type {name!r}")
         return aliases[key]
@@ -157,12 +146,6 @@ class Heightfield:
             xy = self._edge_xy[grad_threshold] = (ex, ey)
         return xy
 
-    def x_extent(self) -> float:
-        return (self.width - 1) * self.resolution
-
-    def y_extent(self) -> float:
-        return (self.height - 1) * self.resolution
-
 
 def edge_cells(hf: Heightfield, grad_threshold: float = 0.5) -> np.ndarray:
     """Boolean grid marking cells adjacent to a height jump larger than
@@ -181,13 +164,6 @@ def terrain_parameter(spec: TerrainSpec) -> float:
     """Governing dimension (m) of the terrain at (robot, type, level)."""
     base, step = PARAMETER_TABLE[(spec.robot, spec.terrain_type)]
     return base + step * spec.level
-
-
-def _grid(spec: TerrainSpec) -> tuple[int, int, np.ndarray]:
-    n = round(spec.tile_size / spec.resolution)
-    # tile spans x in [0, tile), y centered on 0 so a +x traverse starts at the edge
-    origin = np.array([0.0, -0.5 * (n - 1) * spec.resolution])
-    return n, n, origin
 
 
 def _slope(spec: TerrainSpec, param: float, heights: np.ndarray, res: float) -> None:
@@ -261,41 +237,28 @@ def generate(spec: TerrainSpec, *, stone_size: float = STONE_SIZE,
     terrain_parameter(spec) to within one cell of resolution.
     """
     param = terrain_parameter(spec)
-    nx, ny, origin = _grid(spec)
     res = spec.resolution
-    heights = np.zeros((nx, ny))
+    n = round(spec.tile_size / res)
+    # tile spans x in [0, tile), y centered on 0 so a +x traverse starts at the edge
+    origin = np.array([0.0, -0.5 * (n - 1) * res])
+    heights = np.zeros((n, n))
     t = spec.terrain_type
-    if t is TerrainType.SLOPE:
-        _slope(spec, param, heights, res)
-    elif t is TerrainType.DISCRETE_STONES:
+    if t is TerrainType.DISCRETE_STONES:
         _stones(spec, param, heights, res, stone_size, stone_pitch)
-    elif t is TerrainType.STAIRS:
-        _stairs(spec, param, heights, res)
-    elif t is TerrainType.GAP:
-        _gap(spec, param, heights, res)
-    elif t is TerrainType.HIGH_PLATFORM:
-        _platform(spec, param, heights, res)
+    else:
+        {TerrainType.SLOPE: _slope, TerrainType.STAIRS: _stairs, TerrainType.GAP: _gap,
+         TerrainType.HIGH_PLATFORM: _platform}[t](spec, param, heights, res)
     if heights.min() < -2.0 or heights.max() > 2.0:
         raise ValueError("generated terrain exceeds the +/-2 m height bound")
-    return Heightfield(nx, ny, res, origin, heights)
+    return Heightfield(n, n, res, origin, heights)
 
 
 def sample_height(hf: Heightfield, x: float, y: float) -> float:
     """Bilinear surface height at world (x, y); raises outside the field."""
-    gx = (x - hf.origin[0]) / hf.resolution
-    gy = (y - hf.origin[1]) / hf.resolution
-    if not (0.0 <= gx <= hf.width - 1 and 0.0 <= gy <= hf.height - 1):
+    h, ok = sample_height_vec(hf, [x], [y])
+    if not ok[0]:
         raise ValueError("outside heightfield")
-    i0 = min(int(gx), hf.width - 2) if hf.width > 1 else 0
-    j0 = min(int(gy), hf.height - 2) if hf.height > 1 else 0
-    fx, fy = gx - i0, gy - j0
-    h = hf.heights
-    return float(
-        h[i0, j0] * (1 - fx) * (1 - fy)
-        + h[i0 + 1, j0] * fx * (1 - fy)
-        + h[i0, j0 + 1] * (1 - fx) * fy
-        + h[i0 + 1, j0 + 1] * fx * fy
-    )
+    return float(h[0])
 
 
 def grid_coords(hf: Heightfield, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -88,6 +88,17 @@ class TestRun:
         assert "policy_tick_count 50" in stdout
         assert (out_dir / "fused_poses.jsonl").exists()
 
+    def test_duration_whose_last_sample_is_past_it_by_an_ulp(self, tmp_path, capsys):
+        """300,000,000 ns * 1e-9 is 0.30000000000000004 s, past 0.3."""
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[trajectory]\nduration = 0.3\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        assert "fused_pose_count 61" in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "fused_poses.jsonl", "imu.jsonl", "localmaps.bin", "odometry.jsonl",
+            "rewards.jsonl", "run_summary.json", "trajectory.jsonl"]
+
     def test_missing_config(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "out")])
@@ -204,6 +215,22 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, argv, key", [
+        ("[trajectory]\nduration = nan\n", [], "duration"),
+        ("[trajectory]\nheight_above_ground = nan\n", [], "height_above_ground"),
+        ("[run]\nseed = -1\n", [], "seed"),
+        ("", ["--seed", "-1"], "seed"),
+    ], ids=["nan-duration", "nan-height", "negative-seed", "negative-seed-flag"])
+    def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, text, argv, key):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "Traceback" not in err
+        assert key in err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_robot_exits_2(self, tmp_path, capsys):

@@ -140,6 +140,23 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=match):
             load_config(text, is_text=True)
 
+    @pytest.mark.parametrize("text, match", [
+        ("[trajectory]\nduration = nan\n", r"\[trajectory\] duration: expected a finite"),
+        ("[trajectory]\nduration = inf\n", r"\[trajectory\] duration: expected a finite"),
+        ("[trajectory]\nheight_above_ground = nan\n",
+         r"\[trajectory\] height_above_ground: expected a finite"),
+        ("[rewards]\nroll = -inf\n", r"\[rewards\] roll: expected a finite"),
+        ("[noise]\nmap_noise_magnitude = -1 nan\n",
+         r"\[noise\] map_noise_magnitude: expected a finite"),
+        ("[run]\nseed = -1\n", "seed must be >= 0"),
+        ("[run]\nseed = one\n", r"\[run\] seed: invalid literal"),
+        ("[trajectory]\nduration = -1\n", "duration must be positive"),
+    ], ids=["nan-duration", "inf-duration", "nan-height", "inf-weight", "nan-pair",
+            "negative-seed", "bad-int", "negative-duration"])
+    def test_bad_value_names_its_key(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            load_config(text, is_text=True)
+
     def test_invalid_combo_propagates(self):
         with pytest.raises(ValueError, match="divisible"):
             load_config("[run]\nimu_hz = 200\npolicy_hz = 60\n", is_text=True)

@@ -17,9 +17,12 @@ from terraforge.geometry import (
     quat_log,
     quat_multiply,
     quat_normalize,
+    quat_to_matrices,
     quat_to_matrix,
     quat_yaw,
+    quat_yaws,
     rotate_vec,
+    rotate_vecs,
     same_orientation,
     skew,
     vec3,
@@ -224,6 +227,41 @@ def test_rotate_vec_bit_equal_to_cross_formula(coeffs, v):
     u = np.array([q.x, q.y, q.z])
     t = 2.0 * np.cross(u, v)
     assert np.array_equal(rotate_vec(q, v), v + q.w * t + np.cross(u, t))
+
+
+@given(st.lists(st.tuples(unit, unit, unit, unit).filter(lambda c: math.hypot(*c) > 1e-3),
+                min_size=1, max_size=8),
+       st.sampled_from([0.0, -0.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_array_forms_bit_equal_row_by_row(coeffs, zero, seed):
+    """rotate_vecs rows equal the cross formula, quat_yaws rows atan2 of the
+    yaw formula, and quat_to_matrices rows quat_to_matrix, on yaw-only rows
+    with signed-zero x and y too."""
+    quats = [quat_normalize(Quaternion(*c)) for c in coeffs]
+    quats += [Quaternion(q.w, zero, zero, q.z) for q in quats]
+    q = np.array([[p.w, p.x, p.y, p.z] for p in quats])
+    v = np.random.default_rng(seed).normal(scale=10.0, size=(len(quats), 3))
+    got = rotate_vecs(q, v)
+    for i, p in enumerate(quats):
+        u = np.array([p.x, p.y, p.z])
+        t = 2.0 * np.cross(u, v[i])
+        assert got[i].tobytes() == (v[i] + p.w * t + np.cross(u, t)).tobytes()
+    want = [math.atan2(2.0 * (p.w * p.z + p.x * p.y), 1.0 - 2.0 * (p.y * p.y + p.z * p.z))
+            for p in quats]
+    assert quat_yaws(q).tobytes() == np.array(want).tobytes()
+    mats = quat_to_matrices(q)
+    assert mats.flags.c_contiguous
+    assert mats.tobytes() == np.array([quat_to_matrix(p) for p in quats]).tobytes()
+
+
+def test_array_forms_keep_the_int_identity():
+    q = np.array([[1, 0, 0, 0]] * 2)
+    conj = q * (1, -1, -1, -1)
+    v = np.array([[1.0, -2.0, 3.0], [-0.0, 0.0, -1.0]])
+    assert rotate_vecs(conj, v).tobytes() == np.array(
+        [rotate_vec(Quaternion(1, 0, 0, 0), r) for r in v]).tobytes()
+    assert quat_yaws(q).tolist() == [0.0, 0.0]
+    assert quat_to_matrices(q).tolist() == [quat_to_matrix(Quaternion(1, 0, 0, 0)).tolist()] * 2
 
 
 def test_rotate_vec_rejects_non_finite():

@@ -28,10 +28,12 @@ from terraforge.pipeline import (
     run_pipeline,
 )
 from terraforge.rewards import PlaneFit, RewardInput, RewardWeights, compute_rewards
-from terraforge.sensors import NoiseConfig, TrajectoryKind, TrajectorySpec, true_state
+from terraforge.sensors import NoiseConfig, TrajectoryKind, TrajectorySpec
 from terraforge.telemetry import LocalMapFragment, RewardMessage, decode_message
 from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate, sample_height_vec
 from terraforge.geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
+
+from reference_kinematics import reference_true_state
 
 
 def small_cfg(**kw):
@@ -212,6 +214,12 @@ class TestRunBench:
         assert "budget" in text
         assert ("within" in text) == rep.within_budget
 
+    def test_policy_tick_stages_over_the_ticks_that_ran_them(self):
+        """local_extract runs on one tick in four; its p50 is over those."""
+        rep = run_bench(PipelineConfig(), iters=200)
+        assert rep.stage_p50_ms["local_extract"] > 0.0
+        assert rep.stage_p50_ms["scan_amortized"] > 0.0
+
     def test_within_budget_flag(self):
         rep = run_bench(iters=20, budget_ms=1e9)
         assert rep.within_budget
@@ -339,7 +347,8 @@ class TestPolicyTickTable:
         fit = PlaneFit(np.array([s, 0.0, math.sqrt(1 - s * s)]), np.zeros(3), 0.0)
         assert len(ticks.rewards) == len(stamps)
         for i, ts in enumerate(stamps):
-            inp = reference_reward_frame(cfg, hf, true_state(traj, ts * 1e-9), command)
+            inp = reference_reward_frame(cfg, hf, reference_true_state(traj, ts * 1e-9),
+                                         command)
             want = compute_rewards(inp, fit, weights, terrain=hf).as_record(ts)
             got = compute_rewards(ticks.rewards[i], fit).as_record(ts)
             assert json.dumps(got) == json.dumps(want)

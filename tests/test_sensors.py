@@ -31,6 +31,8 @@ from terraforge.sensors import (
 from terraforge.terrain import (Robot, TerrainSpec, TerrainType, generate, sample_height,
                                 sample_height_vec)
 
+from reference_kinematics import reference_true_state
+
 
 def static_traj(duration=1.0):
     return TrajectorySpec(TrajectoryKind.STATIC, duration)
@@ -149,12 +151,12 @@ class TestOdometryStream:
 
 
 def reference_streams(traj, noise, seed):
-    """imu_stream and odometry_stream as first written: rng.normal draws per
-    sample and stream."""
+    """imu_stream and odometry_stream as first written: the frozen per-sample
+    true state, and rng.normal draws per sample and stream."""
     rng = np.random.default_rng(seed)
     imu = []
-    for ts in sensors_mod._sample_times_ns(traj.duration, 200.0):
-        s = true_state(traj, ts * 1e-9)
+    for ts in sensors_mod.sample_times_ns(traj.duration, 200.0):
+        s = reference_true_state(traj, ts * 1e-9)
         accel = quat_to_matrix(s.pose.orientation).T @ (s.acceleration + vec3(0, 0, GRAVITY))
         omega = s.angular_velocity.copy()
         if noise.gyro_std > 0:
@@ -164,8 +166,8 @@ def reference_streams(traj, noise, seed):
         imu.append(ImuSample(ts, omega, accel))
     rng = np.random.default_rng(seed)
     odom = []
-    for ts in sensors_mod._sample_times_ns(traj.duration, 10.0):
-        s = true_state(traj, ts * 1e-9)
+    for ts in sensors_mod.sample_times_ns(traj.duration, 10.0):
+        s = reference_true_state(traj, ts * 1e-9)
         pos, q = s.pose.position, s.pose.orientation
         if noise.odom_pos_std > 0:
             pos = pos + rng.normal(0.0, noise.odom_pos_std, 3)
@@ -192,6 +194,69 @@ def test_bulk_noise_equals_per_sample_draws(kind, gyro, accel, pos, yaw, seed):
         assert a.linear_acceleration.tobytes() == b.linear_acceleration.tobytes()
     got = odometry_stream(traj, 10.0, noise, seed)
     assert [repr(pose_record(p)) for p in got] == [repr(pose_record(p)) for p in odom]
+
+
+def pose_bytes(p):
+    """Every bit of a Pose; repr shows whether a quaternion component is an
+    int and the sign of each zero."""
+    return p.timestamp_ns, p.position.tobytes(), repr(p.orientation)
+
+
+@given(st.sampled_from(list(TrajectoryKind)), st.floats(0.01, 3.0), st.floats(0.0, 3.0),
+       st.floats(0.1, 10.0), st.floats(0.0, 0.5), st.floats(0.05, 5.0),
+       st.floats(0.001, 4.0), st.lists(st.floats(0.0, 1.0), max_size=20))
+@settings(max_examples=100, deadline=None)
+@example(TrajectoryKind.CIRCLE, 0.4, 1.0, 1.0, 0.0, 1.0, 0.3, [])
+@example(TrajectoryKind.SINUSOID, 0.4, 0.0, 1.0, 0.0, 1.0, 0.3, [])
+def test_true_states_rows_equal_the_frozen_reference(kind, height, speed, radius, amplitude,
+                                                     frequency, duration, fractions):
+    """Every row of true_states is bit-equal to the frozen per-sample
+    true_state, at 200 Hz stream times, the last sample of the trajectory
+    and arbitrary ns in between; so is every pose of poses() and the
+    one-row view true_state."""
+    traj = TrajectorySpec(kind, duration, height_above_ground=height, speed=speed,
+                          radius=radius, amplitude=amplitude, frequency=frequency)
+    end = round(duration * 1e9)
+    times = sensors_mod.sample_times_ns(duration, 200.0) + [round(f * end) for f in fractions]
+    times.append(end)
+    got = sensors_mod.true_states(traj, times)
+    want = [reference_true_state(traj, ts * 1e-9) for ts in times]
+    assert got.times_ns.tolist() == times
+    for name in ("velocity", "angular_velocity", "acceleration"):
+        assert getattr(got, name).tobytes() == np.array(
+            [getattr(s, name) for s in want]).tobytes(), name
+    assert [pose_bytes(p) for p in got.poses()] == [pose_bytes(s.pose) for s in want]
+    for ts, s in zip(times[-3:], want[-3:]):
+        one = true_state(traj, ts * 1e-9)
+        assert pose_bytes(one.pose) == pose_bytes(s.pose)
+        assert one.acceleration.tobytes() == s.acceleration.tobytes()
+
+
+def test_true_states_bounds_in_integer_ns():
+    traj = TrajectorySpec(TrajectoryKind.CIRCLE, 0.3, speed=1.0)
+    assert sensors_mod.true_states(traj, [300_000_000]).times_ns.tolist() == [300_000_000]
+    assert true_state(traj, 300_000_000 * 1e-9).pose.timestamp_ns == 300_000_000
+    for bad in ([-1], [0, 300_000_001]):
+        with pytest.raises(ValueError, match="outside"):
+            sensors_mod.true_states(traj, bad)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="outside"):
+            true_state(traj, t)
+
+
+@pytest.mark.parametrize("kind", list(TrajectoryKind))
+def test_streams_build_for_every_tenth_of_a_second(kind):
+    """Every stream builds for 0.1 ... 10.0 s, though the last sample's
+    ts * 1e-9 can exceed the duration by an ulp (0.3 s)."""
+    for i in range(1, 101):
+        traj = TrajectorySpec(kind, i / 10, speed=1.0, amplitude=0.05)
+        end = round(traj.duration * 1e9)
+        # floor(duration * rate) can fall one short: 2.3 s * 200 Hz = 459.99...
+        assert 0 <= end - imu_stream(traj, 200.0)[-1].timestamp_ns <= 5_000_000
+        assert odometry_stream(traj, 10.0)[-1].timestamp_ns == end
+        poses = sensors_mod.true_states(
+            traj, sensors_mod.sample_times_ns(traj.duration, 10.0)).poses()
+        assert poses[-1].timestamp_ns == end
 
 
 class TestLidarScan:

@@ -112,6 +112,19 @@ class TestGenerate:
         assert hf.heights.shape == (160, 160)
 
 
+def reference_sample_height(hf, x, y):
+    """Scalar bilinear sampling as first written, before sample_height
+    became the one-row view of sample_height_vec."""
+    gx = (x - hf.origin[0]) / hf.resolution
+    gy = (y - hf.origin[1]) / hf.resolution
+    i0 = min(int(gx), hf.width - 2) if hf.width > 1 else 0
+    j0 = min(int(gy), hf.height - 2) if hf.height > 1 else 0
+    fx, fy = gx - i0, gy - j0
+    h = hf.heights
+    return float(h[i0, j0] * (1 - fx) * (1 - fy) + h[i0 + 1, j0] * fx * (1 - fy)
+                 + h[i0, j0 + 1] * (1 - fx) * fy + h[i0 + 1, j0 + 1] * fx * fy)
+
+
 class TestSampleHeight:
     def test_flat_everywhere_zero(self):
         hf = generate(TerrainSpec(TerrainType.SLOPE, 0))
@@ -141,12 +154,17 @@ class TestSampleHeight:
     def test_vectorized_matches_scalar(self):
         hf = generate(TerrainSpec(TerrainType.STAIRS, 7))
         rng = np.random.default_rng(0)
-        xs = rng.uniform(0, hf.x_extent(), 200)
-        ys = rng.uniform(-hf.y_extent() / 2, hf.y_extent() / 2, 200)
+        x_extent, y_extent = (hf.width - 1) * hf.resolution, (hf.height - 1) * hf.resolution
+        xs = rng.uniform(0, x_extent, 200)
+        ys = rng.uniform(-y_extent / 2, y_extent / 2, 200)
         vals, ok = sample_height_vec(hf, xs, ys)
         assert ok.all()
         for x, y, v in zip(xs, ys, vals):
-            assert v == pytest.approx(sample_height(hf, x, y), abs=1e-12)
+            assert v == reference_sample_height(hf, x, y) == sample_height(hf, x, y)
+
+    def test_one_cell_wide_field(self):
+        hf = Heightfield(1, 3, 0.05, np.array([0.0, 0.0]), np.array([[0.0, 0.1, 0.2]]))
+        assert sample_height(hf, 0.0, 0.075) == pytest.approx(0.15, abs=1e-12)
 
     def test_vectorized_flags_out_of_bounds(self):
         hf = generate(TerrainSpec(TerrainType.SLOPE, 1))
