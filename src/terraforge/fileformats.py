@@ -82,10 +82,13 @@ def read_local_maps(path) -> list[tuple[np.ndarray, float]]:
 LOCAL_BLOB_HEADER_SIZE = _LOCAL_HEAD.size
 
 
+POSE_KEYS = ("timestamp_ns", "px", "py", "pz", "qw", "qx", "qy", "qz")
+
+
 def pose_record(pose: Pose) -> dict:
-    q, (px, py, pz) = pose.orientation, pose.position.tolist()
-    return {"timestamp_ns": pose.timestamp_ns, "px": px, "py": py, "pz": pz,
-            "qw": q.w, "qx": q.x, "qy": q.y, "qz": q.z}
+    q = pose.orientation
+    return dict(zip(POSE_KEYS, [pose.timestamp_ns, *pose.position.tolist(),
+                                q.w, q.x, q.y, q.z]))
 
 
 def record_fields(rec, *keys) -> list:
@@ -104,8 +107,7 @@ def record_fields(rec, *keys) -> list:
 
 
 def pose_from_record(rec: dict) -> Pose:
-    ts, px, py, pz, qw, qx, qy, qz = record_fields(
-        rec, "timestamp_ns", "px", "py", "pz", "qw", "qx", "qy", "qz")
+    ts, px, py, pz, qw, qx, qy, qz = record_fields(rec, *POSE_KEYS)
     q = quat_normalize(Quaternion(qw, qx, qy, qz))
     return Pose(np.array([px, py, pz]), q, int(ts))
 

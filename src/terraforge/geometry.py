@@ -41,7 +41,7 @@ def elementwise(f, *arrays: np.ndarray) -> np.ndarray:
 
 def skew(v) -> np.ndarray:
     """3x3 cross-product matrix: skew(a) @ b == cross(a, b)."""
-    x, y, z = as_vec3(v)
+    x, y, z = as_vec3(v).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -100,15 +100,23 @@ def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
 def quat_from_rotvec(rv) -> Quaternion:
     """Exact exponential map: rotation vector (axis * angle, rad) to quaternion."""
     rv = as_vec3(rv)
-    angle = float(np.linalg.norm(rv))
+    return quat_exp(*rv.tolist(), norm3(rv))
+
+
+def norm3(v: np.ndarray) -> float:
+    """np.linalg.norm of a float 3-vector, bit for bit: the root of the same
+    dot product (a sum of squares in Python floats can differ from it)."""
+    return math.sqrt(v.dot(v))
+
+
+def quat_exp(x: float, y: float, z: float, angle: float) -> Quaternion:
+    """quat_from_rotvec of the rotation vector (x, y, z) whose norm is angle."""
     if angle < 1e-12:
         # first-order expansion; renormalized so the norm contract still holds
-        q = Quaternion(1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2])
-        return quat_normalize(q)
-    axis = rv / angle
+        return quat_normalize(Quaternion(1.0, 0.5 * x, 0.5 * y, 0.5 * z))
     half = 0.5 * angle
     s = math.sin(half)
-    return Quaternion(math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
+    return Quaternion(math.cos(half), x / angle * s, y / angle * s, z / angle * s)
 
 
 def quat_log(q: Quaternion) -> np.ndarray:

@@ -166,18 +166,21 @@ class ElevationMap:
     def origin(self) -> np.ndarray:
         return self._origin.copy()
 
-    def _cell_index(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _cell_index(self, x: np.ndarray, y: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell indices of world points (x, y), and which lie on the map."""
         # cells are nodes at origin + index * resolution; nearest-node binning.
         # floor(u + 0.5), not rint: round-half-even would flip exact-tie
         # assignment whenever the origin shifts by an odd cell count
-        idx = np.floor((xy - self._origin) / self.resolution + 0.5).astype(np.int64)
-        ok = ((idx[:, 0] >= 0) & (idx[:, 0] < self.cells)
-              & (idx[:, 1] >= 0) & (idx[:, 1] < self.cells))
-        return idx[:, 0], idx[:, 1], ok
+        ox, oy = self._origin.tolist()
+        ix = np.floor((x - ox) / self.resolution + 0.5).astype(np.int64)
+        iy = np.floor((y - oy) / self.resolution + 0.5).astype(np.int64)
+        ok = (ix >= 0) & (ix < self.cells) & (iy >= 0) & (iy < self.cells)
+        return ix, iy, ok
 
     def height_at(self, x: float, y: float) -> float | None:
         """Height of the cell containing (x, y), or None if unknown."""
-        ix, iy, ok = self._cell_index(np.array([[x, y]], dtype=float))
+        ix, iy, ok = self._cell_index(np.array([x], dtype=float), np.array([y], dtype=float))
         if not ok[0] or not np.isfinite(self._variance[ix[0], iy[0]]):
             return None
         return float(self._heights[ix[0], iy[0]])
@@ -230,7 +233,7 @@ class ElevationMap:
 
         keep = np.abs(world[:, 2]) <= HEIGHT_BOUND
         world, meas_var = world[keep], meas_var[keep]
-        ix, iy, ok = self._cell_index(world[:, :2])
+        ix, iy, ok = self._cell_index(world[:, 0], world[:, 1])
         ix, iy = ix[ok], iy[ok]
         z, mv = world[ok, 2], meas_var[ok]
         if z.size == 0:
@@ -279,15 +282,13 @@ class ElevationMap:
         xs, ys, gx, gy = spec.sample_grid
         yaw = quat_yaw(pose.orientation)
         c, s = math.cos(yaw), math.sin(yaw)
-        wx = pose.position[0] + c * gx - s * gy
-        wy = pose.position[1] + s * gx + c * gy
-        pts = np.column_stack([wx.ravel(), wy.ravel()])
-        ix, iy, ok = self._cell_index(pts)
-        known = np.zeros(len(pts), dtype=bool)
-        known[ok] = np.isfinite(self._variance[ix[ok], iy[ok]])
-        rel = np.zeros(len(pts))
-        rel[known] = self._heights[ix[known], iy[known]] - pose.position[2]
-        heights = rel.reshape(spec.samples_x, spec.samples_y)
+        px, py, pz = pose.position.tolist()
+        ix, iy, ok = self._cell_index(px + c * gx - s * gy, py + s * gx + c * gy)
+        # one flat cell index per sample; a sample off the map reads cell 0
+        # and is masked out by ok
+        cell = np.where(ok, ix * self.cells + iy, 0)
+        known = ok & np.isfinite(self._variance.take(cell))
+        heights = np.where(known, self._heights.take(cell) - pz, 0.0)
         fill_ratio = 1.0 - known.sum() / known.size
         return LocalMap(heights=heights, xs=xs, ys=ys, resolution=spec.resolution,
                         fill_ratio=float(fill_ratio), timestamp_ns=pose.timestamp_ns)
@@ -322,6 +323,6 @@ def inject_map_noise(local: LocalMap, ratio: float,
     rng = np.random.default_rng(seed)
     picks = rng.choice(cells, size=count, replace=False)
     heights = local.heights.copy()
-    flat = heights.ravel()
-    flat[picks] += rng.uniform(lo, hi, size=count)
-    return replace(local, heights=heights)
+    heights.reshape(-1)[picks] += rng.uniform(lo, hi, size=count)
+    return LocalMap(heights, local.xs, local.ys, local.resolution, local.fill_ratio,
+                    local.timestamp_ns)

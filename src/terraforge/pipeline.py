@@ -7,6 +7,11 @@ drives it and writes the logs, and run_bench drives the same stages over
 back-to-back replays with a wall-clock timer between them, spreading each
 scan's cost over the ticks between scans. Only run_bench reads the clock.
 
+The replay keeps one numeric row per fused pose and per policy tick, not a
+log record: run_pipeline builds each record from its row only as its line
+is written, and writes the IMU and odometry logs straight from their
+streams.
+
 What does not depend on the filter or the map is replay set-up, done
 before the event loop: the LiDAR scans, and for every policy tick the true
 state, the ground under the body and feet, every reward term but the two
@@ -28,13 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .fileformats import (encode_local_map, imu_record, pose_record, write_jsonl)
+from .fileformats import (POSE_KEYS, encode_local_map, imu_record, pose_record,
+                          write_jsonl)
 from .fusion import PoseFuser
 from .geometry import Pose, elementwise, quat_yaws, rotate_vecs, vec3
 from .mapping import ElevationMap, inject_map_noise
 from .observations import ObservationFrame, sample_command
-from .rewards import (RewardInput, RewardTable, compute_rewards, fit_plane,
-                      reward_table)
+from .rewards import (TERMS, RewardBreakdown, RewardInput, RewardTable,
+                      compute_rewards, fit_plane, reward_table)
 from .sensors import (apply_delay, imu_stream, lidar_scan, merge_delivered,
                       odometry_stream, sample_times_ns, true_states)
 from .terrain import generate, sample_height_vec
@@ -124,14 +130,20 @@ def _policy_ticks(cfg: PipelineConfig, hf, command, timestamps_ns) -> _Ticks:
 
 ODOMETRY, SCAN, IMU = range(3)  # event stream indices, in tie order
 
+# a policy tick's row: the raw and the weighted reward terms in TERMS order,
+# the total, the local map's fill ratio and the plane normal
+_RAW, _WEIGHTED = slice(0, len(TERMS)), slice(len(TERMS), 2 * len(TERMS))
+_TOTAL, _FILL = 2 * len(TERMS), 2 * len(TERMS) + 1
+_NORMAL = slice(_FILL + 1, _FILL + 4)
+
 
 class _Replay:
-    """One replay's inputs, filter, map and logs, and the handling of each
-    delivered event, stage by stage.
+    """One replay's inputs, filter, map and log rows, and the handling of
+    each delivered event, stage by stage.
 
     step() calls lap(stage) as each stage ends: "odometry", "scan"
     (recenter + integrate), "fusion", "local_map", "reward" and "record"
-    (log records and telemetry).
+    (log rows and telemetry).
     """
 
     def __init__(self, cfg: PipelineConfig, endpoint: str | None = None):
@@ -161,8 +173,12 @@ class _Replay:
 
         self.emap = ElevationMap(cfg.map_size, cfg.map_resolution)
         self.fuser = PoseFuser(cfg.fusion)
-        self.fused_records, self.imu_records, self.reward_records = [], [], []
-        self.trajectory_records, self.local_blobs = [], []
+        # per fused pose its timestamp and its position and quaternion
+        # (w, x, y, z); per policy tick the row laid out above
+        self.fused_ts = np.zeros(len(self.imu), dtype=np.int64)
+        self.fused = np.zeros((len(self.imu), 7))
+        self.tick_rows = np.zeros((len(self.ticks.timestamps_ns), _NORMAL.stop))
+        self.local_maps = bytearray()
         self.imu_count = self.policy_count = self.scan_count = 0
         self.streamer = telemetry.UdpStreamer(endpoint) if endpoint else None
 
@@ -194,12 +210,14 @@ class _Replay:
             return
 
         fused = fuser.handle_imu(item)
+        i = self.imu_count
         self.imu_count += 1
         lap("fusion")
         if self.imu_count % self.cfg.ticks_per_policy == 0:
             self._policy_tick(item.timestamp_ns, fused, lap)
-        self.fused_records.append(pose_record(fused))
-        self.imu_records.append(imu_record(item))
+        q = fused.orientation
+        self.fused_ts[i] = fused.timestamp_ns
+        self.fused[i] = (*fused.position.tolist(), q.w, q.x, q.y, q.z)
         lap("record")
 
     def _policy_tick(self, ts: int, fused: Pose, lap) -> None:
@@ -223,19 +241,38 @@ class _Replay:
         breakdown = compute_rewards(ticks.rewards[i], fit)
         lap("reward")
 
-        self.reward_records.append(breakdown.as_record(ts))
-        self.trajectory_records.append({
-            "timestamp_ns": ts, "yaw": ticks.yaw[i], "body_height": ticks.body_height[i],
-            "fill_ratio": local.fill_ratio,
-            "plane_normal": [float(v) for v in fit.normal],
-            "observation": ticks.observations[i].tolist()})
-        self.local_blobs.append(encode_local_map(local.heights, local.resolution))
+        self.tick_rows[i] = (*breakdown.raw.values(), *breakdown.weighted.values(),
+                             breakdown.total, local.fill_ratio, *fit.normal.tolist())
+        self.local_maps += encode_local_map(local.heights, local.resolution)
         if self.streamer is not None:
             self.streamer.send(telemetry.encode_pose(fused))
             for frag in telemetry.encode_local_map(ts, local.heights, local.resolution):
                 self.streamer.send(frag)
             self.streamer.send(telemetry.encode_reward(
                 ts, list(breakdown.weighted.values())))
+
+    # The log records, each built from its row as it is written. A float64
+    # row gives back every float it was given, -0.0 included.
+
+    def fused_records(self):
+        n = self.imu_count
+        for ts, row in zip(self.fused_ts[:n].tolist(), self.fused[:n]):
+            yield dict(zip(POSE_KEYS, [ts, *row.tolist()]))
+
+    def reward_records(self):
+        for ts, row in zip(self.ticks.timestamps_ns, self.tick_rows[:self.policy_count]):
+            row = row.tolist()
+            yield RewardBreakdown(dict(zip(TERMS, row[_RAW])), dict(zip(TERMS, row[_WEIGHTED])),
+                                  row[_TOTAL]).as_record(ts)
+
+    def trajectory_records(self):
+        ticks = self.ticks
+        for i, row in enumerate(self.tick_rows[:self.policy_count]):
+            row = row.tolist()
+            yield {"timestamp_ns": ticks.timestamps_ns[i], "yaw": ticks.yaw[i],
+                   "body_height": ticks.body_height[i], "fill_ratio": row[_FILL],
+                   "plane_normal": row[_NORMAL],
+                   "observation": ticks.observations[i].tolist()}
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
@@ -259,12 +296,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
         raise PipelineInvariantError(
             f"{policy_count} policy ticks for {imu_count} fused poses")
 
-    write_jsonl(replay.fused_records, out / "fused_poses.jsonl")
-    write_jsonl(replay.imu_records, out / "imu.jsonl")
-    write_jsonl([pose_record(p) for p in replay.odom], out / "odometry.jsonl")
-    write_jsonl(replay.reward_records, out / "rewards.jsonl")
-    write_jsonl(replay.trajectory_records, out / "trajectory.jsonl")
-    (out / "localmaps.bin").write_bytes(b"".join(replay.local_blobs))
+    # every IMU sample was handled (checked above), so imu.jsonl is the stream
+    write_jsonl(replay.fused_records(), out / "fused_poses.jsonl")
+    write_jsonl(map(imu_record, replay.imu), out / "imu.jsonl")
+    write_jsonl(map(pose_record, replay.odom), out / "odometry.jsonl")
+    write_jsonl(replay.reward_records(), out / "rewards.jsonl")
+    write_jsonl(replay.trajectory_records(), out / "trajectory.jsonl")
+    (out / "localmaps.bin").write_bytes(replay.local_maps)
     result = PipelineResult(
         out_dir=out,
         fused_pose_count=imu_count,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import elementwise
+from .geometry import as_vec3, elementwise, norm3
 from .terrain import Heightfield, TerrainType, edge_cells  # noqa: F401 (re-exported)
 
 
@@ -27,8 +27,8 @@ class PlaneFit:
     rms_residual: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+        n = as_vec3(self.normal)
+        if abs(norm3(n) - 1.0) > 1e-9:
             raise ValueError("plane normal must be unit-norm")
         if n[2] <= 0:
             raise ValueError("plane normal must point up")
@@ -50,15 +50,15 @@ def fit_plane(points, min_count: int = 10) -> PlaneFit:
     centered = pts - centroid
     cov = centered.T @ centered / len(pts)
     evals, evecs = np.linalg.eigh(cov)
+    e0, e1, e2 = evals.tolist()
     # rank < 2 means all points on a line (or a single point)
-    if evals[1] <= 1e-12 * max(evals[2], 1.0):
+    if e1 <= 1e-12 * max(e2, 1.0):
         raise ValueError("degenerate point set")
     normal = evecs[:, 0]
     if normal[2] < 0:
         normal = -normal
-    rms = math.sqrt(max(evals[0], 0.0))
-    return PlaneFit(normal=normal / np.linalg.norm(normal),
-                    centroid=centroid, rms_residual=rms)
+    return PlaneFit(normal=normal / norm3(normal), centroid=centroid,
+                    rms_residual=math.sqrt(max(e0, 0.0)))
 
 
 def guided_direction(fit: PlaneFit) -> np.ndarray:
@@ -111,6 +111,12 @@ _SHAPES = {"v_world": (3,), "v_body_xy": (2,), "omega": (3,), "gravity_body": (3
 _SCALARS = ("v_z", "yaw", "body_height", "desired_height")
 
 
+def _sum_sq(x: np.ndarray) -> np.ndarray:
+    # (x ** 2).sum(axis=-1) without the wrappers of ** and sum, bit for bit;
+    # its root is np.linalg.norm(x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class RewardInput:
     """One policy-rate frame of everything the reward table reads, or n
@@ -145,13 +151,13 @@ class RewardInput:
         for name in _SCALARS:
             if getattr(getattr(self, name), "shape", ()) != lead:
                 raise ValueError(f"{name} must have shape {lead}")
-        g = np.linalg.norm(self.gravity_body, axis=-1)
-        if (abs(g - 1.0) > 1e-6).any():
+        if (abs(np.sqrt(_sum_sq(self.gravity_body)) - 1.0) > 1e-6).any():
             raise ValueError("gravity_body must be unit-norm")
 
     def _all_values(self) -> np.ndarray:
-        return np.concatenate([*(getattr(self, name).ravel() for name in _SHAPES),
-                               np.ravel([getattr(self, name) for name in _SCALARS])])
+        return np.concatenate([*(getattr(self, name) for name in _SHAPES),
+                               np.array([getattr(self, name) for name in _SCALARS])],
+                              axis=None)
 
 
 @dataclass(frozen=True)
@@ -170,10 +176,10 @@ def feet_stumble_penalty(foot_contact_forces, ratio: float = 2.0):
     signature of a toe catching an obstacle face. Forces are (4, 3) for one
     frame or (..., 4, 3); flags and counts keep the leading axes."""
     f = np.asarray(foot_contact_forces, dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("non-finite contact forces")
-    flags = np.linalg.norm(f[..., :2], axis=-1) > ratio * np.abs(f[..., 2])
-    return flags, flags.sum(axis=-1, dtype=float)
+    flags = np.sqrt(_sum_sq(f[..., :2])) > ratio * np.abs(f[..., 2])
+    return flags, np.add.reduce(flags, axis=-1, dtype=float)
 
 
 def feet_edge_penalty(foot_positions, foot_contact_forces, hf: Heightfield,
@@ -270,11 +276,11 @@ def reward_table(inp: RewardInput, weights: RewardWeights | None = None,
         raw["yaw"] = -_pow2(col("yaw"))
     raw["a_tracking"] = 0.5 * elementwise(math.exp, -4.0 * _pow2(cmd[:, 2] - omega[:, 2]))
     raw["omega_x"] = -_pow2(omega[:, 0])
-    raw["joint_acc"] = -(col("joint_acc", 12) ** 2).sum(axis=1)
+    raw["joint_acc"] = -_sum_sq(col("joint_acc", 12))
     raw["body_height"] = -_pow2(col("desired_height") - col("body_height"))
-    raw["action_rate"] = -((action - prev) ** 2).sum(axis=1)
-    raw["smoothness"] = -((action - 2.0 * prev + col("prev_prev_action", 12)) ** 2).sum(axis=1)
-    raw["hip_angle"] = -((col("hip_angles_desired", 4) - col("hip_angles", 4)) ** 2).sum(axis=1)
+    raw["action_rate"] = -_sum_sq(action - prev)
+    raw["smoothness"] = -_sum_sq(action - 2.0 * prev + col("prev_prev_action", 12))
+    raw["hip_angle"] = -_sum_sq(col("hip_angles_desired", 4) - col("hip_angles", 4))
     if tau in _GAP_PLATFORM:
         forces = col("foot_contact_forces", 4, 3)
         if terrain is not None:
@@ -288,7 +294,8 @@ def reward_table(inp: RewardInput, weights: RewardWeights | None = None,
                         else w.feet_edge_platform if platform else 0.0)
     wts["feet_stumble"] = (w.feet_stumble_gap if tau is TerrainType.GAP
                            else w.feet_stumble_platform if platform else 0.0)
-    return RewardTable(raw=np.array([raw[k] for k in TERMS]).T, weights=wts,
+    raw = np.concatenate([raw[k] for k in TERMS]).reshape(len(TERMS), n).T
+    return RewardTable(raw=raw, weights=wts,
                        v_world=col("v_world", 3), gravity_x=col("gravity_body", 3)[:, 0],
                        v_cmd_x=cmd[:, 0], terrain_type=tau)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terraforge.fusion import (
@@ -25,7 +25,6 @@ from terraforge.geometry import (
     quat_conjugate,
     quat_from_rotvec,
     quat_from_yaw,
-    quat_integrate,
     quat_log,
     quat_multiply,
     quat_normalize,
@@ -44,6 +43,8 @@ from terraforge.sensors import (
     odometry_stream,
     true_state,
 )
+
+from reference_tick_layers import reference_quat_from_rotvec
 
 CFG = FusionConfig()
 
@@ -174,6 +175,16 @@ class TestRunFusion:
         ts = [p.timestamp_ns for p in out]
         assert ts == sorted(ts)
 
+    def test_samples_before_the_first_fix_return_no_pose(self):
+        traj = TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 1.0, speed=0.5)
+        imu = imu_stream(traj, 200.0)
+        fuser = PoseFuser()
+        # the fix at 0 ns is delivered at 15 ms, after the samples at 0-10 ms
+        out = run_fusion(imu, apply_delay(odometry_stream(traj, 10.0), 15.0), fuser=fuser)
+        assert fuser.stats.skipped_imu == 3
+        assert len(out) == len(imu) - 3
+        assert out[0].timestamp_ns == 15_000_000
+
     def test_deterministic(self):
         traj = TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 2.0, speed=1.0)
         noise = NoiseConfig(odom_pos_std=0.01)
@@ -298,21 +309,28 @@ def test_uninitialized_fuser_raises():
         fuser.handle_imu(static_imu(0))
 
 
+def quat_bits(q):
+    """Every bit of a quaternion's components, the sign of zero included."""
+    return [float(c).hex() for c in (q.w, q.x, q.y, q.z)]
+
+
 def reference_predict(state, imu, cfg):
-    """predict as first written: F and Q built from scratch on every call."""
+    """predict as first written: F and Q built from scratch on every call,
+    the exponential of the body rate in numpy."""
     dt = (imu.timestamp_ns - state.timestamp_ns) * 1e-9
     omega = imu.angular_velocity - state.gyro_bias
     f_body = imu.linear_acceleration - state.accel_bias
     rot = quat_to_matrix(state.orientation)
     a_world = rot @ f_body + vec3(0, 0, -GRAVITY)
-    new_q = quat_integrate(state.orientation, omega, dt)
+    new_q = quat_normalize(quat_multiply(state.orientation,
+                                         reference_quat_from_rotvec(omega * dt)))
     new_p = state.position + state.velocity * dt + 0.5 * a_world * dt * dt
     new_v = state.velocity + a_world * dt
     F = np.eye(15)
     F[0:3, 3:6] = np.eye(3) * dt
     F[3:6, 6:9] = -rot @ skew(f_body) * dt
     F[3:6, 12:15] = -rot * dt
-    F[6:9, 6:9] = quat_to_matrix(quat_from_rotvec(omega * dt)).T
+    F[6:9, 6:9] = quat_to_matrix(reference_quat_from_rotvec(omega * dt)).T
     F[6:9, 9:12] = -np.eye(3) * dt
     Q = np.zeros((15, 15))
     Q[3:6, 3:6] = np.eye(3) * cfg.accel_noise**2 * dt
@@ -338,7 +356,7 @@ def reference_update(state, odom, cfg):
     dx = K @ y
     IKH = np.eye(15) - K @ H
     P_new = IKH @ P @ IKH.T + K @ R @ K.T
-    new_q = quat_normalize(quat_multiply(state.orientation, quat_from_rotvec(dx[6:9])))
+    new_q = quat_normalize(quat_multiply(state.orientation, reference_quat_from_rotvec(dx[6:9])))
     return state.position + dx[0:3], new_q, 0.5 * (P_new + P_new.T)
 
 
@@ -356,20 +374,32 @@ def random_config(rng):
 
 
 class TestCachedNoiseIsBitEqual:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 50_000_000), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_predict_matches_from_scratch(self, seed, dt_ns, default_cfg):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 50_000_000), st.booleans(),
+           st.sampled_from([1.0, 1e-11, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    @example(5, 5_000_000, True, 1e-11)  # |omega * dt| about 1e-13
+    @example(5, 5_000_000, True, 0.0)
+    def test_predict_matches_from_scratch(self, seed, dt_ns, default_cfg, rate_scale):
+        """Bit-equal to the from-scratch step, also where |omega * dt| is
+        below 1e-12 (the first-order branch) and where the rate is zero."""
         rng = np.random.default_rng(seed)
         cfg = CFG if default_cfg else random_config(rng)
         state = random_state(rng, 1_000_000_000)
-        imu = ImuSample(state.timestamp_ns + dt_ns, rng.normal(size=3),
+        imu = ImuSample(state.timestamp_ns + dt_ns,
+                        state.gyro_bias + rng.normal(size=3) * rate_scale,
                         rng.normal(size=3) + vec3(0, 0, GRAVITY))
         got = predict(state, imu, cfg)
         p, v, q, P = reference_predict(state, imu, cfg)
         assert np.array_equal(got.covariance, P)
-        assert np.array_equal(got.position, p) and np.array_equal(got.velocity, v)
-        assert got.orientation == q
+        assert got.position.tobytes() == p.tobytes() and got.velocity.tobytes() == v.tobytes()
+        assert quat_bits(got.orientation) == quat_bits(q)
         assert got.covariance.flags.writeable
+
+    def test_predict_shares_the_biases(self):
+        st0 = initial_state(identity_pose(), CFG)
+        st1 = predict(st0, static_imu(5_000_000), CFG)
+        assert st1.gyro_bias is st0.gyro_bias and st1.accel_bias is st0.accel_bias
+        assert not st0.gyro_bias.flags.writeable and not st0.accel_bias.flags.writeable
 
     @given(st.integers(0, 2**32 - 1), st.integers(-50_000_000, 50_000_000))
     @settings(max_examples=100, deadline=None)
@@ -383,8 +413,8 @@ class TestCachedNoiseIsBitEqual:
         got = update_pose(state, odom, cfg)
         p, q, P = reference_update(state, odom, cfg)
         assert np.array_equal(got.covariance, P)
-        assert np.array_equal(got.position, p)
-        assert got.orientation == q
+        assert got.position.tobytes() == p.tobytes()
+        assert quat_bits(got.orientation) == quat_bits(q)
 
     def test_non_finite_rate_rejected(self):
         st0 = initial_state(identity_pose(), CFG)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from terraforge.geometry import (
     IDENTITY,
     Quaternion,
+    norm3,
     orientation_angle,
     quat_from_rotvec,
     quat_from_yaw,
@@ -27,6 +28,8 @@ from terraforge.geometry import (
     skew,
     vec3,
 )
+
+from reference_tick_layers import reference_quat_from_rotvec
 
 
 def random_unit_quat(rng):
@@ -269,3 +272,16 @@ def test_rotate_vec_rejects_non_finite():
         rotate_vec(IDENTITY, vec3(0, math.inf, 0))
     with pytest.raises(ValueError, match="3-vector"):
         rotate_vec(IDENTITY, [1.0, 2.0])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3.0, 1e-3, 1e-12, 1e-13, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_rotvec_exponential_bit_equal_to_numpy_form(seed, scale):
+    """quat_from_rotvec, in Python floats, equals its numpy form as first
+    written bit for bit, on both sides of the 1e-12 first-order branch and
+    at zero; norm3 equals np.linalg.norm."""
+    rv = np.random.default_rng(seed).normal(size=3) * scale
+    assert norm3(rv).hex() == float(np.linalg.norm(rv)).hex()
+    got, want = quat_from_rotvec(rv), reference_quat_from_rotvec(rv)
+    assert ([float(c).hex() for c in (got.w, got.x, got.y, got.z)]
+            == [float(c).hex() for c in (want.w, want.x, want.y, want.z)])

@@ -20,6 +20,8 @@ from terraforge.mapping import (
 from terraforge.sensors import LidarScan, lidar_scan
 from terraforge.terrain import TerrainSpec, TerrainType, generate, sample_height
 
+from reference_tick_layers import reference_extract_local, reference_inject_map_noise
+
 IDENT = Quaternion(1, 0, 0, 0)
 
 
@@ -454,3 +456,52 @@ def test_local_map_to_points_bit_equal_meshgrid(nx, ny, res, seed):
     want = np.column_stack([gx.ravel(), gy.ravel(), heights.ravel()])
     got = local.to_points()
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def random_map(rng, known: float, size: float = 4.0, resolution: float = 0.05):
+    """A map recentered off the origin, with about `known` of its cells
+    known; heights include -0.0."""
+    emap = ElevationMap(size, resolution)
+    emap.recenter(rng.uniform(-3.0, 3.0, size=2))
+    shape = emap._heights.shape
+    emap._heights[:] = rng.normal(size=shape) * 0.3
+    emap._heights[rng.random(shape) < 0.05] = -0.0
+    emap._variance[:] = np.where(rng.random(shape) < known, 0.01, np.inf)
+    return emap
+
+
+class TestTickLayersMatchReference:
+    """extract_local and inject_map_noise are bit-equal to their numpy forms
+    as first written (tests/reference_tick_layers.py)."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]),
+           st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(-1.0, 1.0),
+           st.floats(-math.pi, math.pi), st.sampled_from([(1.6, 1.0, 0.1), (0.5, 0.5, 0.05)]))
+    @settings(max_examples=150, deadline=None)
+    def test_extract_local(self, seed, known, x, y, z, yaw, spec):
+        """Samples on and off the 4 m map, over known and unknown cells."""
+        rng = np.random.default_rng(seed)
+        emap = random_map(rng, known)
+        pose = Pose(vec3(x, y, z), quat_from_yaw(yaw), 7)
+        spec = LocalMapSpec(*spec)
+        got = emap.extract_local(pose, spec)
+        want = reference_extract_local(emap, pose, spec)
+        assert got.heights.tobytes() == want.heights.tobytes()
+        assert got.heights.shape == want.heights.shape
+        assert got.fill_ratio.hex() == want.fill_ratio.hex()
+        assert (got.xs is want.xs and got.ys is want.ys
+                and got.timestamp_ns == want.timestamp_ns)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.1), st.integers(0, 2**32 - 1),
+           st.tuples(st.floats(-2.0, 0.0), st.floats(0.0, 3.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_inject_map_noise(self, map_seed, ratio, seed, magnitude):
+        rng = np.random.default_rng(map_seed)
+        local = random_map(rng, 0.5).extract_local(pose_at(0.0, 0.0, 0.4, ts=3))
+        before = local.heights.tobytes()
+        got = inject_map_noise(local, ratio, magnitude, seed)
+        want = reference_inject_map_noise(local, ratio, magnitude, seed)
+        assert got.heights.tobytes() == want.heights.tobytes()
+        assert local.heights.tobytes() == before  # noise goes on a copy
+        for name in ("xs", "ys", "resolution", "fill_ratio", "timestamp_ns"):
+            assert getattr(got, name) is getattr(want, name), name

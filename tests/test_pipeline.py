@@ -1,18 +1,20 @@
 """End-to-end replay determinism, log outputs, and the tick benchmark."""
 
+import dataclasses
 import json
 import logging
 import math
 import socket
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from terraforge.config import PipelineConfig
+from terraforge.config import PipelineConfig, load_config
 from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, pose_record, read_jsonl
 from terraforge.mapping import ElevationMap
 from terraforge.observations import ObservationFrame, sample_command
@@ -34,6 +36,7 @@ from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate, sample
 from terraforge.geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
 
 from reference_kinematics import reference_true_state
+from reference_records import reference_run
 
 
 def small_cfg(**kw):
@@ -387,3 +390,86 @@ class TestPolicyTickTable:
         with pytest.raises(PipelineInvariantError, match="policy tick 0"):
             for _, kind, item in replay.events:
                 replay.step(kind, item)
+
+
+@st.composite
+def short_configs(draw):
+    """Short replays over terrain, map noise, delay, LiDAR rate, seed and a
+    duration on the 0.05 s grid."""
+    noisy = draw(st.booleans())
+    noise = NoiseConfig(
+        gyro_std=0.01 if noisy else 0.0, accel_std=0.05 if noisy else 0.0,
+        odom_pos_std=0.01, odom_yaw_std=0.005 if noisy else 0.0,
+        lidar_range_std=0.01 if noisy else 0.0,
+        map_noise_ratio=draw(st.sampled_from([0.0, 0.05])),
+        system_delay_ms=draw(st.sampled_from([0.0, 2.5, 10.0, 15.0])))
+    traj = TrajectorySpec(kind=draw(st.sampled_from(list(TrajectoryKind))),
+                          duration=round(draw(st.integers(2, 30)) * 0.05, 2),
+                          height_above_ground=1.5, speed=draw(st.sampled_from([0.25, 1.0])))
+    return PipelineConfig(
+        terrain=TerrainSpec(draw(st.sampled_from(list(TerrainType))), draw(st.integers(0, 9))),
+        trajectory=traj, noise=noise, lidar_hz=draw(st.sampled_from([2, 5, 10])),
+        seed=draw(st.integers(0, 2**16)))
+
+
+class TestLogsFromRows:
+    @given(cfg=short_configs())
+    @settings(max_examples=25, deadline=None)
+    # the golden gap crossing, cut short: delay, map noise, sensor noise
+    @example(cfg=PipelineConfig(
+        terrain=TerrainSpec(TerrainType.GAP, 9),
+        trajectory=TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 0.5, speed=0.25),
+        noise=NoiseConfig(gyro_std=0.01, accel_std=0.05, odom_pos_std=0.01,
+                          odom_yaw_std=0.005, lidar_range_std=0.01, system_delay_ms=10,
+                          map_noise_ratio=0.05),
+        lidar_hz=2, seed=7))
+    def test_seven_files_equal_the_per_event_records(self, cfg, tmp_path_factory):
+        """What run_pipeline writes from its rows is byte for byte what the
+        per-event record path writes."""
+        tmp = tmp_path_factory.mktemp("rows")
+        reference_run(cfg, tmp / "ref")
+        run_pipeline(cfg, tmp / "rows")
+        for name in LOG_NAMES:
+            assert (tmp / "rows" / name).read_bytes() == (tmp / "ref" / name).read_bytes(), name
+
+    def test_replay_holds_rows_not_records(self):
+        replay = _Replay(small_cfg())
+        for _, kind, item in replay.events:
+            replay.step(kind, item)
+        for name, value in vars(replay).items():
+            assert not (isinstance(value, list) and value and isinstance(value[0], dict)), name
+        assert replay.fused.shape == (replay.imu_count, 7)
+        assert replay.tick_rows.shape[0] == replay.policy_count
+
+
+GAP_POLICY_INI = Path(__file__).parent.parent / "perfbench" / "workloads" / "gap_policy.ini"
+
+
+class TestMemoryBudget:
+    # MB per simulated second: 0.73 when every event was kept as a dict,
+    # 0.29 with the logs kept as rows
+    GROWTH_BOUND = 0.45
+
+    def _peak(self, cfg, seconds, out):
+        cfg = dataclasses.replace(
+            cfg, trajectory=dataclasses.replace(cfg.trajectory, duration=seconds))
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg, out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_gap_policy_heap_growth_per_simulated_second(self, tmp_path):
+        """The heap peak of a gap_policy replay (no telemetry) grows less
+        than GROWTH_BOUND MB per simulated second from 5 s to 10 s."""
+        cfg = load_config(GAP_POLICY_INI)
+        assert cfg.endpoint is None
+        # the first replay in a process also fills the per-process caches
+        # (filter matrices, the terrain's edge field); keep them out of both
+        self._peak(cfg, 1.0, tmp_path / "warm")
+        short = self._peak(cfg, 5.0, tmp_path / "short")
+        long = self._peak(cfg, 10.0, tmp_path / "long")
+        growth = (long - short) / 5.0 / 1e6
+        assert growth < self.GROWTH_BOUND, (
+            f"{growth:.2f} MB/s (peaks {short / 1e6:.2f}, {long / 1e6:.2f} MB)")

@@ -28,6 +28,8 @@ from terraforge.rewards import (
 )
 from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate
 
+from reference_tick_layers import reference_fit_plane
+
 
 def grid_points(fn, n=11, span=1.0):
     xs = np.linspace(-span, span, n)
@@ -117,6 +119,30 @@ class TestFitPlane:
             a, b = rng.uniform(-2, 2, 2)
             fit = fit_plane(grid_points(lambda x, y: a * x + b * y))
             assert fit.normal[2] > 0
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.sampled_from([0.0, 1e-3, 0.05]), st.sampled_from(["plane", "line", "point"]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_reference(self, seed, a, b, noise, shape):
+        """fit_plane is bit-equal to its numpy form as first written, and
+        refuses the same degenerate sets."""
+        rng = np.random.default_rng(seed)
+        pts = grid_points(lambda x, y: a * x + b * y)
+        if shape == "line":
+            pts[:, 1] = 2.0 * pts[:, 0]
+        elif shape == "point":
+            pts[:] = pts[0]
+        pts[:, 2] += rng.normal(0.0, noise, len(pts))
+        try:
+            want = reference_fit_plane(pts)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                fit_plane(pts)
+            return
+        got = fit_plane(pts)
+        assert got.normal.tobytes() == want.normal.tobytes()
+        assert got.centroid.tobytes() == want.centroid.tobytes()
+        assert got.rms_residual.hex() == want.rms_residual.hex()
 
 
 class TestGuidedDirection:
