@@ -83,7 +83,7 @@ _NOTES = {  # "section.key" -> comment in the reference listing
     "noise.lidar_range_std": "m along the ray",
     "noise.map_noise_ratio": "fraction of local-map cells, [0, 0.1]",
     "noise.map_noise_magnitude": "m, uniform perturbation range",
-    "noise.system_delay_ms": "ms, [0, 15], applied to sensor delivery",
+    "noise.system_delay_ms": "ms, [0, 15], delays every stream alike, so it changes no output",
     "fusion.gyro_noise": "rad/s/sqrt(Hz)",
     "fusion.accel_noise": "m/s^2/sqrt(Hz)",
     "fusion.odom_pos_std": "m",

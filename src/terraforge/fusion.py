@@ -25,6 +25,7 @@ estimates only change in an update, so predicted states share them.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +49,8 @@ from .geometry import (
     vec3,
 )
 from .sensors import Delivered, ImuSample, merge_delivered
+
+log = logging.getLogger(__name__)
 
 MAX_IMU_GAP_S = 0.050
 MAX_MEASUREMENT_AGE_S = 0.050
@@ -249,16 +252,18 @@ class PoseFuser:
         self.state = initial_state(odom, self.cfg)
         return self.state
 
-    def handle_imu(self, imu: ImuSample) -> Pose:
+    def handle_imu(self, imu: ImuSample) -> Pose | None:
         """Predict to the IMU timestamp and return the propagated pose.
 
         Samples that do not advance time, or that lie more than
         MAX_IMU_GAP_S past the state (the IMU stream stalled, or the fix
         that seeded the filter was older than the stream), are passed
-        through unchanged and counted in skipped_imu: the pose holds until
-        a fix re-seeds the filter (see handle_odometry)."""
+        through unchanged: the pose holds until a fix re-seeds the filter
+        (see handle_odometry). A sample before the first fix returns None.
+        All of these count in skipped_imu."""
         if self.state is None:
-            raise RuntimeError("fuser not initialized")
+            self.stats.skipped_imu += 1
+            return None
         dt = (imu.timestamp_ns - self.state.timestamp_ns) * 1e-9
         if dt <= 0 or dt > MAX_IMU_GAP_S:
             self.stats.skipped_imu += 1
@@ -272,7 +277,8 @@ class PoseFuser:
 
         A measurement far ahead of the state means the IMU stream stalled;
         the filter re-seeds from the fix instead of failing, which degrades
-        to hold-last-pose behavior until IMU data resumes.
+        to hold-last-pose behavior until IMU data resumes. A rejection and a
+        re-seed each log one DEBUG line.
         """
         if self.state is None:
             self.initialize(odom)
@@ -282,10 +288,12 @@ class PoseFuser:
             self.state = update_pose(self.state, odom, self.cfg)
         except StaleMeasurement:
             self.stats.rejected_stale += 1
+            log.debug("rejected stale odometry fix at %d ns", odom.timestamp_ns)
             return False
         except MeasurementAhead:
             self.initialize(odom)
             self.stats.reseeds += 1
+            log.debug("re-seeded the filter from the odometry fix at %d ns", odom.timestamp_ns)
             return True
         self.stats.updates += 1
         return True
@@ -312,10 +320,8 @@ def run_fusion(
     for _, kind, item in merge_delivered(odom_poses, imu_samples):
         if kind == 0:
             fuser.handle_odometry(item)
-        elif fuser.state is None:
-            fuser.stats.skipped_imu += 1
-        else:
-            out.append(fuser.handle_imu(item))
+        elif (pose := fuser.handle_imu(item)) is not None:
+            out.append(pose)
     return out
 
 

@@ -6,6 +6,8 @@ output byte. One _Replay object holds the event loop's stages: run_pipeline
 drives it and writes the logs, and run_bench drives the same stages over
 back-to-back replays with a wall-clock timer between them, spreading each
 scan's cost over the ticks between scans. Only run_bench reads the clock.
+The system delay shifts the delivery of every stream by the same amount,
+so it changes neither the event order nor any output.
 
 The replay keeps one numeric row per fused pose and per policy tick, not a
 log record: run_pipeline builds each record from its row only as its line
@@ -130,6 +132,11 @@ def _policy_ticks(cfg: PipelineConfig, hf, command, timestamps_ns) -> _Ticks:
 
 ODOMETRY, SCAN, IMU = range(3)  # event stream indices, in tie order
 
+# the replay's stages, in report order: an odometry update is filter work,
+# scan_amortized is recenter + integrate, and a fused pose's log row (and a
+# tick's log rows and telemetry) count with the reward work they report
+_BENCH_STAGES = ("fusion_step", "scan_amortized", "local_extract", "reward_eval")
+
 # a policy tick's row: the raw and the weighted reward terms in TERMS order,
 # the total, the local map's fill ratio and the plane normal
 _RAW, _WEIGHTED = slice(0, len(TERMS)), slice(len(TERMS), 2 * len(TERMS))
@@ -139,12 +146,8 @@ _NORMAL = slice(_FILL + 1, _FILL + 4)
 
 class _Replay:
     """One replay's inputs, filter, map and log rows, and the handling of
-    each delivered event, stage by stage.
-
-    step() calls lap(stage) as each stage ends: "odometry", "scan"
-    (recenter + integrate), "fusion", "local_map", "reward" and "record"
-    (log rows and telemetry).
-    """
+    each delivered event, stage by stage: step() calls lap(stage) with one
+    of _BENCH_STAGES as each stage ends."""
 
     def __init__(self, cfg: PipelineConfig, endpoint: str | None = None):
         self.cfg = cfg
@@ -184,41 +187,34 @@ class _Replay:
 
     def step(self, kind: int, item, lap=lambda stage: None) -> None:
         """Handle one delivered event. Scans and IMU samples delivered
-        before the first odometry fix are dropped; an IMU sample counts as
-        skipped_imu."""
+        before the first odometry fix are dropped."""
         fuser = self.fuser
         if kind == ODOMETRY:
-            reseeds = fuser.stats.reseeds
-            if not fuser.handle_odometry(item):
-                log.debug("rejected stale odometry fix at %d ns", item.timestamp_ns)
-            elif fuser.stats.reseeds != reseeds:
-                log.debug("re-seeded the filter from the odometry fix at %d ns",
-                          item.timestamp_ns)
-            lap("odometry")
-            return
-        if fuser.state is None:
-            if kind == IMU:
-                fuser.stats.skipped_imu += 1
+            fuser.handle_odometry(item)
+            lap("fusion_step")
             return
         if kind == SCAN:
-            pose = fuser.state.pose()
-            scan_pose = Pose(pose.position, pose.orientation, item.timestamp_ns)
-            self.emap.recenter(scan_pose.position[:2])
-            self.emap.integrate_scan(item, scan_pose)
-            self.scan_count += 1
-            lap("scan")
+            if fuser.state is not None:
+                pose = fuser.state.pose()
+                scan_pose = Pose(pose.position, pose.orientation, item.timestamp_ns)
+                self.emap.recenter(scan_pose.position[:2])
+                self.emap.integrate_scan(item, scan_pose)
+                self.scan_count += 1
+                lap("scan_amortized")
             return
 
         fused = fuser.handle_imu(item)
+        if fused is None:
+            return
         i = self.imu_count
         self.imu_count += 1
-        lap("fusion")
+        lap("fusion_step")
         if self.imu_count % self.cfg.ticks_per_policy == 0:
             self._policy_tick(item.timestamp_ns, fused, lap)
         q = fused.orientation
         self.fused_ts[i] = fused.timestamp_ns
         self.fused[i] = (*fused.position.tolist(), q.w, q.x, q.y, q.z)
-        lap("record")
+        lap("reward_eval")
 
     def _policy_tick(self, ts: int, fused: Pose, lap) -> None:
         cfg, ticks, i = self.cfg, self.ticks, self.policy_count
@@ -235,11 +231,11 @@ class _Replay:
         if local.heights.size != expected:
             raise PipelineInvariantError(
                 f"local map has {local.heights.size} samples, expected {expected}")
-        lap("local_map")
+        lap("local_extract")
 
         fit = fit_plane(local.to_points())
         breakdown = compute_rewards(ticks.rewards[i], fit)
-        lap("reward")
+        lap("reward_eval")
 
         self.tick_rows[i] = (*breakdown.raw.values(), *breakdown.weighted.values(),
                              breakdown.total, local.fill_ratio, *fit.normal.tolist())
@@ -356,13 +352,6 @@ class BenchReport:
         }
 
 
-# replay stage -> bench stage: odometry updates are filter work, and a
-# tick's log records count with the reward work they report
-_BENCH_STAGES = {"odometry": "fusion_step", "fusion": "fusion_step",
-                 "scan": "scan_amortized", "local_map": "local_extract",
-                 "reward": "reward_eval", "record": "reward_eval"}
-
-
 def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
               budget_ms: float = 5.0) -> BenchReport:
     """Wall-clock latency of the replay's own stages, per IMU tick; a
@@ -382,15 +371,14 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
         raise ValueError("iters must be >= 1")
     ticks_per_scan = max(1, cfg.imu_hz // cfg.lidar_hz)
     # ns since the last tick; None for a stage that has not run since
-    pending = dict.fromkeys(_BENCH_STAGES.values())
+    pending = dict.fromkeys(_BENCH_STAGES)
     rows = []
     mark = 0
 
     def lap(stage: str) -> None:
         nonlocal mark
         now = time.perf_counter_ns()
-        name = _BENCH_STAGES[stage]
-        pending[name] = (pending[name] or 0) + now - mark
+        pending[stage] = (pending[stage] or 0) + now - mark
         mark = now
 
     while len(rows) < iters:

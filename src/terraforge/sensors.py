@@ -210,9 +210,11 @@ def true_state(traj: TrajectorySpec, t: float) -> TrueState:
 
 
 def sample_times_ns(duration: float, rate: float) -> list[int]:
-    """Times (ns) of a stream sampled at rate Hz from 0 to duration."""
-    n = int(math.floor(duration * rate)) + 1
-    return [round(i * 1e9 / rate) for i in range(n)]
+    """Times (ns) of a stream sampled at rate Hz from 0 to duration, counted
+    in integer ns (2.3 s * 200 Hz is 459.99999999999994 in floats)."""
+    end = round(duration * 1e9)
+    times = [round(i * 1e9 / rate) for i in range(int(duration * rate) + 2)]
+    return [t for t in times if t <= end]
 
 
 def _noise_rows(rng: np.random.Generator, n: int,

@@ -303,10 +303,11 @@ class TestFusionConfig:
         assert np.diag(P)[0] == pytest.approx(CFG.init_pos_std**2)
 
 
-def test_uninitialized_fuser_raises():
+def test_sample_before_any_fix_is_skipped():
     fuser = PoseFuser()
-    with pytest.raises(RuntimeError, match="not initialized"):
-        fuser.handle_imu(static_imu(0))
+    assert fuser.handle_imu(static_imu(0)) is None
+    assert fuser.state is None
+    assert (fuser.stats.predicts, fuser.stats.skipped_imu) == (0, 1)
 
 
 def quat_bits(q):
@@ -427,6 +428,8 @@ class CheckedFuser(PoseFuser):
     """Checks the filter invariants after every event it handles."""
 
     def _check(self):
+        if self.state is None:  # a sample before the first fix
+            return
         P, q = self.state.covariance, self.state.orientation
         assert np.array_equal(P, P.T)
         assert np.linalg.eigvalsh(P).min() >= 0.0

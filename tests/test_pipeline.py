@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from terraforge.config import PipelineConfig, load_config
 from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, pose_record, read_jsonl
+from terraforge.fusion import PoseFuser, run_fusion
 from terraforge.mapping import ElevationMap
 from terraforge.observations import ObservationFrame, sample_command
 from terraforge.pipeline import (
@@ -30,7 +31,7 @@ from terraforge.pipeline import (
     run_pipeline,
 )
 from terraforge.rewards import PlaneFit, RewardInput, RewardWeights, compute_rewards
-from terraforge.sensors import NoiseConfig, TrajectoryKind, TrajectorySpec
+from terraforge.sensors import Delivered, NoiseConfig, TrajectoryKind, TrajectorySpec
 from terraforge.telemetry import LocalMapFragment, RewardMessage, decode_message
 from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate, sample_height_vec
 from terraforge.geometry import Pose, quat_conjugate, quat_yaw, rotate_vec, vec3
@@ -129,10 +130,16 @@ class TestRunPipeline:
         assert a != b
 
     def test_uniform_delay_still_covers_all_imu(self, tmp_path):
-        cfg = small_cfg(noise=NoiseConfig(odom_pos_std=0.01,
-                                          system_delay_ms=10.0))
-        res = run_pipeline(cfg, tmp_path / "d")
-        assert res.fused_pose_count == 401
+        """One delay shifts every stream alike, so the event order and every
+        output file are those of no delay."""
+        for delay in (0.0, 10.0):
+            cfg = small_cfg(noise=NoiseConfig(odom_pos_std=0.01,
+                                              system_delay_ms=delay))
+            res = run_pipeline(cfg, tmp_path / f"{delay}")
+            assert res.fused_pose_count == 401
+        for name in LOG_NAMES:
+            assert ((tmp_path / "0.0" / name).read_bytes()
+                    == (tmp_path / "10.0" / name).read_bytes()), name
 
     def test_map_noise_path_deterministic(self, tmp_path):
         cfg = small_cfg(noise=NoiseConfig(odom_pos_std=0.01,
@@ -184,20 +191,42 @@ class TestRunLogging:
             f"run to {tmp_path / 'r'}: 101 fused poses, 25 policy ticks, 6 scans, "
             f"0 rejected_stale, 1 skipped_imu, 0 reseeds")
 
-    def test_debug_line_per_stale_fix_and_reseed(self, caplog):
-        replay = _Replay(small_cfg(trajectory=TrajectorySpec(
+    STALE_AND_RESEED = [
+        ("terraforge.fusion", logging.DEBUG, "rejected stale odometry fix at 400000000 ns"),
+        ("terraforge.fusion", logging.DEBUG,
+         "re-seeded the filter from the odometry fix at 600000000 ns")]
+
+    @staticmethod
+    def _half_second_replay():
+        return _Replay(small_cfg(trajectory=TrajectorySpec(
             kind=TrajectoryKind.CONSTANT_VELOCITY, duration=0.5, speed=1.0)))
+
+    def test_debug_line_per_stale_fix_and_reseed(self, caplog):
+        replay = self._half_second_replay()
         for _, kind, item in replay.events:
             replay.step(kind, item)
         fix = replay.odom[-1]  # the state is at 500 ms, the window is 50 ms
-        with caplog.at_level(logging.DEBUG, logger="terraforge.pipeline"):
+        with caplog.at_level(logging.DEBUG, logger="terraforge.fusion"):
             replay.step(ODOMETRY, Pose(fix.position, fix.orientation, 400_000_000))
             replay.step(ODOMETRY, Pose(fix.position, fix.orientation, 600_000_000))
-        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-            (logging.DEBUG, "rejected stale odometry fix at 400000000 ns"),
-            (logging.DEBUG, "re-seeded the filter from the odometry fix at 600000000 ns")]
+        assert [(r.name, r.levelno, r.getMessage())
+                for r in caplog.records] == self.STALE_AND_RESEED
         stats = replay.fuser.stats
         assert (stats.rejected_stale, stats.reseeds) == (1, 1)
+
+    def test_run_fusion_logs_the_same_debug_lines(self, caplog):
+        replay = self._half_second_replay()
+        fix = replay.odom[-1]
+        # delivered with the last fix, when the state is at 495 ms; then
+        # 100 ms past the last IMU sample
+        late = [Delivered(500_000_000, Pose(fix.position, fix.orientation, 400_000_000)),
+                Pose(fix.position, fix.orientation, 600_000_000)]
+        fuser = PoseFuser()
+        with caplog.at_level(logging.DEBUG, logger="terraforge.fusion"):
+            run_fusion(replay.imu, [*replay.odom, *late], fuser=fuser)
+        assert [(r.name, r.levelno, r.getMessage())
+                for r in caplog.records] == self.STALE_AND_RESEED
+        assert (fuser.stats.rejected_stale, fuser.stats.reseeds) == (1, 1)
 
 
 class TestRunBench:

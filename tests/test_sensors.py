@@ -246,13 +246,13 @@ def test_true_states_bounds_in_integer_ns():
 
 @pytest.mark.parametrize("kind", list(TrajectoryKind))
 def test_streams_build_for_every_tenth_of_a_second(kind):
-    """Every stream builds for 0.1 ... 10.0 s, though the last sample's
-    ts * 1e-9 can exceed the duration by an ulp (0.3 s)."""
+    """Every stream builds for 0.1 ... 10.0 s and ends at the duration,
+    though the last sample's ts * 1e-9 can exceed it by an ulp (0.3 s) and
+    duration * rate can fall one short in floats (2.3 s * 200 Hz)."""
     for i in range(1, 101):
         traj = TrajectorySpec(kind, i / 10, speed=1.0, amplitude=0.05)
         end = round(traj.duration * 1e9)
-        # floor(duration * rate) can fall one short: 2.3 s * 200 Hz = 459.99...
-        assert 0 <= end - imu_stream(traj, 200.0)[-1].timestamp_ns <= 5_000_000
+        assert imu_stream(traj, 200.0)[-1].timestamp_ns == end
         assert odometry_stream(traj, 10.0)[-1].timestamp_ns == end
         poses = sensors_mod.true_states(
             traj, sensors_mod.sample_times_ns(traj.duration, 10.0)).poses()
