@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 2 usage or config problems (including an output path
-that cannot be written), 3 invariant violations (including a failed
-benchmark budget). TERRAFORGE_LOG selects verbosity (error, warn, info,
-debug).
+Each subcommand reads its inputs, does its work and prints; `main` alone
+turns an exception into an exit code, so the CLI prints no traceback:
+- 2 for a ValueError (a bad argument, or a config that cannot run, which
+  is refused when it loads), a sensor driven underground, or an output
+  path that cannot be written (an OSError that names a file; a failed
+  read is re-raised as a ValueError that names what was read);
+- 3 for a broken pipeline invariant.
+`bench` also exits 3 over its latency budget. An OSError that names no
+file propagates. TERRAFORGE_LOG selects verbosity (error, warn, info, debug).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import logging
 import os
 import platform
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,59 +50,39 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _fail(msg: str, code: int) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+@contextmanager
+def _reading(prefix: str = ""):
+    """Re-raise a bad or unreadable input as a ValueError led by prefix,
+    so that main never reports a failed read as a failed write."""
+    try:
+        yield
+    except (OSError, ValueError) as e:
+        raise ValueError(f"{prefix}{e}") from e
 
 
-def _underground(e: SensorUnderground) -> int:
-    return _fail(f"{e}; raise [trajectory] height_above_ground to clear the terrain", 2)
-
-
-def _unwritable(e: OSError) -> int:
-    """Exit 2 for an output path that cannot be written; an OSError that
-    names no file is not about an output path and propagates."""
-    if e.filename is None:
-        raise e
-    return _fail(f"cannot write {e.filename}: {e.strerror}", 2)
+def _config(path: str | None, seed: int | None = None) -> PipelineConfig:
+    """The config at path (the defaults if None), with seed if given."""
+    with _reading("config: "):
+        cfg = load_config(path) if path else PipelineConfig()
+        return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def cmd_gen(args) -> int:
-    try:
-        robot = Robot.from_name(args.robot)
-        ttype = TerrainType.from_name(args.terrain)
-        spec = TerrainSpec(terrain_type=ttype, level=args.level, robot=robot,
-                           tile_size=args.tile_size, resolution=args.resolution,
-                           seed=args.seed)
-        hf = generate(spec)
-    except ValueError as e:
-        return _fail(str(e), 2)
-    try:
-        fileformats.write_heightfield(hf, args.out)
-        if args.csv:
-            fileformats.heightfield_to_csv(hf, args.csv)
-    except OSError as e:
-        return _unwritable(e)
+    robot = Robot.from_name(args.robot)
+    spec = TerrainSpec(terrain_type=TerrainType.from_name(args.terrain), level=args.level,
+                       robot=robot, tile_size=args.tile_size, resolution=args.resolution,
+                       seed=args.seed)
+    hf = generate(spec)
+    fileformats.write_heightfield(hf, args.out)
+    if args.csv:
+        fileformats.heightfield_to_csv(hf, args.csv)
     log.info("wrote %s (%dx%d cells)", args.out, hf.width, hf.height)
-    print(f"{PARAMETER_NAMES[ttype]} {terrain_parameter(spec):.3f}")
+    print(f"{PARAMETER_NAMES[spec.terrain_type]} {terrain_parameter(spec):.3f}")
     return 0
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-    except (OSError, ValueError) as e:
-        return _fail(f"config: {e}", 2)
-    try:
-        result = run_pipeline(cfg, args.out)
-    except SensorUnderground as e:
-        return _underground(e)
-    except PipelineInvariantError as e:
-        return _fail(f"pipeline invariant: {e}", 3)
-    except OSError as e:
-        return _unwritable(e)
+    result = run_pipeline(_config(args.config, args.seed), args.out)
     for key, val in result.summary().items():
         print(f"{key} {val}")
     return 0
@@ -104,26 +90,16 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.iters < 1:
-        return _fail("--iters must be >= 1", 2)
-    try:
-        cfg = load_config(args.config) if args.config else PipelineConfig()
-    except (OSError, ValueError) as e:
-        return _fail(f"config: {e}", 2)
-    try:
-        report = run_bench(cfg, iters=args.iters)
-    except SensorUnderground as e:
-        return _underground(e)
+        raise ValueError("--iters must be >= 1")
+    report = run_bench(_config(args.config), iters=args.iters)
     text = report.render()
     print(text)
-    try:
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-        if args.json:
-            record = {**report.as_record(), "config": args.config,
-                      "environment": _environment()}
-            Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
-    except OSError as e:
-        return _unwritable(e)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    if args.json:
+        record = {**report.as_record(), "config": args.config,
+                  "environment": _environment()}
+        Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
     return 0 if report.within_budget else 3
 
 
@@ -143,20 +119,12 @@ def _environment() -> dict:
 
 
 def cmd_edit_map(args) -> int:
-    try:
+    with _reading():
         hf = fileformats.read_heightfield(args.map)
-    except (OSError, ValueError) as e:
-        return _fail(str(e), 2)
-    try:
-        edit = VirtualEdit(region=(args.xmin, args.ymin, args.xmax, args.ymax),
-                           height=args.height)
-        edited, count = edit_heightfield(hf, edit)
-    except ValueError as e:
-        return _fail(str(e), 2)
-    try:
-        fileformats.write_heightfield(edited, args.map)
-    except OSError as e:
-        return _unwritable(e)
+    edit = VirtualEdit(region=(args.xmin, args.ymin, args.xmax, args.ymax),
+                       height=args.height)
+    edited, count = edit_heightfield(hf, edit)
+    fileformats.write_heightfield(edited, args.map)
     print(f"affected_cells {count}")
     return 0
 
@@ -189,17 +157,12 @@ def _log_messages(run_dir: Path) -> list[tuple[int, int, bytes]]:
 
 
 def cmd_stream(args) -> int:
-    try:
-        telemetry.parse_endpoint(args.endpoint)
-    except ValueError as e:
-        return _fail(str(e), 2)
+    telemetry.parse_endpoint(args.endpoint)
     run_dir = Path(args.run_dir)
     if not (run_dir / "fused_poses.jsonl").exists():
-        return _fail(f"no pose log at {run_dir / 'fused_poses.jsonl'}", 2)
-    try:
+        raise ValueError(f"no pose log at {run_dir / 'fused_poses.jsonl'}")
+    with _reading(f"damaged run log in {run_dir}: "):
         messages = _log_messages(run_dir)
-    except ValueError as e:
-        return _fail(f"damaged run log in {run_dir}: {e}", 2)
     sent, dropped = telemetry.stream_telemetry(args.endpoint,
                                                (m[2] for m in messages))
     print(f"sent {sent}")
@@ -210,10 +173,7 @@ def cmd_stream(args) -> int:
 def cmd_config_ref(args) -> int:
     text = reference_text()
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as e:
-            return _unwritable(e)
+        Path(args.out).write_text(text)
     else:
         print(text, end="")
     return 0
@@ -273,12 +233,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SensorUnderground as e:
+        msg, code = f"{e}; raise [trajectory] height_above_ground to clear the terrain", 2
+    except PipelineInvariantError as e:
+        msg, code = f"pipeline invariant: {e}", 3
+    except ValueError as e:
+        msg, code = str(e), 2
+    except OSError as e:
+        if e.filename is None:
+            raise
+        msg, code = f"cannot write {e.filename}: {e.strerror}", 2
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -44,6 +44,8 @@ class PipelineConfig:
         for name in ("imu_hz", "odom_hz", "lidar_hz", "policy_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not 100 <= self.imu_hz <= 1000:
+            raise ValueError(f"imu_hz {self.imu_hz} outside [100, 1000]")
         if self.imu_hz % self.policy_hz != 0:
             raise ValueError("imu_hz must be divisible by policy_hz")
         if self.seed < 0:
@@ -73,7 +75,7 @@ _NOTES = {  # "section.key" -> comment in the reference listing
     "trajectory.duration": "s",
     "trajectory.height_above_ground": "m, body z over the base plane; raise to clear tall terrain",
     "trajectory.speed": "m/s in [0, 3]",
-    "trajectory.radius": "m, circle only",
+    "trajectory.radius": "m, circle only, >= 0.1",
     "trajectory.amplitude": "m, sinusoid vertical oscillation",
     "trajectory.frequency": "Hz, sinusoid only",
     "noise.gyro_std": "rad/s",
@@ -82,7 +84,7 @@ _NOTES = {  # "section.key" -> comment in the reference listing
     "noise.odom_yaw_std": "rad",
     "noise.lidar_range_std": "m along the ray",
     "noise.map_noise_ratio": "fraction of local-map cells, [0, 0.1]",
-    "noise.map_noise_magnitude": "m, uniform perturbation range",
+    "noise.map_noise_magnitude": "m, uniform perturbation range lo hi, lo <= hi",
     "noise.system_delay_ms": "ms, [0, 15], delays every stream alike, so it changes no output",
     "fusion.gyro_noise": "rad/s/sqrt(Hz)",
     "fusion.accel_noise": "m/s^2/sqrt(Hz)",
@@ -93,6 +95,7 @@ _NOTES = {  # "section.key" -> comment in the reference listing
     "lidar.elevation_max": "rad",
     "lidar.max_range": "m",
     "lidar.ray_step": "m",
+    "run.imu_hz": "Hz, [100, 1000]",
     "run.policy_hz": "imu_hz must divide evenly",
     "run.map_size": "m, rolling global map extent",
     "run.endpoint": "optional UDP telemetry target, host:port such as 127.0.0.1:9870",

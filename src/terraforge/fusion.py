@@ -255,17 +255,21 @@ class PoseFuser:
     def handle_imu(self, imu: ImuSample) -> Pose | None:
         """Predict to the IMU timestamp and return the propagated pose.
 
-        Samples that do not advance time, or that lie more than
-        MAX_IMU_GAP_S past the state (the IMU stream stalled, or the fix
-        that seeded the filter was older than the stream), are passed
-        through unchanged: the pose holds until a fix re-seeds the filter
-        (see handle_odometry). A sample before the first fix returns None.
-        All of these count in skipped_imu."""
+        A sample at the state's own time (the one that arrives with the
+        fix that seeded the filter) returns the state's pose as it is. A
+        sample before the first fix returns None. Samples that go back in
+        time, or that lie more than MAX_IMU_GAP_S past the state (the IMU
+        stream stalled, or the fix that seeded the filter was older than
+        the stream), are passed through unchanged: the pose holds until a
+        fix re-seeds the filter (see handle_odometry). These and the
+        samples before the first fix count in skipped_imu."""
         if self.state is None:
             self.stats.skipped_imu += 1
             return None
+        if imu.timestamp_ns == self.state.timestamp_ns:
+            return self.state.pose()
         dt = (imu.timestamp_ns - self.state.timestamp_ns) * 1e-9
-        if dt <= 0 or dt > MAX_IMU_GAP_S:
+        if dt < 0 or dt > MAX_IMU_GAP_S:
             self.stats.skipped_imu += 1
             return self.state.pose()
         self.state = predict(self.state, imu, self.cfg)

@@ -196,9 +196,8 @@ class _Replay:
         if kind == SCAN:
             if fuser.state is not None:
                 pose = fuser.state.pose()
-                scan_pose = Pose(pose.position, pose.orientation, item.timestamp_ns)
-                self.emap.recenter(scan_pose.position[:2])
-                self.emap.integrate_scan(item, scan_pose)
+                self.emap.recenter(pose.position[:2])
+                self.emap.integrate_scan(item, pose)
                 self.scan_count += 1
                 lap("scan_amortized")
             return

@@ -22,7 +22,7 @@ from .terrain import Heightfield, TerrainType, edge_cells  # noqa: F401 (re-expo
 
 @dataclass(frozen=True)
 class PlaneFit:
-    normal: np.ndarray  # unit, z > 0
+    normal: np.ndarray  # unit, z >= 0
     centroid: np.ndarray
     rms_residual: float
 
@@ -30,22 +30,25 @@ class PlaneFit:
         n = as_vec3(self.normal)
         if abs(norm3(n) - 1.0) > 1e-9:
             raise ValueError("plane normal must be unit-norm")
-        if n[2] <= 0:
-            raise ValueError("plane normal must point up")
+        if n[2] < 0:  # a vertical plane (z = 0) is a valid fit
+            raise ValueError("plane normal must not point down")
 
 
-def fit_plane(points, min_count: int = 10) -> PlaneFit:
+MIN_PLANE_POINTS = 10
+
+
+def fit_plane(points) -> PlaneFit:
     """Least-squares plane through a point set.
 
     The normal is the eigenvector of the centered covariance with the
-    smallest eigenvalue, flipped to point up. Collinear or near-collinear
-    sets have no unique plane and are rejected.
+    smallest eigenvalue, flipped so it does not point down. Collinear or
+    near-collinear sets have no unique plane and are rejected.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be (n, 3)")
-    if len(pts) < min_count:
-        raise ValueError(f"plane fit needs at least {min_count} points, got {len(pts)}")
+    if len(pts) < MIN_PLANE_POINTS:
+        raise ValueError(f"plane fit needs at least {MIN_PLANE_POINTS} points, got {len(pts)}")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     cov = centered.T @ centered / len(pts)

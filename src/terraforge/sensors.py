@@ -41,6 +41,9 @@ class TrajectoryKind(Enum):
     SINUSOID = "sinusoid"
 
 
+MIN_CIRCLE_RADIUS = 0.1  # m
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
     kind: TrajectoryKind
@@ -56,8 +59,10 @@ class TrajectorySpec:
             raise ValueError("duration must be positive")
         if not 0.0 <= self.speed <= 3.0:
             raise ValueError("speed outside [0, 3] m/s")
-        if self.kind is TrajectoryKind.CIRCLE and self.radius <= 0:
-            raise ValueError("circle radius must be positive")
+        # a tighter circle turns faster than 30 rad/s at 3 m/s; radii near
+        # 1e-40 m overflow the map index and 1e-293 m the streams
+        if self.kind is TrajectoryKind.CIRCLE and not self.radius >= MIN_CIRCLE_RADIUS:
+            raise ValueError(f"circle radius must be at least {MIN_CIRCLE_RADIUS} m")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +103,9 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.map_noise_ratio <= 0.1:
             raise ValueError("map_noise_ratio outside [0, 0.1]")
+        lo, hi = self.map_noise_magnitude
+        if hi < lo:
+            raise ValueError(f"map_noise_magnitude ({lo}, {hi}) is reversed: hi < lo")
         if not 0.0 <= self.system_delay_ms <= 15.0:
             raise ValueError("system_delay_ms outside [0, 15]")
 

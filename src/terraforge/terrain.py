@@ -6,8 +6,8 @@ in PARAMETER_TABLE. Generated fields are node-based grids: cell (i, j) sits
 at world (origin + i*res, origin + j*res), heights in meters.
 
 Layout choices not covered by the difficulty parameter (stone pitch, stair
-run, platform footprint) are module constants, exposed as keyword arguments
-on generate(); they are configuration, not derived quantities.
+run, platform footprint) are module constants. A spec whose gap or stairs
+does not fit its tile is refused when the spec is made.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ PARAMETER_NAMES = {
 }
 
 STAIR_RUN = 0.30  # m tread depth
+STAIR_ENTRY = 1.0  # m flat runway on each end of a stairs tile
 STONE_SIZE = 0.50  # m square stones
 STONE_PITCH = 0.90  # m lattice pitch between stone centers
 GAP_DEPTH = -1.0  # m, gap floor height (well-defined surface, not missing data)
@@ -99,6 +100,11 @@ class TerrainSpec:
         cells = self.tile_size / self.resolution
         if abs(cells - round(cells)) > 1e-9:
             raise ValueError("tile_size must be an integer multiple of resolution")
+        param, extent = terrain_parameter(self), (round(cells) - 1) * self.resolution
+        t = self.terrain_type
+        if (t is TerrainType.GAP and param > extent - 2.0  # a landing strip on both sides
+                or t is TerrainType.STAIRS and _stair_steps(param, extent) < 1):
+            raise ValueError("feature exceeds tile")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,38 +181,36 @@ def _slope(spec: TerrainSpec, param: float, heights: np.ndarray, res: float) -> 
     heights[:] = profile[:, None]
 
 
-def _stones(spec: TerrainSpec, param: float, heights: np.ndarray, res: float,
-            stone_size: float, stone_pitch: float) -> None:
+def _stones(spec: TerrainSpec, param: float, heights: np.ndarray, res: float) -> None:
     rng = np.random.default_rng(spec.seed)
     n = heights.shape[0]
     extent = (n - 1) * res
-    jitter_max = 0.5 * (stone_pitch - stone_size)
-    if jitter_max < 0:
-        raise ValueError("stone_pitch must be at least stone_size")
-    centers = np.arange(0.5 * stone_pitch, extent, stone_pitch)
+    jitter_max = 0.5 * (STONE_PITCH - STONE_SIZE)
+    centers = np.arange(0.5 * STONE_PITCH, extent, STONE_PITCH)
     for cx in centers:
         for cy in centers:
             jx, jy = rng.uniform(-jitter_max, jitter_max, size=2)
-            x0, y0 = cx + jx - 0.5 * stone_size, cy + jy - 0.5 * stone_size
-            i0, i1 = max(0, math.ceil(x0 / res)), min(n, math.ceil((x0 + stone_size) / res))
+            x0, y0 = cx + jx - 0.5 * STONE_SIZE, cy + jy - 0.5 * STONE_SIZE
+            i0, i1 = max(0, math.ceil(x0 / res)), min(n, math.ceil((x0 + STONE_SIZE) / res))
             j0 = max(0, math.ceil(y0 / res))
-            j1 = min(n, math.ceil((y0 + stone_size) / res))
+            j1 = min(n, math.ceil((y0 + STONE_SIZE) / res))
             heights[i0:i1, j0:j1] = param
+
+
+def _stair_steps(param: float, extent: float) -> int:
+    """Steps per flight: as many treads as fit between the runway and the
+    tile's middle, capped so the top stays within MAX_STAIR_CLIMB."""
+    steps = int((0.5 * extent - STAIR_ENTRY) / STAIR_RUN)
+    return min(steps, int(MAX_STAIR_CLIMB / param)) if param > 0 else steps
 
 
 def _stairs(spec: TerrainSpec, param: float, heights: np.ndarray, res: float) -> None:
     n = heights.shape[0]
     extent = (n - 1) * res
-    entry = 1.0  # m flat runway on each end
-    flight = 0.5 * extent - entry
-    steps = int(flight / STAIR_RUN)
-    if param > 0:
-        steps = min(steps, int(MAX_STAIR_CLIMB / param))
-    if steps < 1:
-        raise ValueError("feature exceeds tile")
+    steps = _stair_steps(param, extent)
     x = np.arange(n) * res
-    up = np.clip(np.floor((x - entry) / STAIR_RUN) + 1, 0, steps)
-    down = np.clip(np.floor((extent - entry - x) / STAIR_RUN) + 1, 0, steps)
+    up = np.clip(np.floor((x - STAIR_ENTRY) / STAIR_RUN) + 1, 0, steps)
+    down = np.clip(np.floor((extent - STAIR_ENTRY - x) / STAIR_RUN) + 1, 0, steps)
     profile = param * np.minimum(up, down)
     heights[:] = profile[:, None]
 
@@ -214,8 +218,6 @@ def _stairs(spec: TerrainSpec, param: float, heights: np.ndarray, res: float) ->
 def _gap(spec: TerrainSpec, param: float, heights: np.ndarray, res: float) -> None:
     n = heights.shape[0]
     extent = (n - 1) * res
-    if param > extent - 2.0:  # keep a landing strip on both sides
-        raise ValueError("feature exceeds tile")
     x = np.arange(n) * res
     mid = 0.5 * extent
     in_gap = (x >= mid - 0.5 * param) & (x < mid + 0.5 * param)
@@ -228,8 +230,7 @@ def _platform(spec: TerrainSpec, param: float, heights: np.ndarray, res: float) 
     heights[x >= 0.5 * (n - 1) * res, :] = param
 
 
-def generate(spec: TerrainSpec, *, stone_size: float = STONE_SIZE,
-             stone_pitch: float = STONE_PITCH) -> Heightfield:
+def generate(spec: TerrainSpec) -> Heightfield:
     """Build the ground-truth heightfield for spec.
 
     Deterministic for a fixed spec (seed only matters for discrete stones).
@@ -242,12 +243,9 @@ def generate(spec: TerrainSpec, *, stone_size: float = STONE_SIZE,
     # tile spans x in [0, tile), y centered on 0 so a +x traverse starts at the edge
     origin = np.array([0.0, -0.5 * (n - 1) * res])
     heights = np.zeros((n, n))
-    t = spec.terrain_type
-    if t is TerrainType.DISCRETE_STONES:
-        _stones(spec, param, heights, res, stone_size, stone_pitch)
-    else:
-        {TerrainType.SLOPE: _slope, TerrainType.STAIRS: _stairs, TerrainType.GAP: _gap,
-         TerrainType.HIGH_PLATFORM: _platform}[t](spec, param, heights, res)
+    {TerrainType.SLOPE: _slope, TerrainType.DISCRETE_STONES: _stones,
+     TerrainType.STAIRS: _stairs, TerrainType.GAP: _gap,
+     TerrainType.HIGH_PLATFORM: _platform}[spec.terrain_type](spec, param, heights, res)
     if heights.min() < -2.0 or heights.max() > 2.0:
         raise ValueError("generated terrain exceeds the +/-2 m height bound")
     return Heightfield(n, n, res, origin, heights)

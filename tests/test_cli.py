@@ -1,5 +1,7 @@
 """CLI subcommands, exit codes, and printed output."""
 
+import contextlib
+import io
 import json
 import os
 import platform
@@ -11,13 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import terraforge
 from terraforge.cli import main
 from terraforge.config import PipelineConfig, load_config
 from terraforge.fileformats import read_heightfield
-from terraforge.pipeline import run_bench, run_pipeline
-from terraforge.sensors import NoiseConfig, TrajectoryKind, TrajectorySpec
+from terraforge.pipeline import PipelineInvariantError, run_bench, run_pipeline
+from terraforge.sensors import NoiseConfig, SensorUnderground, TrajectoryKind, TrajectorySpec
 from terraforge.telemetry import decode_message
 
 
@@ -31,6 +35,10 @@ odom_pos_std = 0.01
 [run]
 seed = 5
 """
+
+
+SEVEN_FILES = ["fused_poses.jsonl", "imu.jsonl", "localmaps.bin", "odometry.jsonl",
+               "rewards.jsonl", "run_summary.json", "trajectory.jsonl"]
 
 
 class TestGen:
@@ -95,9 +103,18 @@ class TestRun:
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
         assert "fused_pose_count 61" in capsys.readouterr().out
-        assert sorted(p.name for p in out_dir.iterdir()) == [
-            "fused_poses.jsonl", "imu.jsonl", "localmaps.bin", "odometry.jsonl",
-            "rewards.jsonl", "run_summary.json", "trajectory.jsonl"]
+        assert sorted(p.name for p in out_dir.iterdir()) == SEVEN_FILES
+
+    def test_vertical_best_fit_plane(self, tmp_path, capsys):
+        """Two policy ticks fit the plane with normal (0, 1, 0), which is a
+        valid fit."""
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[trajectory]\nduration = 0.15\nheight_above_ground = 1.5\n"
+                            "[noise]\nodom_pos_std = 0.01\n[run]\nlidar_hz = 2\nseed = 6\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == SEVEN_FILES
+        assert '"plane_normal": [0.0, 1.0, 0.0]' in (out_dir / "trajectory.jsonl").read_text()
 
     def test_missing_config(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini"),
@@ -173,6 +190,15 @@ class TestBench:
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
 
+    def test_pipeline_invariant_exits_3(self, capsys, monkeypatch):
+        def broken(cfg, iters):
+            raise PipelineInvariantError("policy tick 0 at 1 ns, expected 0 ns")
+
+        monkeypatch.setattr("terraforge.cli.run_bench", broken)
+        assert main(["bench", "--iters", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: pipeline invariant: policy tick 0 at 1 ns, expected 0 ns\n"
+
     def test_json_written_when_over_budget(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("terraforge.cli.run_bench",
                             lambda cfg, iters: run_bench(cfg, iters, budget_ms=1e-9))
@@ -233,6 +259,25 @@ class TestConfigErrors:
         assert key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("text, match", [
+        ("[run]\nimu_hz = 50\n", "imu_hz 50 outside"),
+        ("[noise]\nmap_noise_ratio = 0.05\nmap_noise_magnitude = 2 1\n", "reversed"),
+        ("[terrain]\ntype = gap\ntile_size = 2\n", "feature exceeds tile"),
+        ("[terrain]\ntype = stairs\ntile_size = 2\n", "feature exceeds tile"),
+    ], ids=["imu-rate", "reversed-magnitude", "gap-on-small-tile", "stairs-on-small-tile"])
+    def test_config_that_cannot_run_is_refused_at_load(self, tmp_path, capsys, command,
+                                                        text, match):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(text)
+        argv = [command, "--config", str(cfg_path)]
+        argv += ["--out", str(tmp_path / "out")] if command == "run" else ["--iters", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config:") and match in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_robot_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.ini"
         cfg_path.write_text("[terrain]\nrobot = bogus\n")
@@ -260,6 +305,87 @@ class TestMalformedIni:
         assert captured.err.startswith("error: config:")
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "out").exists()
+
+
+# values per INI key, each key set or left out at random; out-of-range
+# values (imu_hz, a reversed magnitude, a small tile for a gap or stairs,
+# speed, radius) are drawn beside valid ones
+_DRAWN_KEYS = {
+    "terrain": {"type": st.sampled_from(["slope", "stones", "stairs", "gap", "platform"]),
+                "level": st.integers(0, 9), "robot": st.sampled_from(["lite3", "x30"]),
+                "tile_size": st.sampled_from([2.0, 3.0, 4.0, 8.0]),
+                "resolution": st.sampled_from([0.05, 0.1]), "seed": st.integers(0, 99)},
+    "trajectory": {"kind": st.sampled_from(["static", "constant_velocity", "circle", "sinusoid"]),
+                   "height_above_ground": st.sampled_from([0.2, 0.4, 1.0, 1.5]),
+                   "speed": st.floats(0.0, 3.5), "radius": st.floats(-0.5, 3.0),
+                   "amplitude": st.floats(0.0, 0.2), "frequency": st.floats(0.0, 3.0)},
+    "noise": {"gyro_std": st.floats(0.0, 0.05), "accel_std": st.floats(0.0, 0.5),
+              "odom_pos_std": st.floats(0.0, 0.05), "odom_yaw_std": st.floats(0.0, 0.05),
+              "lidar_range_std": st.floats(0.0, 0.05),
+              "map_noise_ratio": st.sampled_from([0.0, 0.05, 0.1]),
+              "map_noise_magnitude": st.sampled_from(["-1 2", "0 0.5", "2 1"]),
+              "system_delay_ms": st.floats(0.0, 15.0)},
+    "fusion": {"gyro_noise": st.floats(1e-4, 1e-2), "odom_pos_std": st.floats(1e-3, 0.1),
+               "init_att_std": st.floats(0.01, 0.5)},
+    "local_map": {"length_x": st.sampled_from([0.8, 1.6]),
+                  "length_y": st.sampled_from([0.5, 1.0]),
+                  "resolution": st.sampled_from([0.05, 0.1])},
+    "rewards": {"l_tracking": st.floats(-5.0, 5.0), "feet_edge_gap": st.floats(-20.0, 0.0),
+                "edge_margin": st.floats(0.0, 0.2), "grad_threshold": st.floats(0.05, 1.0)},
+    "lidar": {"n_azimuth": st.integers(1, 64), "n_elevation": st.integers(1, 32),
+              "max_range": st.sampled_from([2.0, 6.0, 12.0]),
+              "ray_step": st.sampled_from([0.01, 0.05])},
+    "run": {"imu_hz": st.sampled_from([50, 100, 200, 400, 2000]),
+            "odom_hz": st.sampled_from([5, 10, 20]), "lidar_hz": st.sampled_from([1, 2, 5, 10]),
+            "policy_hz": st.sampled_from([25, 50, 100]), "map_size": st.sampled_from([10.0, 20.0]),
+            "map_resolution": st.sampled_from([0.05, 0.1]), "desired_height": st.floats(0.2, 0.6),
+            "seed": st.integers(0, 2**16)},
+}
+
+
+@st.composite
+def ini_texts(draw):
+    """INI text over every section, with a duration of at most 0.5 s, on
+    the 0.05 s grid or anywhere."""
+    lines = []
+    for section, keys in _DRAWN_KEYS.items():
+        lines.append(f"[{section}]")
+        if section == "trajectory":
+            grid = st.integers(1, 10).map(lambda k: round(k * 0.05, 2))
+            lines.append(f"duration = {draw(st.one_of(grid, st.floats(1e-3, 0.5)))}")
+        lines += [f"{key} = {draw(values)}" for key, values in keys.items()
+                  if draw(st.booleans())]
+    return "\n".join(lines) + "\n"
+
+
+class TestEveryConfigThatLoadsRuns:
+    @given(text=ini_texts())
+    @settings(max_examples=20, deadline=None)
+    def test_refused_at_load_or_runs(self, text, tmp_path_factory):
+        """A drawn config is refused by load_config, writes the seven files
+        or drives its sensor underground; `run` on it exits 2, 0 or 2 to
+        match, writes the same files and prints no traceback."""
+        tmp = tmp_path_factory.mktemp("draw")
+        (tmp / "cfg.ini").write_text(text)
+        try:
+            cfg = load_config(text, is_text=True)
+        except ValueError:
+            expected = (2, "error: config: ")
+        else:
+            try:
+                run_pipeline(cfg, tmp / "lib")
+                assert sorted(p.name for p in (tmp / "lib").iterdir()) == SEVEN_FILES
+                expected = (0, "")
+            except SensorUnderground:
+                expected = (2, "error: sensor underground")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(tmp / "cfg.ini"), "--out", str(tmp / "cli")])
+        assert (code, err.getvalue()[:len(expected[1])]) == expected, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            for name in SEVEN_FILES:
+                assert (tmp / "cli" / name).read_bytes() == (tmp / "lib" / name).read_bytes()
 
 
 class TestEditMap:
@@ -295,6 +421,8 @@ class TestEditMap:
                      "--xmin", "0", "--ymin", "0", "--xmax", "1",
                      "--ymax", "1", "--height", "0.1"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "nope.hfld" in err and "cannot write" not in err
 
 
 class TestStream:
@@ -353,6 +481,16 @@ class TestStream:
         assert code == 2
         captured = capsys.readouterr()
         assert match in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_unreadable_log_exits_2(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        (run_dir / "fused_poses.jsonl").mkdir(parents=True)
+        code = main(["stream", "--endpoint", "127.0.0.1:9", "--run-dir", str(run_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: damaged run log in {run_dir}: ")
+        assert "cannot write" not in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_bad_endpoint(self, tmp_path, capsys):
@@ -457,7 +595,7 @@ class TestTopLevel:
                                     tmp_path, TERRAFORGE_LOG="info")
         assert proc.returncode == 0, proc.stderr
         assert ("INFO terraforge.pipeline: run to out: 201 fused poses, 50 policy ticks, "
-                "11 scans, 0 rejected_stale, 1 skipped_imu, 0 reseeds\n") in proc.stderr
+                "11 scans, 0 rejected_stale, 0 skipped_imu, 0 reseeds\n") in proc.stderr
         assert "fused_pose_count 201" in proc.stdout
 
     @pytest.mark.skipif(shutil.which("terraforge") is None,

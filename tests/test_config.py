@@ -161,6 +161,26 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="divisible"):
             load_config("[run]\nimu_hz = 200\npolicy_hz = 60\n", is_text=True)
 
+    @pytest.mark.parametrize("text, match", [
+        ("[run]\nimu_hz = 50\n", r"imu_hz 50 outside \[100, 1000\]"),
+        ("[run]\nimu_hz = 2000\n", r"imu_hz 2000 outside \[100, 1000\]"),
+        ("[noise]\nmap_noise_magnitude = 2 1\n", "reversed"),
+        ("[terrain]\ntype = gap\ntile_size = 2\n", "feature exceeds tile"),
+        ("[terrain]\ntype = stairs\ntile_size = 2\n", "feature exceeds tile"),
+        ("[trajectory]\nkind = circle\nradius = 1e-40\n", "circle radius must be at least 0.1 m"),
+    ], ids=["imu-50", "imu-2000", "reversed-magnitude", "gap-tile", "stairs-tile", "tiny-circle"])
+    def test_config_that_cannot_run_is_refused(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            load_config(text, is_text=True)
+
+    def test_edges_of_the_refused_ranges_load(self):
+        for text in ("[run]\nimu_hz = 100\n", "[run]\nimu_hz = 1000\n",
+                     "[noise]\nmap_noise_magnitude = 0.5 0.5\n",
+                     "[terrain]\ntype = gap\nlevel = 9\nrobot = x30\ntile_size = 3\n",
+                     "[terrain]\ntype = stairs\ntile_size = 3\n",
+                     "[trajectory]\nkind = circle\nradius = 0.1\n"):
+            load_config(text, is_text=True)
+
     @pytest.mark.parametrize("line, match", [
         ("ray_step = 0", "ray_step must be positive"),
         ("ray_step = -0.01", "ray_step must be positive"),

@@ -310,6 +310,16 @@ def test_sample_before_any_fix_is_skipped():
     assert (fuser.stats.predicts, fuser.stats.skipped_imu) == (0, 1)
 
 
+def test_sample_at_the_seeding_fix_neither_predicts_nor_skips():
+    fuser = PoseFuser()
+    fuser.handle_odometry(identity_pose(0))
+    seeded = fuser.state
+    pose = fuser.handle_imu(static_imu(0))
+    assert fuser.state is seeded and pose.timestamp_ns == 0
+    assert np.array_equal(pose.position, seeded.position)
+    assert (fuser.stats.predicts, fuser.stats.skipped_imu) == (0, 0)
+
+
 def quat_bits(q):
     """Every bit of a quaternion's components, the sign of zero included."""
     return [float(c).hex() for c in (q.w, q.x, q.y, q.z)]
@@ -425,7 +435,13 @@ class TestCachedNoiseIsBitEqual:
 
 
 class CheckedFuser(PoseFuser):
-    """Checks the filter invariants after every event it handles."""
+    """Checks the filter invariants after every event it handles, and
+    counts the IMU samples at the state's own time, which neither predict
+    nor count as skipped."""
+
+    def __init__(self):
+        super().__init__()
+        self.co_timed = 0
 
     def _check(self):
         if self.state is None:  # a sample before the first fix
@@ -436,6 +452,7 @@ class CheckedFuser(PoseFuser):
         assert abs(q.norm() - 1.0) <= 1e-12
 
     def handle_imu(self, imu):
+        self.co_timed += self.state is not None and imu.timestamp_ns == self.state.timestamp_ns
         pose = super().handle_imu(imu)
         self._check()
         return pose
@@ -475,5 +492,5 @@ class TestFilterInvariants:
         fuser = CheckedFuser()
         out = run_fusion(apply_delay(imu, imu_delay_ms), odom, fuser=fuser)
         stats = fuser.stats
-        assert stats.predicts + stats.skipped_imu == len(imu)
+        assert stats.predicts + stats.skipped_imu + fuser.co_timed == len(imu)
         assert stats.updates + stats.rejected_stale + stats.reseeds == len(odom)

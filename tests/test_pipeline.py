@@ -189,7 +189,7 @@ class TestRunLogging:
         assert [r.levelno for r in records] == [logging.INFO]  # nothing rejected
         assert records[0].getMessage() == (
             f"run to {tmp_path / 'r'}: 101 fused poses, 25 policy ticks, 6 scans, "
-            f"0 rejected_stale, 1 skipped_imu, 0 reseeds")
+            f"0 rejected_stale, 0 skipped_imu, 0 reseeds")
 
     STALE_AND_RESEED = [
         ("terraforge.fusion", logging.DEBUG, "rejected stale odometry fix at 400000000 ns"),
@@ -452,6 +452,11 @@ class TestLogsFromRows:
                           odom_yaw_std=0.005, lidar_range_std=0.01, system_delay_ms=10,
                           map_noise_ratio=0.05),
         lidar_hz=2, seed=7))
+    # a local map whose best-fit plane is vertical: normal (0, 1, 0)
+    @example(cfg=PipelineConfig(
+        trajectory=TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 0.15,
+                                  height_above_ground=1.5, speed=1.0),
+        noise=NoiseConfig(odom_pos_std=0.01), lidar_hz=2, seed=6))
     def test_seven_files_equal_the_per_event_records(self, cfg, tmp_path_factory):
         """What run_pipeline writes from its rows is byte for byte what the
         per-event record path writes."""

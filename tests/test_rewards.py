@@ -113,6 +113,11 @@ class TestFitPlane:
         fit = fit_plane(pts)
         assert np.allclose(fit.centroid, pts.mean(axis=0), atol=1e-12)
 
+    def test_vertical_plane_is_a_valid_fit(self):
+        assert PlaneFit(np.array([0.0, 1.0, 0.0]), np.zeros(3), 0.0).normal[2] == 0.0
+        with pytest.raises(ValueError, match="must not point down"):
+            PlaneFit(np.array([0.0, 0.0, -1.0]), np.zeros(3), 0.0)
+
     def test_normal_always_up(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

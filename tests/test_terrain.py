@@ -101,6 +101,11 @@ class TestGenerate:
         with pytest.raises(ValueError, match="feature exceeds tile"):
             generate(TerrainSpec(TerrainType.GAP, 9, Robot.X30, tile_size=2.0))
 
+    def test_stairs_that_do_not_fit_are_refused_with_the_spec(self):
+        with pytest.raises(ValueError, match="feature exceeds tile"):
+            TerrainSpec(TerrainType.STAIRS, 0, tile_size=2.5)
+        assert generate(TerrainSpec(TerrainType.STAIRS, 0, tile_size=3.0)).heights.max() > 0
+
     def test_platform_occupies_far_half(self):
         hf = generate(TerrainSpec(TerrainType.HIGH_PLATFORM, 4))
         assert np.all(hf.heights[: hf.width // 2 - 1, :] == 0.0)
