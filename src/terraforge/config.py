@@ -76,8 +76,8 @@ _NOTES = {  # "section.key" -> comment in the reference listing
     "trajectory.height_above_ground": "m, body z over the base plane; raise to clear tall terrain",
     "trajectory.speed": "m/s in [0, 3]",
     "trajectory.radius": "m, circle only, >= 0.1",
-    "trajectory.amplitude": "m, sinusoid vertical oscillation",
-    "trajectory.frequency": "Hz, sinusoid only",
+    "trajectory.amplitude": "m, sinusoid vertical oscillation, |a| <= 10",
+    "trajectory.frequency": "Hz, sinusoid only, >= 0, a (2 pi f)^2 <= 100 g",
     "noise.gyro_std": "rad/s",
     "noise.accel_std": "m/s^2",
     "noise.odom_pos_std": "m per axis",

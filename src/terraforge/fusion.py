@@ -171,6 +171,9 @@ def predict(state: FusionState, imu: ImuSample, cfg: FusionConfig) -> FusionStat
     rot = quat_to_matrix(state.orientation)
     # a matrix product stays numpy (see the module docstring)
     a_world = (rot @ f_body + _GRAVITY_WORLD).tolist()
+    ax, ay, az = a_world
+    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
+        raise ValueError("non-finite specific force")
 
     # exact exponential of the body rate, composed on the body side
     dq = quat_exp(rx, ry, rz, norm3(rv))

@@ -7,7 +7,7 @@ Conventions, fixed repo-wide:
     - Vectors are length-3 float64 numpy arrays; matrices are 3x3 row-major.
     - Timestamps are integer nanoseconds so millisecond-scale delay
       injection stays exact.
-    - q and -q describe the same orientation; compare with same_orientation,
+    - q and -q describe the same orientation; compare with orientation_angle,
       never with field equality.
 """
 
@@ -133,22 +133,6 @@ def quat_log(q: Quaternion) -> np.ndarray:
     return v / sv * angle
 
 
-def quat_integrate(q: Quaternion, omega_body, dt: float) -> Quaternion:
-    """Propagate orientation by body angular rate omega_body (rad/s) over dt (s).
-
-    Uses the exact axis-angle exponential of omega*dt, so constant-rate
-    integration is closed-form accurate. dt must lie in (0, 0.1] s.
-    """
-    omega_body = as_vec3(omega_body)
-    if not (np.all(np.isfinite(omega_body)) and math.isfinite(dt)):
-        raise ValueError("non-finite quaternion integration input")
-    if not 0.0 < dt <= 0.1:
-        raise ValueError(f"dt {dt} outside (0, 0.1] s")
-    dq = quat_from_rotvec(omega_body * dt)
-    # body-frame rate: increment composes on the body side (right multiply)
-    return quat_normalize(quat_multiply(q, dq))
-
-
 def rotate_vec(q: Quaternion, v) -> np.ndarray:
     """Rotate body-frame v into the world frame by unit quaternion q."""
     v = as_vec3(v)
@@ -216,7 +200,3 @@ def orientation_angle(a: Quaternion, b: Quaternion) -> float:
     d = abs(an.w * bn.w + an.x * bn.x + an.y * bn.y + an.z * bn.z)
     return 2.0 * math.acos(min(1.0, d))
 
-
-def same_orientation(a: Quaternion, b: Quaternion, tol: float = 1e-9) -> bool:
-    """Orientation equality: q and -q compare equal."""
-    return orientation_angle(a, b) <= tol

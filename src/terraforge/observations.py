@@ -1,5 +1,5 @@
-"""Observation assembly, command/randomization sampling, PD control math,
-and the estimator/autoencoder loss formulas, all as pure functions.
+"""Observation assembly, command sampling, and the estimator/autoencoder
+loss formulas, all as pure functions.
 
 Network architectures and training are out of scope; only the shapes and
 the loss arithmetic live here so they can be tested exactly.
@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .terrain import Robot, TerrainType
+from .terrain import TerrainType
 
 JOINT_COUNT = 12
 FRAME_DIM = 45  # 3 + 3 + 3 + 12 + 12 + 12
 HISTORY_FRAMES = 6  # current frame plus 5 past
 HISTORY_DIM = FRAME_DIM * HISTORY_FRAMES
-CONTEXT_LATENT_DIM = 16  # z^p, proprioceptive context
-ELEVATION_LATENT_DIM = 32  # z^e, terrain context
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,101 +80,6 @@ class ObservationHistory:
 
     def push(self, frame: ObservationFrame) -> "ObservationHistory":
         return ObservationHistory((frame,) + self.frames[:-1])
-
-
-@dataclass(frozen=True, eq=False)
-class PrivilegedState:
-    """Value-network input: the frame plus what hardware cannot see."""
-
-    observation: ObservationFrame
-    body_velocity: np.ndarray
-    disturbance: np.ndarray  # external force, N; carried as data only
-    elevation: object  # LocalMap
-
-    def __post_init__(self):
-        for name in ("body_velocity", "disturbance"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (3,) or not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, a)
-
-
-_RANGES = {
-    "payload_kg": (-1.0, 2.0),
-    "kp_factor": (0.9, 1.1),
-    "kd_factor": (0.9, 1.1),
-    "motor_strength_factor": (0.9, 1.1),
-    "com_shift_mm": (-50.0, 50.0),
-    "friction": (0.2, 1.25),
-    "system_delay_ms": (0.0, 15.0),
-    "map_noise_ratio": (0.0, 0.1),
-    "map_noise_magnitude": (-1.0, 2.0),
-}
-
-
-@dataclass(frozen=True, eq=False)
-class RandomizationDraw:
-    payload_kg: float
-    kp_factor: float
-    kd_factor: float
-    motor_strength_factor: float
-    com_shift_mm: np.ndarray
-    friction: float
-    system_delay_ms: float
-    map_noise_ratio: float
-    map_noise_magnitude: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "com_shift_mm",
-                           np.asarray(self.com_shift_mm, dtype=float))
-        if self.com_shift_mm.shape != (3,):
-            raise ValueError("com_shift_mm must be a 3-vector")
-        for name, (lo, hi) in _RANGES.items():
-            v = getattr(self, name)
-            if not np.all((lo <= np.asarray(v)) & (np.asarray(v) <= hi)):
-                raise ValueError(f"{name} outside [{lo}, {hi}]")
-
-
-def sample_randomization(seed: int) -> RandomizationDraw:
-    """One deterministic draw of every randomized physical parameter."""
-    rng = np.random.default_rng(seed)  # drawn in _RANGES order
-    return RandomizationDraw(**{
-        name: rng.uniform(lo, hi, size=3 if name == "com_shift_mm" else None)
-        for name, (lo, hi) in _RANGES.items()})
-
-
-@dataclass(frozen=True)
-class PDGains:
-    kp: float
-    kd: float
-
-    def __post_init__(self):
-        if self.kp <= 0 or self.kd <= 0:
-            raise ValueError("gains must be positive")
-
-    @classmethod
-    def for_robot(cls, robot: Robot) -> "PDGains":
-        if robot is Robot.LITE3:
-            return cls(kp=30.0, kd=1.0)
-        return cls(kp=120.0, kd=3.0)
-
-
-def _vec12(v, name):
-    a = np.asarray(v, dtype=float)
-    if a.shape != (JOINT_COUNT,):
-        raise ValueError(f"{name} must have shape ({JOINT_COUNT},)")
-    return a
-
-
-def joint_targets(action, theta_stand) -> np.ndarray:
-    """Desired joint angles: standing pose plus the policy action."""
-    return _vec12(theta_stand, "theta_stand") + _vec12(action, "action")
-
-
-def pd_torque(theta_des, theta, theta_dot, gains: PDGains) -> np.ndarray:
-    """tau = kp (theta_des - theta) - kd theta_dot, per joint."""
-    return (gains.kp * (_vec12(theta_des, "theta_des") - _vec12(theta, "theta"))
-            - gains.kd * _vec12(theta_dot, "theta_dot"))
 
 
 # command ranges: omnidirectional on gentle terrain, forward-only on

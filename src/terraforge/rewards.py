@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_vec3, elementwise, norm3
-from .terrain import Heightfield, TerrainType, edge_cells  # noqa: F401 (re-exported)
+from .terrain import Heightfield, TerrainType
 
 
 @dataclass(frozen=True)
@@ -303,15 +303,11 @@ def reward_table(inp: RewardInput, weights: RewardWeights | None = None,
                        v_cmd_x=cmd[:, 0], terrain_type=tau)
 
 
-def compute_rewards(inp: RewardInput | RewardTable, fit: PlaneFit,
-                    weights: RewardWeights | None = None,
-                    terrain: Heightfield | None = None) -> RewardBreakdown:
-    """Evaluate every term for one frame: a one-frame RewardInput, whose
-    other terms reward_table evaluates with weights and terrain, or a
-    one-frame RewardTable (table[i]), which carries the weights and terrain
-    it was built with. Only t_l_tracking and roll read the fit.
+def compute_rewards(table: RewardTable, fit: PlaneFit) -> RewardBreakdown:
+    """Evaluate every term of one frame: a one-frame RewardTable (table[i]),
+    which carries the weights and terrain it was built with. Only
+    t_l_tracking and roll read the fit.
     """
-    table = inp if isinstance(inp, RewardTable) else reward_table(inp, weights, terrain)
     if len(table) != 1:
         raise ValueError(f"compute_rewards takes one frame, got {len(table)}")
     raw = dict(zip(TERMS, table.raw[0].tolist()))

@@ -42,6 +42,8 @@ class TrajectoryKind(Enum):
 
 
 MIN_CIRCLE_RADIUS = 0.1  # m
+MAX_SINUSOID_AMPLITUDE = 10.0  # m
+MAX_SINUSOID_ACCEL = 100.0 * GRAVITY  # m/s^2, peak vertical a (2 pi f)^2
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,16 @@ class TrajectorySpec:
         # 1e-40 m overflow the map index and 1e-293 m the streams
         if self.kind is TrajectoryKind.CIRCLE and not self.radius >= MIN_CIRCLE_RADIUS:
             raise ValueError(f"circle radius must be at least {MIN_CIRCLE_RADIUS} m")
+        if self.kind is TrajectoryKind.SINUSOID:
+            # unbounded, a (2 pi f)^2 overflows and the IMU reads NaN
+            if not 0.0 <= self.frequency < math.inf:
+                raise ValueError("sinusoid frequency must be finite and >= 0 Hz")
+            if not abs(self.amplitude) <= MAX_SINUSOID_AMPLITUDE:
+                raise ValueError(f"sinusoid |amplitude| must be <= {MAX_SINUSOID_AMPLITUDE:g} m")
+            wf = 2.0 * math.pi * self.frequency
+            if not abs(self.amplitude) * wf * wf <= MAX_SINUSOID_ACCEL:
+                raise ValueError("sinusoid peak vertical acceleration a (2 pi f)^2 exceeds "
+                                 f"{MAX_SINUSOID_ACCEL:g} m/s^2")
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,8 @@ from terraforge.mapping import ElevationMap, LocalMapSpec, VirtualEdit
 from terraforge.observations import kl_diag_gaussian, loss_cenet, loss_est, loss_terrain, loss_vae
 from terraforge.pipeline import run_bench
 from terraforge.rewards import (PlaneFit, RewardInput, RewardWeights,
-                                compute_rewards, fit_plane, guided_direction)
+                                compute_rewards, fit_plane, guided_direction,
+                                reward_table)
 from terraforge.sensors import (LidarScan, NoiseConfig, ScanPattern,
                                 TrajectoryKind, TrajectorySpec, imu_stream,
                                 lidar_scan, odometry_stream, true_state)
@@ -205,33 +206,42 @@ FLAT_FIT = PlaneFit(np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.0)
 def test_c5_reward_exactness():
     problems = []
 
-    perfect_l = compute_rewards(_reward_frame(
+    perfect_l = compute_rewards(reward_table(_reward_frame(
         v_body_xy=np.array([0.7, -0.2]),
-        command=np.array([0.7, -0.2, 0.0])), FLAT_FIT)
+        command=np.array([0.7, -0.2, 0.0])))[0], FLAT_FIT)
     if abs(perfect_l.raw["l_tracking"] - 2.0) > 1e-12:
         problems.append(f"l_max={perfect_l.raw['l_tracking']!r}")
 
-    perfect_a = compute_rewards(_reward_frame(
+    perfect_a = compute_rewards(reward_table(_reward_frame(
         omega=np.array([0.0, 0.0, 1.1]),
-        command=np.array([0.0, 0.0, 1.1])), FLAT_FIT)
+        command=np.array([0.0, 0.0, 1.1])))[0], FLAT_FIT)
     if abs(perfect_a.raw["a_tracking"] - 0.5) > 1e-12:
         problems.append(f"a_max={perfect_a.raw['a_tracking']!r}")
 
-    # guided-tracking term never exceeds the commanded speed
+    # guided-tracking term never exceeds the commanded speed; the frames
+    # are drawn one by one and scored as one stacked table
     rng = np.random.default_rng(13)
     base = _reward_frame(terrain_type=TerrainType.HIGH_PLATFORM,
                          command=np.array([1.0, 0.0, 0.0]))
+    n = 100_000
+    fits, cmds, v_world = [], np.empty(n), np.empty((n, 3))
+    for k in range(n):
+        s = rng.uniform(-0.9, 0.9)
+        fits.append(PlaneFit(np.array([s, 0.0, math.sqrt(1.0 - s * s)]),
+                             np.zeros(3), 0.0))
+        cmds[k] = rng.uniform(0.3, 1.2)
+        v_world[k] = rng.normal(0.0, 2.0, 3)
+    stacked = {f.name: np.broadcast_to(getattr(base, f.name),
+                                       (n, *np.shape(getattr(base, f.name))))
+               for f in dataclasses.fields(base) if f.name != "terrain_type"}
+    table = reward_table(RewardInput(**{
+        **stacked, "v_world": v_world,
+        "command": np.column_stack([cmds, np.zeros(n), np.zeros(n)]),
+        "terrain_type": base.terrain_type}))
     violations = 0
     worst_gap = -np.inf
-    for _ in range(100_000):
-        s = rng.uniform(-0.9, 0.9)
-        fit = PlaneFit(np.array([s, 0.0, math.sqrt(1.0 - s * s)]),
-                       np.zeros(3), 0.0)
-        cmd = rng.uniform(0.3, 1.2)
-        frame = dataclasses.replace(
-            base, v_world=rng.normal(0.0, 2.0, 3),
-            command=np.array([cmd, 0.0, 0.0]))
-        raw = compute_rewards(frame, fit).raw["t_l_tracking"]
+    for k, (fit, cmd) in enumerate(zip(fits, cmds.tolist())):
+        raw = compute_rewards(table[k], fit).raw["t_l_tracking"]
         worst_gap = max(worst_gap, raw - cmd)
         if raw > cmd + 1e-12:
             violations += 1
@@ -251,7 +261,7 @@ def test_c5_reward_exactness():
             prev_prev_action=rng.normal(size=12),
             hip_angles=rng.normal(size=4) * 0.2,
             command=np.array([rng.uniform(0.3, 1.2), 0.0, 0.0]))
-        out = compute_rewards(frame, FLAT_FIT)
+        out = compute_rewards(reward_table(frame)[0], FLAT_FIT)
         oracle = 0.0
         for name, raw in out.raw.items():
             oracle += out.weighted[name]

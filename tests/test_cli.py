@@ -9,6 +9,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,14 +266,20 @@ class TestConfigErrors:
         ("[noise]\nmap_noise_ratio = 0.05\nmap_noise_magnitude = 2 1\n", "reversed"),
         ("[terrain]\ntype = gap\ntile_size = 2\n", "feature exceeds tile"),
         ("[terrain]\ntype = stairs\ntile_size = 2\n", "feature exceeds tile"),
-    ], ids=["imu-rate", "reversed-magnitude", "gap-on-small-tile", "stairs-on-small-tile"])
+        ("[trajectory]\nkind = sinusoid\namplitude = 0.05\nfrequency = 1e300\n",
+         "peak vertical acceleration"),
+        ("[trajectory]\nkind = sinusoid\namplitude = 1e300\n", "|amplitude| must be <= 10 m"),
+    ], ids=["imu-rate", "reversed-magnitude", "gap-on-small-tile", "stairs-on-small-tile",
+            "sinusoid-frequency", "sinusoid-amplitude"])
     def test_config_that_cannot_run_is_refused_at_load(self, tmp_path, capsys, command,
                                                         text, match):
         cfg_path = tmp_path / "bad.ini"
         cfg_path.write_text(text)
         argv = [command, "--config", str(cfg_path)]
         argv += ["--out", str(tmp_path / "out")] if command == "run" else ["--iters", "10"]
-        assert main(argv) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any numpy warning
+            assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: config:") and match in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
@@ -309,7 +316,8 @@ class TestMalformedIni:
 
 # values per INI key, each key set or left out at random; out-of-range
 # values (imu_hz, a reversed magnitude, a small tile for a gap or stairs,
-# speed, radius) are drawn beside valid ones
+# speed, radius, a sinusoid's amplitude and frequency up to 1e300, zero
+# LiDAR sizes) are drawn beside valid ones
 _DRAWN_KEYS = {
     "terrain": {"type": st.sampled_from(["slope", "stones", "stairs", "gap", "platform"]),
                 "level": st.integers(0, 9), "robot": st.sampled_from(["lite3", "x30"]),
@@ -318,7 +326,8 @@ _DRAWN_KEYS = {
     "trajectory": {"kind": st.sampled_from(["static", "constant_velocity", "circle", "sinusoid"]),
                    "height_above_ground": st.sampled_from([0.2, 0.4, 1.0, 1.5]),
                    "speed": st.floats(0.0, 3.5), "radius": st.floats(-0.5, 3.0),
-                   "amplitude": st.floats(0.0, 0.2), "frequency": st.floats(0.0, 3.0)},
+                   "amplitude": st.one_of(st.floats(0.0, 0.2), st.floats(0.0, 1e300)),
+                   "frequency": st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e300))},
     "noise": {"gyro_std": st.floats(0.0, 0.05), "accel_std": st.floats(0.0, 0.5),
               "odom_pos_std": st.floats(0.0, 0.05), "odom_yaw_std": st.floats(0.0, 0.05),
               "lidar_range_std": st.floats(0.0, 0.05),
@@ -332,9 +341,9 @@ _DRAWN_KEYS = {
                   "resolution": st.sampled_from([0.05, 0.1])},
     "rewards": {"l_tracking": st.floats(-5.0, 5.0), "feet_edge_gap": st.floats(-20.0, 0.0),
                 "edge_margin": st.floats(0.0, 0.2), "grad_threshold": st.floats(0.05, 1.0)},
-    "lidar": {"n_azimuth": st.integers(1, 64), "n_elevation": st.integers(1, 32),
-              "max_range": st.sampled_from([2.0, 6.0, 12.0]),
-              "ray_step": st.sampled_from([0.01, 0.05])},
+    "lidar": {"n_azimuth": st.integers(0, 64), "n_elevation": st.integers(0, 32),
+              "max_range": st.sampled_from([0.0, 2.0, 6.0, 12.0]),
+              "ray_step": st.sampled_from([0.0, 0.01, 0.05])},
     "run": {"imu_hz": st.sampled_from([50, 100, 200, 400, 2000]),
             "odom_hz": st.sampled_from([5, 10, 20]), "lidar_hz": st.sampled_from([1, 2, 5, 10]),
             "policy_hz": st.sampled_from([25, 50, 100]), "map_size": st.sampled_from([10.0, 20.0]),

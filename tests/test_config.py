@@ -168,7 +168,14 @@ class TestLoadConfig:
         ("[terrain]\ntype = gap\ntile_size = 2\n", "feature exceeds tile"),
         ("[terrain]\ntype = stairs\ntile_size = 2\n", "feature exceeds tile"),
         ("[trajectory]\nkind = circle\nradius = 1e-40\n", "circle radius must be at least 0.1 m"),
-    ], ids=["imu-50", "imu-2000", "reversed-magnitude", "gap-tile", "stairs-tile", "tiny-circle"])
+        ("[trajectory]\nkind = sinusoid\nfrequency = -1\n", "frequency must be finite and >= 0"),
+        ("[trajectory]\nkind = sinusoid\namplitude = 1e300\n", r"\|amplitude\| must be <= 10 m"),
+        ("[trajectory]\nkind = sinusoid\namplitude = 0.05\nfrequency = 1e300\n",
+         "peak vertical acceleration"),
+        ("[trajectory]\nkind = sinusoid\namplitude = 1\nfrequency = 5\n",
+         "peak vertical acceleration"),
+    ], ids=["imu-50", "imu-2000", "reversed-magnitude", "gap-tile", "stairs-tile", "tiny-circle",
+            "negative-frequency", "huge-amplitude", "huge-frequency", "hard-sinusoid"])
     def test_config_that_cannot_run_is_refused(self, text, match):
         with pytest.raises(ValueError, match=match):
             load_config(text, is_text=True)
@@ -178,7 +185,9 @@ class TestLoadConfig:
                      "[noise]\nmap_noise_magnitude = 0.5 0.5\n",
                      "[terrain]\ntype = gap\nlevel = 9\nrobot = x30\ntile_size = 3\n",
                      "[terrain]\ntype = stairs\ntile_size = 3\n",
-                     "[trajectory]\nkind = circle\nradius = 0.1\n"):
+                     "[trajectory]\nkind = circle\nradius = 0.1\n",
+                     "[trajectory]\nkind = sinusoid\namplitude = 0.5\nfrequency = 5\n",
+                     "[trajectory]\nkind = sinusoid\namplitude = -10\nfrequency = 0\n"):
             load_config(text, is_text=True)
 
     @pytest.mark.parametrize("line, match", [

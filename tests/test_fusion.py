@@ -430,7 +430,13 @@ class TestCachedNoiseIsBitEqual:
     def test_non_finite_rate_rejected(self):
         st0 = initial_state(identity_pose(), CFG)
         bad = ImuSample(5_000_000, vec3(np.nan, 0, 0), vec3(0, 0, GRAVITY))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite angular velocity"):
+            predict(st0, bad, CFG)
+
+    def test_non_finite_specific_force_rejected(self):
+        st0 = initial_state(identity_pose(), CFG)
+        bad = ImuSample(5_000_000, vec3(0, 0, 0), vec3(0, 0, np.nan))
+        with pytest.raises(ValueError, match="non-finite specific force"):
             predict(st0, bad, CFG)
 
 

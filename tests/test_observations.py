@@ -1,4 +1,4 @@
-"""Observation frames, randomization draws, PD math, and loss formulas."""
+"""Observation frames and history, command sampling, and loss formulas."""
 
 import math
 
@@ -6,27 +6,18 @@ import numpy as np
 import pytest
 
 from terraforge.observations import (
-    CONTEXT_LATENT_DIM,
-    ELEVATION_LATENT_DIM,
     FRAME_DIM,
     HISTORY_DIM,
     ObservationFrame,
     ObservationHistory,
-    PDGains,
-    PrivilegedState,
-    RandomizationDraw,
-    joint_targets,
     kl_diag_gaussian,
     loss_cenet,
     loss_est,
     loss_terrain,
     loss_vae,
-    pd_torque,
     sample_command,
-    sample_randomization,
 )
-from terraforge.mapping import LocalMap
-from terraforge.terrain import Robot, TerrainType
+from terraforge.terrain import TerrainType
 
 
 def make_frame(mark=1.0):
@@ -99,76 +90,6 @@ class TestObservationHistory:
             ObservationHistory((ObservationFrame.zeros(),) * 5)
 
 
-class TestPrivilegedState:
-    def test_accepts_local_map(self):
-        lm = LocalMap(heights=np.zeros((17, 11)), xs=np.linspace(0, 1.6, 17),
-                      ys=np.linspace(-0.5, 0.5, 11), resolution=0.1,
-                      fill_ratio=1.0, timestamp_ns=0)
-        st = PrivilegedState(make_frame(), np.zeros(3), np.zeros(3), lm)
-        assert st.elevation is lm
-
-    def test_velocity_validation(self):
-        with pytest.raises(ValueError, match="body_velocity"):
-            PrivilegedState(make_frame(), np.zeros(2), np.zeros(3), None)
-        with pytest.raises(ValueError, match="disturbance"):
-            PrivilegedState(make_frame(), np.zeros(3),
-                            np.array([np.nan, 0, 0]), None)
-
-
-class TestRandomization:
-    def test_draw_in_range(self):
-        for seed in range(50):
-            d = sample_randomization(seed)
-            assert -1.0 <= d.payload_kg <= 2.0
-            assert 0.9 <= d.kp_factor <= 1.1
-            assert 0.9 <= d.kd_factor <= 1.1
-            assert 0.9 <= d.motor_strength_factor <= 1.1
-            assert d.com_shift_mm.shape == (3,)
-            assert np.all(np.abs(d.com_shift_mm) <= 50.0)
-            assert 0.2 <= d.friction <= 1.25
-            assert 0.0 <= d.system_delay_ms <= 15.0
-            assert 0.0 <= d.map_noise_ratio <= 0.1
-            assert -1.0 <= d.map_noise_magnitude <= 2.0
-
-    def test_deterministic(self):
-        a, b = sample_randomization(9), sample_randomization(9)
-        assert a.payload_kg == b.payload_kg
-        assert np.array_equal(a.com_shift_mm, b.com_shift_mm)
-
-    def test_seeds_differ(self):
-        assert sample_randomization(0).friction != sample_randomization(1).friction
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="friction"):
-            RandomizationDraw(0.0, 1.0, 1.0, 1.0, np.zeros(3),
-                              2.0, 0.0, 0.0, 0.0)
-
-
-class TestPDControl:
-    def test_gains_per_robot(self):
-        assert PDGains.for_robot(Robot.LITE3) == PDGains(30.0, 1.0)
-        assert PDGains.for_robot(Robot.X30) == PDGains(120.0, 3.0)
-
-    def test_gains_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            PDGains(0.0, 1.0)
-
-    def test_targets_offset_standing_pose(self):
-        stand = np.full(12, 0.7)
-        act = np.full(12, -0.2)
-        assert np.allclose(joint_targets(act, stand), 0.5)
-
-    def test_torque_formula(self):
-        gains = PDGains(30.0, 1.0)
-        tau = pd_torque(np.full(12, 0.6), np.full(12, 0.5),
-                        np.full(12, 2.0), gains)
-        assert np.allclose(tau, 30.0 * 0.1 - 2.0, atol=1e-12)
-
-    def test_torque_shape_check(self):
-        with pytest.raises(ValueError, match="theta_dot"):
-            pd_torque(np.zeros(12), np.zeros(12), np.zeros(3), PDGains(30, 1))
-
-
 class TestSampleCommand:
     def test_full_range_terrains(self):
         for tau in (TerrainType.SLOPE, TerrainType.DISCRETE_STONES, TerrainType.STAIRS):
@@ -222,10 +143,10 @@ class TestLosses:
     def test_kl_matches_monte_carlo(self):
         rng = np.random.default_rng(11)
         for _ in range(3):
-            mu = rng.uniform(-1, 1, CONTEXT_LATENT_DIM)
-            lv = rng.uniform(-1, 1, CONTEXT_LATENT_DIM)
+            mu = rng.uniform(-1, 1, 16)
+            lv = rng.uniform(-1, 1, 16)
             sigma = np.exp(0.5 * lv)
-            x = mu + sigma * rng.standard_normal((100_000, CONTEXT_LATENT_DIM))
+            x = mu + sigma * rng.standard_normal((100_000, 16))
             log_q = -0.5 * (((x - mu) / sigma) ** 2 + lv + math.log(2 * math.pi))
             log_p = -0.5 * (x**2 + math.log(2 * math.pi))
             mc = float(np.mean(np.sum(log_q - log_p, axis=1)))
@@ -273,7 +194,3 @@ class TestLosses:
         with pytest.raises(ValueError, match="elevation"):
             loss_terrain(np.zeros((17, 11)), np.zeros((11, 17)))
 
-
-def test_latent_dims():
-    assert CONTEXT_LATENT_DIM == 16
-    assert ELEVATION_LATENT_DIM == 32

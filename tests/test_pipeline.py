@@ -30,7 +30,8 @@ from terraforge.pipeline import (
     run_bench,
     run_pipeline,
 )
-from terraforge.rewards import PlaneFit, RewardInput, RewardWeights, compute_rewards
+from terraforge.rewards import (PlaneFit, RewardInput, RewardWeights, compute_rewards,
+                                reward_table)
 from terraforge.sensors import Delivered, NoiseConfig, TrajectoryKind, TrajectorySpec
 from terraforge.telemetry import LocalMapFragment, RewardMessage, decode_message
 from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate, sample_height_vec
@@ -381,7 +382,7 @@ class TestPolicyTickTable:
         for i, ts in enumerate(stamps):
             inp = reference_reward_frame(cfg, hf, reference_true_state(traj, ts * 1e-9),
                                          command)
-            want = compute_rewards(inp, fit, weights, terrain=hf).as_record(ts)
+            want = compute_rewards(reward_table(inp, weights, hf)[0], fit).as_record(ts)
             got = compute_rewards(ticks.rewards[i], fit).as_record(ts)
             assert json.dumps(got) == json.dumps(want)
             assert json.dumps([ticks.yaw[i], ticks.body_height[i]]) == json.dumps(

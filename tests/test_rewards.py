@@ -19,14 +19,13 @@ from terraforge.rewards import (
     RewardInput,
     RewardWeights,
     compute_rewards,
-    edge_cells,
     feet_edge_penalty,
     feet_stumble_penalty,
     fit_plane,
     guided_direction,
     reward_table,
 )
-from terraforge.terrain import Robot, TerrainSpec, TerrainType, generate
+from terraforge.terrain import Robot, TerrainSpec, TerrainType, edge_cells, generate
 
 from reference_tick_layers import reference_fit_plane
 
@@ -314,21 +313,21 @@ class TestComputeRewards:
     def test_t_l_clips_at_command(self):
         inp = frame(TerrainType.HIGH_PLATFORM,
                     v_world=np.array([2.0, 0, 0]), command=np.array([1.2, 0, 0]))
-        out = compute_rewards(inp, FLAT)
+        out = compute_rewards(reward_table(inp)[0], FLAT)
         assert out.raw["t_l_tracking"] == pytest.approx(1.2, abs=1e-12)
 
     def test_perfect_l_tracking_is_two(self):
         inp = frame(v_body_xy=np.array([0.8, -0.3]), command=np.array([0.8, -0.3, 0]))
-        out = compute_rewards(inp, FLAT)
+        out = compute_rewards(reward_table(inp)[0], FLAT)
         assert out.raw["l_tracking"] == pytest.approx(2.0, abs=1e-12)
 
     def test_perfect_a_tracking_is_half(self):
         inp = frame(omega=np.array([0, 0, 1.5]), command=np.array([0, 0, 1.5]))
-        out = compute_rewards(inp, FLAT)
+        out = compute_rewards(reward_table(inp)[0], FLAT)
         assert out.raw["a_tracking"] == pytest.approx(0.5, abs=1e-12)
 
     def test_nominal_frame_zero_penalties(self):
-        out = compute_rewards(frame(), FLAT)
+        out = compute_rewards(reward_table(frame())[0], FLAT)
         for name in ("v_z", "omega_x", "yaw", "joint_acc", "body_height",
                      "action_rate", "smoothness", "hip_angle",
                      "feet_edge", "feet_stumble"):
@@ -353,7 +352,7 @@ class TestComputeRewards:
             command=np.array([1.0, 0.0, 0.5]),
         )
         fit = PlaneFit(np.array([0.2, 0.0, math.sqrt(0.96)]), np.zeros(3), 0.0)
-        out = compute_rewards(inp, fit)
+        out = compute_rewards(reward_table(inp)[0], fit)
         w = RewardWeights()
         want = {
             "t_l_tracking": 0.0,
@@ -396,7 +395,7 @@ class TestComputeRewards:
                 hip_angles=rng.normal(size=4) * 0.1,
                 command=rng.uniform(0.3, 1.2, 3),
             )
-            out = compute_rewards(inp, FLAT)
+            out = compute_rewards(reward_table(inp)[0], FLAT)
             assert out.total == pytest.approx(
                 sum(out.weighted.values()), abs=1e-12)
 
@@ -418,15 +417,15 @@ class TestComputeRewards:
             "smoothness", "hip_angle", "feet_edge_gap", "feet_edge_platform",
             "feet_stumble_gap", "feet_stumble_platform")}
         w2 = RewardWeights(**scaled)
-        t1 = compute_rewards(inp, FLAT, w1).total
-        t2 = compute_rewards(inp, FLAT, w2).total
+        t1 = compute_rewards(reward_table(inp, w1)[0], FLAT).total
+        t2 = compute_rewards(reward_table(inp, w2)[0], FLAT).total
         assert t2 == pytest.approx(2.5 * t1, abs=1e-12)
 
     def test_terrain_gating(self):
         moving = dict(v_world=np.array([1.0, 0, 0.3]), v_z=0.3, yaw=0.2,
                       command=np.array([1.0, 0, 0]))
-        on_t5 = compute_rewards(frame(TerrainType.HIGH_PLATFORM, **moving), FLAT)
-        on_t1 = compute_rewards(frame(TerrainType.SLOPE, **moving), FLAT)
+        on_t5, on_t1 = (compute_rewards(reward_table(frame(tau, **moving))[0], FLAT)
+                        for tau in (TerrainType.HIGH_PLATFORM, TerrainType.SLOPE))
         # vertical-velocity penalty off while jumping is expected
         assert on_t5.raw["v_z"] == 0.0 and on_t1.raw["v_z"] != 0.0
         assert on_t5.raw["yaw"] != 0.0 and on_t1.raw["yaw"] == 0.0
@@ -436,12 +435,9 @@ class TestComputeRewards:
     def test_feet_weight_selection(self):
         stumble_forces = np.array(
             [[10.0, 0, 3.0], [0, 0, 30], [0, 0, 30], [0, 0, 30]])
-        gap = compute_rewards(
-            frame(TerrainType.GAP, foot_contact_forces=stumble_forces), FLAT)
-        plat = compute_rewards(
-            frame(TerrainType.HIGH_PLATFORM, foot_contact_forces=stumble_forces), FLAT)
-        slope = compute_rewards(
-            frame(TerrainType.SLOPE, foot_contact_forces=stumble_forces), FLAT)
+        gap, plat, slope = (
+            compute_rewards(reward_table(frame(tau, foot_contact_forces=stumble_forces))[0], FLAT)
+            for tau in (TerrainType.GAP, TerrainType.HIGH_PLATFORM, TerrainType.SLOPE))
         assert gap.weighted["feet_stumble"] == -10.0
         assert plat.weighted["feet_stumble"] == -1.0
         assert slope.raw["feet_stumble"] == 0.0
@@ -454,16 +450,15 @@ class TestComputeRewards:
             inp = frame(TerrainType.HIGH_PLATFORM,
                         v_world=rng.normal(0, 2, 3),
                         command=np.array([rng.uniform(0.3, 1.2), 0, 0]))
-            out = compute_rewards(inp, fit)
+            out = compute_rewards(reward_table(inp)[0], fit)
             assert out.raw["t_l_tracking"] <= inp.command[0] + 1e-12
 
     def test_non_finite_rejected(self):
-        inp = frame(v_z=math.nan)
         with pytest.raises(ValueError, match="non-finite"):
-            compute_rewards(inp, FLAT)
+            reward_table(frame(v_z=math.nan))
 
     def test_as_record_round_trip_keys(self):
-        out = compute_rewards(frame(), FLAT)
+        out = compute_rewards(reward_table(frame())[0], FLAT)
         rec = out.as_record(123)
         assert rec["timestamp_ns"] == 123
         assert rec["total"] == out.total
@@ -606,7 +601,7 @@ class TestRewardTable:
         assert len(table) == 5
         for k, inp in enumerate(frames):
             want = record_bytes(reference_compute_rewards(inp, fit, weights, hf))
-            assert record_bytes(compute_rewards(inp, fit, weights, hf)) == want
+            assert record_bytes(compute_rewards(reward_table(inp, weights, hf)[0], fit)) == want
             assert record_bytes(compute_rewards(table[k], fit)) == want
 
     def test_fit_terms_wait_for_the_fit(self):
@@ -626,7 +621,7 @@ class TestRewardTable:
 
     def test_compute_rewards_takes_one_frame(self):
         with pytest.raises(ValueError, match="one frame, got 2"):
-            compute_rewards(stack([frame(), frame()]), FLAT)
+            compute_rewards(reward_table(stack([frame(), frame()])), FLAT)
 
     def test_non_finite_anywhere_in_a_stack_rejected(self):
         frames = [frame(), frame(foot_positions=np.full((4, 3), math.inf))]
