@@ -29,6 +29,7 @@ from . import fileformats, telemetry
 from .config import PipelineConfig, load_config, reference_text
 from .mapping import VirtualEdit, edit_heightfield
 from .pipeline import PipelineInvariantError, run_bench, run_pipeline
+from .rewards import REWARD_KEYS, WEIGHTED
 from .sensors import SensorUnderground
 from .terrain import (PARAMETER_NAMES, Robot, TerrainSpec, TerrainType,
                       generate, terrain_parameter)
@@ -141,14 +142,20 @@ def _log_messages(run_dir: Path) -> list[tuple[int, int, bytes]]:
     reward_ts = []
     if reward_path.exists():
         for rec in fileformats.read_jsonl(reward_path):
-            ts = int(fileformats.record_fields(rec, "timestamp_ns")[0])
+            # exactly the values the live run sends, in its order
+            ts, *weighted = fileformats.record_fields(rec, "timestamp_ns",
+                                                      *REWARD_KEYS[1:][WEIGHTED])
+            ts = int(ts)
             reward_ts.append(ts)
-            values = [v for k, v in rec.items() if k.startswith("weighted_")]
-            messages.append((ts, 2, telemetry.encode_reward(ts, values)))
+            messages.append((ts, 2, telemetry.encode_reward(ts, weighted)))
 
     maps_path = run_dir / "localmaps.bin"
-    if maps_path.exists() and reward_ts:
-        for ts, (heights, res) in zip(reward_ts, fileformats.read_local_maps(maps_path)):
+    if maps_path.exists():
+        maps = fileformats.read_local_maps(maps_path)
+        if len(maps) != len(reward_ts):
+            raise ValueError(f"{maps_path.name} holds {len(maps)} local maps "
+                             f"for {len(reward_ts)} reward records")
+        for ts, (heights, res) in zip(reward_ts, maps):
             for frag in telemetry.encode_local_map(ts, heights, res):
                 messages.append((ts, 1, frag))
 

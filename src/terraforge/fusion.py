@@ -168,12 +168,13 @@ def predict(state: FusionState, imu: ImuSample, cfg: FusionConfig) -> FusionStat
     if not (math.isfinite(rx) and math.isfinite(ry) and math.isfinite(rz)):
         raise ValueError("non-finite angular velocity")
     f_body = imu.linear_acceleration - state.accel_bias
+    # checked before the rotation, which would warn on inf * 0
+    fx, fy, fz = f_body.tolist()
+    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
+        raise ValueError("non-finite specific force")
     rot = quat_to_matrix(state.orientation)
     # a matrix product stays numpy (see the module docstring)
     a_world = (rot @ f_body + _GRAVITY_WORLD).tolist()
-    ax, ay, az = a_world
-    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
-        raise ValueError("non-finite specific force")
 
     # exact exponential of the body rate, composed on the body side
     dq = quat_exp(rx, ry, rz, norm3(rv))

@@ -195,8 +195,9 @@ def quat_yaws(q: np.ndarray) -> np.ndarray:
 
 
 def orientation_angle(a: Quaternion, b: Quaternion) -> float:
-    """Rotation angle (rad) between two orientations; sign-of-q agnostic."""
-    an, bn = quat_normalize(a), quat_normalize(b)
-    d = abs(an.w * bn.w + an.x * bn.x + an.y * bn.y + an.z * bn.z)
-    return 2.0 * math.acos(min(1.0, d))
+    """Rotation angle (rad) between two orientations; sign-of-q agnostic.
+    From the relative rotation's vector part, since acos of |<a, b>| reads
+    0 for angles under about 2e-8 rad."""
+    d = quat_multiply(quat_conjugate(quat_normalize(a)), quat_normalize(b))
+    return 2.0 * math.atan2(math.hypot(d.x, d.y, d.z), abs(d.w))
 

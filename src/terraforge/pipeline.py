@@ -12,7 +12,9 @@ so it changes neither the event order nor any output.
 The replay keeps one numeric row per fused pose and per policy tick, not a
 log record: run_pipeline builds each record from its row only as its line
 is written, and writes the IMU and odometry logs straight from their
-streams.
+streams. After the timestamp, a pose row holds the values of POSE_KEYS and
+a tick row starts with those of rewards.REWARD_KEYS, as compute_rewards
+returns them; so each record is its keys zipped with its timestamp and row.
 
 What does not depend on the filter or the map is replay set-up, done
 before the event loop: the LiDAR scans, and for every policy tick the true
@@ -41,7 +43,7 @@ from .fusion import PoseFuser
 from .geometry import Pose, elementwise, quat_yaws, rotate_vecs, vec3
 from .mapping import ElevationMap, inject_map_noise
 from .observations import ObservationFrame, sample_command
-from .rewards import (TERMS, RewardBreakdown, RewardInput, RewardTable,
+from .rewards import (REWARD_KEYS, WEIGHTED, RewardInput, RewardTable,
                       compute_rewards, fit_plane, reward_table)
 from .sensors import (apply_delay, imu_stream, lidar_scan, merge_delivered,
                       odometry_stream, sample_times_ns, true_states)
@@ -137,10 +139,9 @@ ODOMETRY, SCAN, IMU = range(3)  # event stream indices, in tie order
 # tick's log rows and telemetry) count with the reward work they report
 _BENCH_STAGES = ("fusion_step", "scan_amortized", "local_extract", "reward_eval")
 
-# a policy tick's row: the raw and the weighted reward terms in TERMS order,
-# the total, the local map's fill ratio and the plane normal
-_RAW, _WEIGHTED = slice(0, len(TERMS)), slice(len(TERMS), 2 * len(TERMS))
-_TOTAL, _FILL = 2 * len(TERMS), 2 * len(TERMS) + 1
+# a policy tick's row: compute_rewards' values of the reward record, the
+# local map's fill ratio and the plane normal
+_FILL = len(REWARD_KEYS) - 1
 _NORMAL = slice(_FILL + 1, _FILL + 4)
 
 
@@ -233,18 +234,16 @@ class _Replay:
         lap("local_extract")
 
         fit = fit_plane(local.to_points())
-        breakdown = compute_rewards(ticks.rewards[i], fit)
+        rewards = compute_rewards(ticks.rewards, i, fit)
         lap("reward_eval")
 
-        self.tick_rows[i] = (*breakdown.raw.values(), *breakdown.weighted.values(),
-                             breakdown.total, local.fill_ratio, *fit.normal.tolist())
+        self.tick_rows[i] = (*rewards, local.fill_ratio, *fit.normal.tolist())
         self.local_maps += encode_local_map(local.heights, local.resolution)
         if self.streamer is not None:
             self.streamer.send(telemetry.encode_pose(fused))
             for frag in telemetry.encode_local_map(ts, local.heights, local.resolution):
                 self.streamer.send(frag)
-            self.streamer.send(telemetry.encode_reward(
-                ts, list(breakdown.weighted.values())))
+            self.streamer.send(telemetry.encode_reward(ts, rewards[WEIGHTED]))
 
     # The log records, each built from its row as it is written. A float64
     # row gives back every float it was given, -0.0 included.
@@ -256,9 +255,7 @@ class _Replay:
 
     def reward_records(self):
         for ts, row in zip(self.ticks.timestamps_ns, self.tick_rows[:self.policy_count]):
-            row = row.tolist()
-            yield RewardBreakdown(dict(zip(TERMS, row[_RAW])), dict(zip(TERMS, row[_WEIGHTED])),
-                                  row[_TOTAL]).as_record(ts)
+            yield dict(zip(REWARD_KEYS, [ts, *row[:_FILL].tolist()]))
 
     def trajectory_records(self):
         ticks = self.ticks

@@ -105,6 +105,13 @@ class RewardWeights:
 TERMS = ("t_l_tracking", "l_tracking", "a_tracking", "v_z", "omega_x", "roll",
          "yaw", "joint_acc", "body_height", "action_rate", "smoothness",
          "hip_angle", "feet_edge", "feet_stumble")  # record order
+_T_L, _ROLL = TERMS.index("t_l_tracking"), TERMS.index("roll")
+
+# the keys of a reward log record; compute_rewards returns the values of
+# all but the timestamp, and WEIGHTED picks the weighted terms out of them
+REWARD_KEYS = ("timestamp_ns", *(f"raw_{k}" for k in TERMS),
+               *(f"weighted_{k}" for k in TERMS), "total")
+WEIGHTED = slice(len(TERMS), 2 * len(TERMS))
 
 # per-frame shape of each array field of RewardInput
 _SHAPES = {"v_world": (3,), "v_body_xy": (2,), "omega": (3,), "gravity_body": (3,),
@@ -163,17 +170,6 @@ class RewardInput:
                               axis=None)
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
-    raw: dict[str, float]
-    weighted: dict[str, float]
-    total: float
-
-    def as_record(self, timestamp_ns: int) -> dict:
-        return {"timestamp_ns": timestamp_ns, **{f"raw_{k}": v for k, v in self.raw.items()},
-                **{f"weighted_{k}": v for k, v in self.weighted.items()}, "total": self.total}
-
-
 def feet_stumble_penalty(foot_contact_forces, ratio: float = 2.0):
     """Count feet whose horizontal force dominates the vertical one, the
     signature of a toe catching an obstacle face. Forces are (4, 3) for one
@@ -228,27 +224,17 @@ class RewardTable:
 
     raw[i] holds frame i's raw value of every term, in TERMS order, with
     t_l_tracking and roll, the two terms that read the plane fit, at 0;
-    compute_rewards sets them from table[i] and a fit. The other fields
+    compute_rewards sets them from frame i and a fit. The other fields
     are the terrain-gated weight of each term and what those two terms read
     of each frame.
     """
 
     raw: np.ndarray  # (n, len(TERMS))
-    weights: dict[str, float]
+    weights: tuple[float, ...]  # in TERMS order
     v_world: np.ndarray  # (n, 3)
     gravity_x: np.ndarray  # (n,)
     v_cmd_x: np.ndarray  # (n,)
     terrain_type: TerrainType
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __getitem__(self, i: int) -> "RewardTable":
-        """Frame i alone, as a one-frame table."""
-        i = range(len(self.raw))[i]
-        s = slice(i, i + 1)
-        return RewardTable(self.raw[s], self.weights, self.v_world[s],
-                           self.gravity_x[s], self.v_cmd_x[s], self.terrain_type)
 
 
 def reward_table(inp: RewardInput, weights: RewardWeights | None = None,
@@ -292,30 +278,24 @@ def reward_table(inp: RewardInput, weights: RewardWeights | None = None,
                 w.edge_margin, w.grad_threshold, w.contact_force_min)
         _, raw["feet_stumble"] = feet_stumble_penalty(forces, w.stumble_ratio)
 
-    wts = {k: getattr(w, k) for k in TERMS[:-2]}
-    wts["feet_edge"] = (w.feet_edge_gap if tau is TerrainType.GAP
-                        else w.feet_edge_platform if platform else 0.0)
-    wts["feet_stumble"] = (w.feet_stumble_gap if tau is TerrainType.GAP
-                           else w.feet_stumble_platform if platform else 0.0)
+    feet = ((w.feet_edge_gap, w.feet_stumble_gap) if tau is TerrainType.GAP
+            else (w.feet_edge_platform, w.feet_stumble_platform) if platform else (0.0, 0.0))
     raw = np.concatenate([raw[k] for k in TERMS]).reshape(len(TERMS), n).T
-    return RewardTable(raw=raw, weights=wts,
+    return RewardTable(raw=raw, weights=(*(getattr(w, k) for k in TERMS[:-2]), *feet),
                        v_world=col("v_world", 3), gravity_x=col("gravity_body", 3)[:, 0],
                        v_cmd_x=cmd[:, 0], terrain_type=tau)
 
 
-def compute_rewards(table: RewardTable, fit: PlaneFit) -> RewardBreakdown:
-    """Evaluate every term of one frame: a one-frame RewardTable (table[i]),
-    which carries the weights and terrain it was built with. Only
-    t_l_tracking and roll read the fit.
+def compute_rewards(table: RewardTable, i: int, fit: PlaneFit) -> list[float]:
+    """Every term of frame i of the table, which carries the weights and
+    terrain it was built with: the values of REWARD_KEYS[1:], raw terms,
+    weighted terms, then their sum. Only t_l_tracking and roll read the fit.
     """
-    if len(table) != 1:
-        raise ValueError(f"compute_rewards takes one frame, got {len(table)}")
-    raw = dict(zip(TERMS, table.raw[0].tolist()))
+    raw = table.raw[i].tolist()
     if table.terrain_type is TerrainType.HIGH_PLATFORM:
         n_v = guided_direction(fit)
-        raw["t_l_tracking"] = float(min(np.dot(table.v_world[0], n_v), table.v_cmd_x[0]))
+        raw[_T_L] = float(min(np.dot(table.v_world[i], n_v), table.v_cmd_x[i]))
     # x-components by the book, oddity and all
-    raw["roll"] = float(-abs(table.gravity_x[0] - fit.normal[0]) ** 2)
-    weighted = {k: v * table.weights[k] for k, v in raw.items()}
-    total = float(sum(weighted.values()))
-    return RewardBreakdown(raw=raw, weighted=weighted, total=total)
+    raw[_ROLL] = float(-abs(table.gravity_x[i] - fit.normal[0]) ** 2)
+    weighted = [v * w for v, w in zip(raw, table.weights)]
+    return [*raw, *weighted, sum(weighted)]

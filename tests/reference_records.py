@@ -18,7 +18,7 @@ from terraforge.fileformats import encode_local_map
 from terraforge.geometry import Pose
 from terraforge.mapping import inject_map_noise
 from terraforge.pipeline import IMU, ODOMETRY, SCAN, PipelineResult, _Replay
-from terraforge.rewards import compute_rewards, fit_plane
+from terraforge.rewards import TERMS, compute_rewards, fit_plane
 
 
 def _pose_record(pose):
@@ -34,10 +34,11 @@ def _imu_record(sample):
             "ax": ax, "ay": ay, "az": az}
 
 
-def _reward_record(breakdown, ts):
-    return {"timestamp_ns": ts, **{f"raw_{k}": v for k, v in breakdown.raw.items()},
-            **{f"weighted_{k}": v for k, v in breakdown.weighted.items()},
-            "total": breakdown.total}
+def _reward_record(values, ts):
+    raw, weighted, total = values[:len(TERMS)], values[len(TERMS):-1], values[-1]
+    return {"timestamp_ns": ts, **{f"raw_{k}": v for k, v in zip(TERMS, raw)},
+            **{f"weighted_{k}": v for k, v in zip(TERMS, weighted)},
+            "total": total}
 
 
 def _write_jsonl(records, path):
@@ -83,8 +84,7 @@ def reference_run(cfg, out_dir) -> None:
                                          cfg.noise.map_noise_magnitude,
                                          replay.s_mapnoise + policy_count)
             fit = fit_plane(local.to_points())
-            breakdown = compute_rewards(ticks.rewards[i], fit)
-            reward_records.append(_reward_record(breakdown, ts))
+            reward_records.append(_reward_record(compute_rewards(ticks.rewards, i, fit), ts))
             trajectory_records.append({
                 "timestamp_ns": ts, "yaw": ticks.yaw[i], "body_height": ticks.body_height[i],
                 "fill_ratio": local.fill_ratio,

@@ -17,9 +17,9 @@ from terraforge.geometry import Pose, Quaternion
 from terraforge.mapping import ElevationMap, LocalMapSpec, VirtualEdit
 from terraforge.observations import kl_diag_gaussian, loss_cenet, loss_est, loss_terrain, loss_vae
 from terraforge.pipeline import run_bench
-from terraforge.rewards import (PlaneFit, RewardInput, RewardWeights,
-                                compute_rewards, fit_plane, guided_direction,
-                                reward_table)
+from terraforge.rewards import (REWARD_KEYS, TERMS, PlaneFit, RewardInput,
+                                RewardWeights, compute_rewards, fit_plane,
+                                guided_direction, reward_table)
 from terraforge.sensors import (LidarScan, NoiseConfig, ScanPattern,
                                 TrajectoryKind, TrajectorySpec, imu_stream,
                                 lidar_scan, odometry_stream, true_state)
@@ -203,20 +203,24 @@ def _reward_frame(**kw):
 FLAT_FIT = PlaneFit(np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.0)
 
 
+def _reward_record(table, i, fit):
+    return dict(zip(REWARD_KEYS[1:], compute_rewards(table, i, fit)))
+
+
 def test_c5_reward_exactness():
     problems = []
 
-    perfect_l = compute_rewards(reward_table(_reward_frame(
+    perfect_l = _reward_record(reward_table(_reward_frame(
         v_body_xy=np.array([0.7, -0.2]),
-        command=np.array([0.7, -0.2, 0.0])))[0], FLAT_FIT)
-    if abs(perfect_l.raw["l_tracking"] - 2.0) > 1e-12:
-        problems.append(f"l_max={perfect_l.raw['l_tracking']!r}")
+        command=np.array([0.7, -0.2, 0.0]))), 0, FLAT_FIT)
+    if abs(perfect_l["raw_l_tracking"] - 2.0) > 1e-12:
+        problems.append(f"l_max={perfect_l['raw_l_tracking']!r}")
 
-    perfect_a = compute_rewards(reward_table(_reward_frame(
+    perfect_a = _reward_record(reward_table(_reward_frame(
         omega=np.array([0.0, 0.0, 1.1]),
-        command=np.array([0.0, 0.0, 1.1])))[0], FLAT_FIT)
-    if abs(perfect_a.raw["a_tracking"] - 0.5) > 1e-12:
-        problems.append(f"a_max={perfect_a.raw['a_tracking']!r}")
+        command=np.array([0.0, 0.0, 1.1]))), 0, FLAT_FIT)
+    if abs(perfect_a["raw_a_tracking"] - 0.5) > 1e-12:
+        problems.append(f"a_max={perfect_a['raw_a_tracking']!r}")
 
     # guided-tracking term never exceeds the commanded speed; the frames
     # are drawn one by one and scored as one stacked table
@@ -241,7 +245,7 @@ def test_c5_reward_exactness():
     violations = 0
     worst_gap = -np.inf
     for k, (fit, cmd) in enumerate(zip(fits, cmds.tolist())):
-        raw = compute_rewards(table[k], fit).raw["t_l_tracking"]
+        raw = _reward_record(table, k, fit)["raw_t_l_tracking"]
         worst_gap = max(worst_gap, raw - cmd)
         if raw > cmd + 1e-12:
             violations += 1
@@ -261,13 +265,14 @@ def test_c5_reward_exactness():
             prev_prev_action=rng.normal(size=12),
             hip_angles=rng.normal(size=4) * 0.2,
             command=np.array([rng.uniform(0.3, 1.2), 0.0, 0.0]))
-        out = compute_rewards(reward_table(frame)[0], FLAT_FIT)
+        out = _reward_record(reward_table(frame), 0, FLAT_FIT)
         oracle = 0.0
-        for name, raw in out.raw.items():
-            oracle += out.weighted[name]
-            if raw != 0.0 and abs(out.weighted[name] / raw) < 1e-15:
+        for name in TERMS:
+            raw, weighted = out[f"raw_{name}"], out[f"weighted_{name}"]
+            oracle += weighted
+            if raw != 0.0 and abs(weighted / raw) < 1e-15:
                 problems.append(f"{name} weight lost")
-        worst_total = max(worst_total, abs(out.total - oracle))
+        worst_total = max(worst_total, abs(out["total"] - oracle))
     if worst_total > 1e-12:
         problems.append(f"total drift {worst_total:.2e}")
 

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 import terraforge
 from terraforge.cli import main
 from terraforge.config import PipelineConfig, load_config
-from terraforge.fileformats import read_heightfield
+from terraforge.fileformats import read_heightfield, read_jsonl
 from terraforge.pipeline import PipelineInvariantError, run_bench, run_pipeline
+from terraforge.rewards import TERMS
 from terraforge.sensors import NoiseConfig, SensorUnderground, TrajectoryKind, TrajectorySpec
-from terraforge.telemetry import decode_message
+from terraforge.telemetry import RewardMessage, decode_message
+from terraforge.terrain import TerrainSpec, TerrainType
 
 
 RUN_CONFIG = """
@@ -457,8 +459,40 @@ class TestStream:
         decode_message(rx.recv(2048))  # first datagram parses
         rx.close()
 
+    def test_reward_datagrams_match_the_live_run(self, tmp_path, capsys):
+        """stream sends each record's weighted terms in TERMS order, the
+        datagram the live run sent, whatever else a record holds."""
+        rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        rx.bind(("127.0.0.1", 0))
+        rx.settimeout(2.0)
+        endpoint = "127.0.0.1:%d" % rx.getsockname()[1]
+
+        def rewards(count):
+            msgs = [decode_message(rx.recv(2048)) for _ in range(count)]
+            return [(m.timestamp_ns, m.values.tolist()) for m in msgs
+                    if isinstance(m, RewardMessage)]
+
+        cfg = PipelineConfig(terrain=TerrainSpec(TerrainType.GAP, 5), endpoint=endpoint,
+                             trajectory=TrajectorySpec(kind=TrajectoryKind.CONSTANT_VELOCITY,
+                                                       duration=0.2, speed=1.0))
+        run_dir = tmp_path / "run"
+        res = run_pipeline(cfg, run_dir)
+        live = rewards(res.telemetry_sent)
+        assert len(live) == res.policy_tick_count
+        assert all(len(values) == len(TERMS) for _, values in live)
+        log = run_dir / "rewards.jsonl"
+        recs = read_jsonl(log)
+        recs[0] = {"weighted_extra": 1.0, **recs[0]}
+        log.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        assert main(["stream", "--endpoint", endpoint, "--run-dir", str(run_dir)]) == 0
+        sent = int(capsys.readouterr().out.split()[1])
+        streamed = rewards(sent)
+        rx.close()
+        assert streamed == live
+
     @pytest.mark.parametrize("cut, match", [(8, "shorter than its header"),
-                                            (16 + 40, "shorter than its 17x11 cells")])
+                                            (16 + 40, "shorter than its 17x11 cells"),
+                                            (0, "holds 3 local maps for 10 reward records")])
     def test_truncated_local_maps_exit_2(self, tmp_path, capsys, cut, match):
         cfg = PipelineConfig(trajectory=TrajectorySpec(
             kind=TrajectoryKind.CONSTANT_VELOCITY, duration=0.2, speed=1.0))
@@ -478,6 +512,7 @@ class TestStream:
         ("fused_poses.jsonl", '{"timestamp_ns": 1, "px": 0, "py": 0, "pz": 0, '
                               '"qw": "one", "qx": 0, "qy": 0, "qz": 0}', "'qw' is not"),
         ("rewards.jsonl", '{"total": 0.0}', "no 'timestamp_ns'"),
+        ("rewards.jsonl", '{"timestamp_ns": 1, "total": 0.0}', "no 'weighted_t_l_tracking'"),
     ])
     def test_damaged_record_exits_2(self, tmp_path, capsys, log, record, match):
         cfg = PipelineConfig(trajectory=TrajectorySpec(

@@ -435,9 +435,10 @@ class TestCachedNoiseIsBitEqual:
 
     def test_non_finite_specific_force_rejected(self):
         st0 = initial_state(identity_pose(), CFG)
-        bad = ImuSample(5_000_000, vec3(0, 0, 0), vec3(0, 0, np.nan))
-        with pytest.raises(ValueError, match="non-finite specific force"):
-            predict(st0, bad, CFG)
+        for f in (np.nan, np.inf, -np.inf):  # raised before any numpy warning
+            bad = ImuSample(5_000_000, vec3(0, 0, 0), vec3(0, 0, f))
+            with pytest.raises(ValueError, match="non-finite specific force"):
+                predict(st0, bad, CFG)
 
 
 class CheckedFuser(PoseFuser):

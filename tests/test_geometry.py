@@ -188,6 +188,12 @@ class TestOrientationEquality:
     def test_distinct_orientations_differ(self):
         assert orientation_angle(IDENTITY, quat_from_yaw(0.01)) > 1e-9
 
+    @pytest.mark.parametrize("angle", [1e-12, 1e-9, 1e-8])
+    def test_tiny_angle_resolved(self, angle):
+        want = pytest.approx(angle, rel=1e-9, abs=0)
+        assert orientation_angle(IDENTITY, quat_from_yaw(angle)) == want
+        assert orientation_angle(quat_from_rotvec([0.0, angle, 0.0]), IDENTITY) == want
+
 
 def test_skew_matches_cross():
     rng = np.random.default_rng(14)

@@ -378,12 +378,12 @@ class TestPolicyTickTable:
                                  cfg.ticks_per_policy)]
         ticks = _policy_ticks(cfg, hf, command, stamps)
         fit = PlaneFit(np.array([s, 0.0, math.sqrt(1 - s * s)]), np.zeros(3), 0.0)
-        assert len(ticks.rewards) == len(stamps)
+        assert len(ticks.rewards.raw) == len(stamps)
         for i, ts in enumerate(stamps):
             inp = reference_reward_frame(cfg, hf, reference_true_state(traj, ts * 1e-9),
                                          command)
-            want = compute_rewards(reward_table(inp, weights, hf)[0], fit).as_record(ts)
-            got = compute_rewards(ticks.rewards[i], fit).as_record(ts)
+            want = compute_rewards(reward_table(inp, weights, hf), 0, fit)
+            got = compute_rewards(ticks.rewards, i, fit)
             assert json.dumps(got) == json.dumps(want)
             assert json.dumps([ticks.yaw[i], ticks.body_height[i]]) == json.dumps(
                 [inp.yaw, inp.body_height])
@@ -410,7 +410,7 @@ class TestPolicyTickTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(ticks.rewards) == 1000
+        assert len(ticks.rewards.raw) == 1000
         assert ticks.rewards.raw[:, -2].any()  # some feet do come near an edge
         assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
 

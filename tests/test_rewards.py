@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terraforge.rewards import (
+    REWARD_KEYS,
     TERMS,
+    WEIGHTED,
     PlaneFit,
-    RewardBreakdown,
     RewardInput,
     RewardWeights,
     compute_rewards,
@@ -63,6 +64,11 @@ def frame(tau=TerrainType.SLOPE, **kw):
 
 
 FLAT = PlaneFit(np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.0)
+
+
+def record(table, i, fit, ts=0):
+    """Frame i's reward log record."""
+    return dict(zip(REWARD_KEYS, [ts, *compute_rewards(table, i, fit)]))
 
 
 class TestFitPlane:
@@ -313,27 +319,27 @@ class TestComputeRewards:
     def test_t_l_clips_at_command(self):
         inp = frame(TerrainType.HIGH_PLATFORM,
                     v_world=np.array([2.0, 0, 0]), command=np.array([1.2, 0, 0]))
-        out = compute_rewards(reward_table(inp)[0], FLAT)
-        assert out.raw["t_l_tracking"] == pytest.approx(1.2, abs=1e-12)
+        out = record(reward_table(inp), 0, FLAT)
+        assert out["raw_t_l_tracking"] == pytest.approx(1.2, abs=1e-12)
 
     def test_perfect_l_tracking_is_two(self):
         inp = frame(v_body_xy=np.array([0.8, -0.3]), command=np.array([0.8, -0.3, 0]))
-        out = compute_rewards(reward_table(inp)[0], FLAT)
-        assert out.raw["l_tracking"] == pytest.approx(2.0, abs=1e-12)
+        out = record(reward_table(inp), 0, FLAT)
+        assert out["raw_l_tracking"] == pytest.approx(2.0, abs=1e-12)
 
     def test_perfect_a_tracking_is_half(self):
         inp = frame(omega=np.array([0, 0, 1.5]), command=np.array([0, 0, 1.5]))
-        out = compute_rewards(reward_table(inp)[0], FLAT)
-        assert out.raw["a_tracking"] == pytest.approx(0.5, abs=1e-12)
+        out = record(reward_table(inp), 0, FLAT)
+        assert out["raw_a_tracking"] == pytest.approx(0.5, abs=1e-12)
 
     def test_nominal_frame_zero_penalties(self):
-        out = compute_rewards(reward_table(frame())[0], FLAT)
+        out = record(reward_table(frame()), 0, FLAT)
         for name in ("v_z", "omega_x", "yaw", "joint_acc", "body_height",
                      "action_rate", "smoothness", "hip_angle",
                      "feet_edge", "feet_stumble"):
-            assert out.raw[name] == 0.0, name
+            assert out[f"raw_{name}"] == 0.0, name
         # gravity x and normal x both 0 on flat ground
-        assert out.raw["roll"] == 0.0
+        assert out["raw_roll"] == 0.0
 
     def test_composite_hand_computation(self):
         inp = frame(
@@ -352,7 +358,7 @@ class TestComputeRewards:
             command=np.array([1.0, 0.0, 0.5]),
         )
         fit = PlaneFit(np.array([0.2, 0.0, math.sqrt(0.96)]), np.zeros(3), 0.0)
-        out = compute_rewards(reward_table(inp)[0], fit)
+        out = record(reward_table(inp), 0, fit)
         w = RewardWeights()
         want = {
             "t_l_tracking": 0.0,
@@ -371,13 +377,13 @@ class TestComputeRewards:
             "feet_stumble": 0.0,
         }
         for k, v in want.items():
-            assert out.raw[k] == pytest.approx(v, abs=1e-12), k
+            assert out[f"raw_{k}"] == pytest.approx(v, abs=1e-12), k
         total = sum(
             want[k] * getattr(w, {"feet_edge": "feet_edge_gap",
                                   "feet_stumble": "feet_stumble_gap"}.get(k, k))
             for k in want if k not in ("feet_edge", "feet_stumble")
         )
-        assert out.total == pytest.approx(total, abs=1e-12)
+        assert out["total"] == pytest.approx(total, abs=1e-12)
 
     def test_total_is_weighted_sum(self):
         rng = np.random.default_rng(2)
@@ -395,9 +401,9 @@ class TestComputeRewards:
                 hip_angles=rng.normal(size=4) * 0.1,
                 command=rng.uniform(0.3, 1.2, 3),
             )
-            out = compute_rewards(reward_table(inp)[0], FLAT)
-            assert out.total == pytest.approx(
-                sum(out.weighted.values()), abs=1e-12)
+            out = record(reward_table(inp), 0, FLAT)
+            assert out["total"] == pytest.approx(
+                sum(out[f"weighted_{k}"] for k in TERMS), abs=1e-12)
 
     def test_weight_scaling_linearity(self):
         inp = frame(
@@ -417,30 +423,30 @@ class TestComputeRewards:
             "smoothness", "hip_angle", "feet_edge_gap", "feet_edge_platform",
             "feet_stumble_gap", "feet_stumble_platform")}
         w2 = RewardWeights(**scaled)
-        t1 = compute_rewards(reward_table(inp, w1)[0], FLAT).total
-        t2 = compute_rewards(reward_table(inp, w2)[0], FLAT).total
+        t1 = record(reward_table(inp, w1), 0, FLAT)["total"]
+        t2 = record(reward_table(inp, w2), 0, FLAT)["total"]
         assert t2 == pytest.approx(2.5 * t1, abs=1e-12)
 
     def test_terrain_gating(self):
         moving = dict(v_world=np.array([1.0, 0, 0.3]), v_z=0.3, yaw=0.2,
                       command=np.array([1.0, 0, 0]))
-        on_t5, on_t1 = (compute_rewards(reward_table(frame(tau, **moving))[0], FLAT)
+        on_t5, on_t1 = (record(reward_table(frame(tau, **moving)), 0, FLAT)
                         for tau in (TerrainType.HIGH_PLATFORM, TerrainType.SLOPE))
         # vertical-velocity penalty off while jumping is expected
-        assert on_t5.raw["v_z"] == 0.0 and on_t1.raw["v_z"] != 0.0
-        assert on_t5.raw["yaw"] != 0.0 and on_t1.raw["yaw"] == 0.0
-        assert on_t5.raw["t_l_tracking"] != 0.0 and on_t1.raw["t_l_tracking"] == 0.0
-        assert on_t5.raw["l_tracking"] == 0.0 and on_t1.raw["l_tracking"] != 0.0
+        assert on_t5["raw_v_z"] == 0.0 and on_t1["raw_v_z"] != 0.0
+        assert on_t5["raw_yaw"] != 0.0 and on_t1["raw_yaw"] == 0.0
+        assert on_t5["raw_t_l_tracking"] != 0.0 and on_t1["raw_t_l_tracking"] == 0.0
+        assert on_t5["raw_l_tracking"] == 0.0 and on_t1["raw_l_tracking"] != 0.0
 
     def test_feet_weight_selection(self):
         stumble_forces = np.array(
             [[10.0, 0, 3.0], [0, 0, 30], [0, 0, 30], [0, 0, 30]])
         gap, plat, slope = (
-            compute_rewards(reward_table(frame(tau, foot_contact_forces=stumble_forces))[0], FLAT)
+            record(reward_table(frame(tau, foot_contact_forces=stumble_forces)), 0, FLAT)
             for tau in (TerrainType.GAP, TerrainType.HIGH_PLATFORM, TerrainType.SLOPE))
-        assert gap.weighted["feet_stumble"] == -10.0
-        assert plat.weighted["feet_stumble"] == -1.0
-        assert slope.raw["feet_stumble"] == 0.0
+        assert gap["weighted_feet_stumble"] == -10.0
+        assert plat["weighted_feet_stumble"] == -1.0
+        assert slope["raw_feet_stumble"] == 0.0
 
     def test_t_l_bounded_by_command_randomized(self):
         rng = np.random.default_rng(7)
@@ -450,19 +456,25 @@ class TestComputeRewards:
             inp = frame(TerrainType.HIGH_PLATFORM,
                         v_world=rng.normal(0, 2, 3),
                         command=np.array([rng.uniform(0.3, 1.2), 0, 0]))
-            out = compute_rewards(reward_table(inp)[0], fit)
-            assert out.raw["t_l_tracking"] <= inp.command[0] + 1e-12
+            out = record(reward_table(inp), 0, fit)
+            assert out["raw_t_l_tracking"] <= inp.command[0] + 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             reward_table(frame(v_z=math.nan))
 
-    def test_as_record_round_trip_keys(self):
-        out = compute_rewards(reward_table(frame())[0], FLAT)
-        rec = out.as_record(123)
+    def test_record_keys_and_values(self):
+        inp = frame(TerrainType.GAP, v_body_xy=np.array([0.5, 0.0]), command=np.array([0.8, 0, 0]))
+        values = compute_rewards(reward_table(inp), 0, FLAT)
+        assert REWARD_KEYS == ("timestamp_ns", *(f"raw_{k}" for k in TERMS),
+                               *(f"weighted_{k}" for k in TERMS), "total")
+        assert len(values) == len(REWARD_KEYS) - 1
+        assert REWARD_KEYS[1:][WEIGHTED] == tuple(f"weighted_{k}" for k in TERMS)
+        rec = record(reward_table(inp), 0, FLAT, ts=123)
         assert rec["timestamp_ns"] == 123
-        assert rec["total"] == out.total
-        assert rec["raw_l_tracking"] == out.raw["l_tracking"]
+        assert rec["raw_l_tracking"] == 2.0 * math.exp(-4.0 * (0.8 - 0.5) ** 2)
+        assert rec["weighted_l_tracking"] == rec["raw_l_tracking"] * RewardWeights().l_tracking
+        assert rec["total"] == sum(values[WEIGHTED])
 
 
 class TestRewardWeights:
@@ -540,11 +552,13 @@ def reference_compute_rewards(inp, fit, weights, terrain):
                            else w.feet_stumble_platform if tau is TerrainType.HIGH_PLATFORM
                            else 0.0)
     weighted = {k: raw[k] * wts[k] for k in raw}
-    return RewardBreakdown(raw=raw, weighted=weighted, total=float(sum(weighted.values())))
+    return {"timestamp_ns": 0, **{f"raw_{k}": v for k, v in raw.items()},
+            **{f"weighted_{k}": v for k, v in weighted.items()},
+            "total": float(sum(weighted.values()))}
 
 
-def record_bytes(breakdown) -> str:
-    return json.dumps(breakdown.as_record(0))  # repr floats: -0.0 and last bits count
+def record_bytes(rec) -> str:
+    return json.dumps(rec)  # repr floats: -0.0 and last bits count
 
 
 WEIGHT_FIELDS = ("t_l_tracking", "l_tracking", "a_tracking", "v_z", "omega_x", "roll",
@@ -598,11 +612,11 @@ class TestRewardTable:
         frames = random_frames(seed, tau, 5, hf)
         fit = PlaneFit(np.array([s, 0.0, math.sqrt(1 - s * s)]), np.zeros(3), 0.0)
         table = reward_table(stack(frames), weights, hf)
-        assert len(table) == 5
+        assert len(table.raw) == 5
         for k, inp in enumerate(frames):
             want = record_bytes(reference_compute_rewards(inp, fit, weights, hf))
-            assert record_bytes(compute_rewards(reward_table(inp, weights, hf)[0], fit)) == want
-            assert record_bytes(compute_rewards(table[k], fit)) == want
+            assert record_bytes(record(reward_table(inp, weights, hf), 0, fit)) == want
+            assert record_bytes(record(table, k, fit)) == want
 
     def test_fit_terms_wait_for_the_fit(self):
         table = reward_table(frame(TerrainType.HIGH_PLATFORM, v_world=np.array([1.0, 0, 0]),
@@ -610,18 +624,14 @@ class TestRewardTable:
                                    command=np.array([1.2, 0, 0])))
         fit_terms = [TERMS.index("t_l_tracking"), TERMS.index("roll")]
         assert table.raw[0, fit_terms].tolist() == [0.0, 0.0]
-        out = compute_rewards(table[0], FLAT)
-        assert out.raw["t_l_tracking"] == 1.0 and out.raw["roll"] == -(0.6**2)
+        out = record(table, 0, FLAT)
+        assert out["raw_t_l_tracking"] == 1.0 and out["raw_roll"] == -(0.6**2)
 
     def test_table_indexing(self):
         table = reward_table(stack([frame(v_z=0.1), frame(v_z=0.2), frame(v_z=0.3)]))
-        assert compute_rewards(table[-1], FLAT).raw["v_z"] == -(0.3**2)
+        assert record(table, -1, FLAT)["raw_v_z"] == -(0.3**2)
         with pytest.raises(IndexError):
-            table[3]
-
-    def test_compute_rewards_takes_one_frame(self):
-        with pytest.raises(ValueError, match="one frame, got 2"):
-            compute_rewards(reward_table(stack([frame(), frame()])), FLAT)
+            compute_rewards(table, 3, FLAT)
 
     def test_non_finite_anywhere_in_a_stack_rejected(self):
         frames = [frame(), frame(foot_positions=np.full((4, 3), math.inf))]
