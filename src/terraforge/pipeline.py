@@ -186,6 +186,13 @@ class _Replay:
         self.imu_count = self.policy_count = self.scan_count = 0
         self.streamer = telemetry.UdpStreamer(endpoint) if endpoint else None
 
+    def pop_events(self):
+        """Yield the delivered events in order, each taken out of
+        self.events as it is yielded, so a scan is freed once integrated."""
+        self.events.reverse()
+        while self.events:
+            yield self.events.pop()
+
     def step(self, kind: int, item, lap=lambda stage: None) -> None:
         """Handle one delivered event. Scans and IMU samples delivered
         before the first odometry fix are dropped."""
@@ -274,7 +281,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
     replay = _Replay(cfg, cfg.endpoint)
     streamer = replay.streamer
     try:
-        for _, kind, item in replay.events:
+        for _, kind, item in replay.pop_events():
             replay.step(kind, item)
     finally:
         if streamer is not None:
@@ -379,7 +386,7 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
 
     while len(rows) < iters:
         replay, done, scan_ns = _Replay(cfg), len(rows), None
-        for _, kind, item in replay.events:
+        for _, kind, item in replay.pop_events():
             mark = time.perf_counter_ns()
             replay.step(kind, item, lap)
             if kind == SCAN:

@@ -122,6 +122,13 @@ class NoiseConfig:
             raise ValueError("system_delay_ms outside [0, 15]")
 
 
+# a scan holds about 2 kB per active ray at once (its window of up to 64
+# samples), and a ray may take all max_range / ray_step steps; the default
+# pattern is 2048 rays of 1200 steps
+MAX_RAYS_PER_SCAN = 10**5
+MAX_STEPS_PER_RAY = 10**5
+
+
 @dataclass(frozen=True)
 class ScanPattern:
     """Downward-looking cone: full azimuth sweep, elevations below horizon."""
@@ -138,6 +145,10 @@ class ScanPattern:
             raise ValueError("n_azimuth and n_elevation must be >= 1")
         if self.max_range <= 0 or self.ray_step <= 0:
             raise ValueError("max_range and ray_step must be positive")
+        if self.n_azimuth * self.n_elevation > MAX_RAYS_PER_SCAN:
+            raise ValueError(f"n_azimuth * n_elevation must be at most {MAX_RAYS_PER_SCAN} rays")
+        if not self.max_range / self.ray_step <= MAX_STEPS_PER_RAY:
+            raise ValueError(f"max_range / ray_step must be at most {MAX_STEPS_PER_RAY} steps")
 
     @cached_property
     def ray_directions(self) -> np.ndarray:
@@ -296,38 +307,84 @@ def odometry_stream(traj: TrajectorySpec, rate: float = 10.0,
 def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
                   step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per ray, the first and the last step index to sample (see lidar_scan)."""
+    # last: the end of the first 64-step chunk whose last sample is off the
+    # tile, else the last step. Grid x and y are monotone in t, so the chunk
+    # ends on the tile are one run, and it starts at chunk 0 unless the ray
+    # ends there: probe chunk 0, then bisect between an end on the tile (lo)
+    # and one off it (hi; the last chunk counts as off)
     ends = np.append(np.arange(63, n_steps - 1, 64), n_steps - 1)  # chunk ends
-    te = (ends + 1) * step
-    _, _, ok = grid_coords(hf, origin[0] + te * dirs[:, :1], origin[1] + te * dirs[:, 1:2])
-    ok[:, -1] = False  # a ray whose chunk ends all stay on the tile ends at the last step
-    last = ends[(~ok).argmax(axis=1)]
+
+    def on_tile(ray_dirs, chunks):
+        te = (ends[chunks] + 1) * step
+        return grid_coords(hf, origin[0] + te * ray_dirs[:, 0],
+                           origin[1] + te * ray_dirs[:, 1])[2]
+
+    hi = np.where(on_tile(dirs, np.zeros(dirs.shape[0], dtype=np.int64)), ends.size - 1, 0)
+    rays = np.flatnonzero(hi > 1)
+    ray_dirs, lo, hi_r = dirs[rays], np.zeros(rays.size, dtype=np.int64), hi[rays]
+    while (hi_r - lo > 1).any():  # where hi_r = lo + 1, mid = lo stays
+        mid = (lo + hi_r) // 2
+        ok = on_tile(ray_dirs, mid)
+        lo, hi_r = np.where(ok, mid, lo), np.where(ok, hi_r, mid)
+    hi[rays] = hi_r
+    last = ends[hi]
     t_stop = (last + 2) * step  # past the last sample
 
     # t: where the ray comes down to the tile top, then past each block whose
     # max it clears, then, in the first block it does not clear, down to that
     # block's max; block_max has a one-cell rim, so rounding cannot put a
     # sample outside the block it was checked against, and every sample
-    # skipped is above the surface
+    # skipped is above the surface. A block is checked at its exit, where a
+    # descending ray is lowest. Each pass walks w blocks per ray (Amanatides &
+    # Woo): the one entered just past t, then one more per crossing, in the
+    # order of the merged x and y crossing times; w doubles from 1 to 16.
+    # Block coordinates are mirrored on each axis a ray moves down, so every
+    # ray moves up both: it is in block floor(p) and leaves it at floor(p) + 1.
     above = origin[2] - (hf.heights.max() + 1e-5)
-    b0 = (origin[:2] - hf.origin) / (BLOCK_CELLS * hf.resolution)  # in blocks
-    db = dirs[:, :2] / (BLOCK_CELLS * hf.resolution)
+    # per ray: the axis signs s, and the block coordinates at t = 0 and the
+    # blocks per m, both mirrored; mirrored block b is block
+    # s * (b + 0.5) - 0.5 of the tile
+    sign = np.where(dirs[:, :2] < 0, -1.0, 1.0)
+    b0 = sign * ((origin[:2] - hf.origin) / (BLOCK_CELLS * hf.resolution))
+    db = np.abs(dirs[:, :2]) / (BLOCK_CELLS * hf.resolution)
     top_block = np.array(hf.block_max.shape) - 1
+    block_top = hf.block_max + 1e-5
+    oz, dz = origin[2], dirs[:, 2]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.where(above <= 0, 0.0, np.where(dirs[:, 2] < 0, above / -dirs[:, 2], np.inf))
+        t = np.where(above <= 0, 0.0, np.where(dz < 0, above / -dz, np.inf))
         idx = np.flatnonzero(t < t_stop)
+        w = 1
         while idx.size:
-            ti, d = t[idx], db[idx]
-            p = b0 + (ti[:, None] + 1e-7) * d  # just past t: the block being entered
-            block = np.where(d < 0, np.ceil(p) - 1, np.floor(p))
-            t_out = np.where(d != 0, (np.where(d > 0, block + 1, block) - b0) / d, np.inf)
-            t_out = np.maximum(t_out.min(axis=1), ti + 1e-9)
-            i, j = np.clip(block, 0, top_block).astype(np.int64).T  # off the tile: edge block
-            top = hf.block_max[i, j] + 1e-5
-            dz = dirs[idx, 2]
-            clear = origin[2] + np.minimum(dz, 0.0) * t_out > top
-            down = np.where(dz < 0, np.maximum(ti, (origin[2] - top) / -dz), ti)
+            n, ti, ts, dzi = idx.size, t[idx], t_stop[idx], dz[idx]
+            b, d, s = b0[idx], db[idx], sign[idx]
+            block = np.floor(b + (ti[:, None] + 1e-7) * d)
+            # the times at which the ray crosses the next w boundaries of each
+            # axis (inf on an axis it does not move along), merged in order,
+            # and n_y, how many of the crossings before each block are in y
+            cross = ((block + 1)[:, :, None] + np.arange(w) - b[:, :, None]) / d[:, :, None]
+            cross = cross.reshape(n, 2 * w)
+            order = cross.argsort(axis=1)[:, :w]
+            t_out = np.take_along_axis(cross, order, axis=1)
+            n_y = np.zeros((n, w))
+            np.cumsum(order[:, :-1] >= w, axis=1, out=n_y[:, 1:])
+            # each block, back in the tile's indices
+            centre = block + 0.5
+            i = s[:, :1] * (centre[:, :1] + np.arange(w) - n_y) - 0.5
+            j = s[:, 1:] * (centre[:, 1:] + n_y) - 0.5
+            top = block_top[i.clip(0, top_block[0]).astype(np.int64),  # off the tile:
+                            j.clip(0, top_block[1]).astype(np.int64)]  # the edge block
+            clear = oz + np.minimum(dzi[:, None], 0.0) * t_out > top
+            # each ray stops in the first block it does not clear or that it
+            # leaves past t_stop, and pauses after the window's last block
+            halt = ~clear | (t_out >= ts[:, None])
+            halt[:, -1] = True
+            rows, k = np.arange(n), halt.argmax(axis=1)
+            t_in = np.where(k > 0, t_out[rows, k - 1], ti)
+            clear, t_out, top = clear[rows, k], t_out[rows, k], top[rows, k]
+            down = np.where(dzi < 0, np.maximum(t_in, (oz - top) / -dzi), t_in)
             t[idx] = np.where(clear, t_out, down)
-            idx = idx[clear & (t_out < t_stop[idx])]
+            idx = idx[clear & (t_out < ts)]
+            w = min(2 * w, 16)
         start = np.where(t < t_stop, np.floor(t / step) - 3, n_steps)
     return np.maximum(start, 0).astype(np.int64), last
 
@@ -341,13 +398,16 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     before it, so noise-free hits sit on the surface to within one step.
     Each ray skips, without sampling, the blocks of hf.block_max whose max it
     clears and, in the first block it does not clear, its descent down to
-    that block's max: no skipped sample is at or below the surface. Sampling
-    starts three steps before that point, so the sample that a hit
-    interpolates from is always taken. It runs in windows of 4 steps,
-    doubling up to 64; most hits fall about three steps in, inside the first
-    window. A ray is dropped after max_range, or at the end of the first
-    64-step chunk from t = 0 whose last sample is off the tile, even if it
-    re-enters later.
+    that block's max: no skipped sample is at or below the surface. The
+    block walk takes each ray's next 1, 2, 4, 8, then 16 blocks per pass, in
+    the order of its merged x and y boundary crossings. Sampling starts
+    three steps before that point, so the sample that a hit interpolates
+    from is always taken. It runs in windows of 4 steps, doubling up to 64;
+    most hits fall about three steps in, inside the first window. A ray is
+    dropped after max_range, or at the end of the first 64-step chunk from
+    t = 0 whose last sample is off the tile, even if it re-enters later;
+    that chunk is found by bisection, since the chunk ends on the tile are
+    one run from chunk 0.
     """
     pattern = pattern or ScanPattern()
     noise = noise or NoiseConfig()
@@ -377,9 +437,9 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
                                      (origin[1] + ts * d[:, 1:2]).ravel())
         f = (origin[2] + ts * d[:, 2:]) - surf.reshape(ts.shape)  # > 0 above surface
         below = ok.reshape(ts.shape) & (f <= 0.0) & (ks <= last[:, None])
-        crossed = below.any(axis=1)
         first = below.argmax(axis=1)
         rows = np.arange(active.size)
+        crossed = below[rows, first]
         # linear interpolation between the last clear step and the crossing step
         f_hit = f[rows, first]
         t_hit = ts[rows, first]

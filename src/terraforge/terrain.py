@@ -100,6 +100,9 @@ class TerrainSpec:
         cells = self.tile_size / self.resolution
         if abs(cells - round(cells)) > 1e-9:
             raise ValueError("tile_size must be an integer multiple of resolution")
+        if round(cells) < 2:  # a one-node ramp divides by its zero length
+            raise ValueError(f"tile_size {self.tile_size} m spans one node; it must be "
+                             "at least 2 * resolution")
         param, extent = terrain_parameter(self), (round(cells) - 1) * self.resolution
         t = self.terrain_type
         if (t is TerrainType.GAP and param > extent - 2.0  # a landing strip on both sides
@@ -130,9 +133,15 @@ class Heightfield:
     @cached_property
     def block_max(self) -> np.ndarray:
         """Max height of each BLOCK_CELLS-square block grown by one cell."""
-        b, (w, h) = BLOCK_CELLS, self.heights.shape
-        grown = np.lib.stride_tricks.sliding_window_view(
-            np.pad(self.heights, 1, mode="edge"), (3, 3)).max(axis=(2, 3))
+        b, heights = BLOCK_CELLS, self.heights
+        w, h = heights.shape
+        # each cell's max over its 3x3 neighbourhood, rows then columns
+        grown = heights.copy()
+        np.maximum(grown[1:], heights[:-1], out=grown[1:])
+        np.maximum(grown[:-1], heights[1:], out=grown[:-1])
+        rows = grown.copy()
+        np.maximum(grown[:, 1:], rows[:, :-1], out=grown[:, 1:])
+        np.maximum(grown[:, :-1], rows[:, 1:], out=grown[:, :-1])
         grown = np.pad(grown, ((0, -w % b), (0, -h % b)), mode="edge")
         return grown.reshape(-(-w // b), b, -(-h // b), b).max(axis=(1, 3))
 
@@ -276,14 +285,17 @@ def sample_height_vec(hf: Heightfield, xs: np.ndarray, ys: np.ndarray) -> tuple[
     i0 = np.minimum(gxc.astype(np.int64), max(hf.width - 2, 0))
     j0 = np.minimum(gyc.astype(np.int64), max(hf.height - 2, 0))
     fx, fy = gxc - i0, gyc - j0
-    h = hf.heights
-    i1 = np.minimum(i0 + 1, hf.width - 1)
-    j1 = np.minimum(j0 + 1, hf.height - 1)
+    gx1, gy1 = 1 - fx, 1 - fy
+    # the four corners at flat offsets; a one-node side repeats its node
+    h = hf.heights.ravel()
+    c00 = i0 * hf.height + j0
+    di = hf.height if hf.width > 1 else 0
+    dj = 1 if hf.height > 1 else 0
     out = (
-        h[i0, j0] * (1 - fx) * (1 - fy)
-        + h[i1, j0] * fx * (1 - fy)
-        + h[i0, j1] * (1 - fx) * fy
-        + h[i1, j1] * fx * fy
+        h.take(c00) * gx1 * gy1
+        + h.take(c00 + di) * fx * gy1
+        + h.take(c00 + dj) * gx1 * fy
+        + h.take(c00 + di + dj) * fx * fy
     )
     out = np.where(ok, out, np.nan)
     return out, ok

@@ -236,7 +236,10 @@ class TestTallTerrain:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("text", ["[lidar]\nray_step = 0\n",
-                                      "[run]\nmap_size = 20.01\n"])
+                                      "[run]\nmap_size = 20.01\n",
+                                      "[lidar]\nray_step = 1e-6\n",
+                                      "[lidar]\nn_azimuth = 100000\n",
+                                      "[terrain]\ntile_size = 0.05\n"])
     def test_run_exits_2(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "bad.ini"
         cfg_path.write_text(text)
@@ -317,13 +320,14 @@ class TestMalformedIni:
 
 
 # values per INI key, each key set or left out at random; out-of-range
-# values (imu_hz, a reversed magnitude, a small tile for a gap or stairs,
-# speed, radius, a sinusoid's amplitude and frequency up to 1e300, zero
-# LiDAR sizes) are drawn beside valid ones
+# values (imu_hz, a reversed magnitude, a small tile for a gap or stairs, a
+# tile of 1-3 nodes per side, speed, radius, a sinusoid's amplitude and
+# frequency up to 1e300, zero LiDAR sizes, LiDAR marches too long or too
+# wide to fit) are drawn beside valid ones
 _DRAWN_KEYS = {
     "terrain": {"type": st.sampled_from(["slope", "stones", "stairs", "gap", "platform"]),
                 "level": st.integers(0, 9), "robot": st.sampled_from(["lite3", "x30"]),
-                "tile_size": st.sampled_from([2.0, 3.0, 4.0, 8.0]),
+                "tile_size": st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3, 2.0, 3.0, 4.0, 8.0]),
                 "resolution": st.sampled_from([0.05, 0.1]), "seed": st.integers(0, 99)},
     "trajectory": {"kind": st.sampled_from(["static", "constant_velocity", "circle", "sinusoid"]),
                    "height_above_ground": st.sampled_from([0.2, 0.4, 1.0, 1.5]),
@@ -343,9 +347,10 @@ _DRAWN_KEYS = {
                   "resolution": st.sampled_from([0.05, 0.1])},
     "rewards": {"l_tracking": st.floats(-5.0, 5.0), "feet_edge_gap": st.floats(-20.0, 0.0),
                 "edge_margin": st.floats(0.0, 0.2), "grad_threshold": st.floats(0.05, 1.0)},
-    "lidar": {"n_azimuth": st.integers(0, 64), "n_elevation": st.integers(0, 32),
-              "max_range": st.sampled_from([0.0, 2.0, 6.0, 12.0]),
-              "ray_step": st.sampled_from([0.0, 0.01, 0.05])},
+    "lidar": {"n_azimuth": st.one_of(st.integers(0, 64), st.just(10**6)),
+              "n_elevation": st.one_of(st.integers(0, 32), st.just(10**5 + 1)),
+              "max_range": st.sampled_from([0.0, 2.0, 6.0, 12.0, 1e9]),
+              "ray_step": st.sampled_from([0.0, 0.01, 0.05, 1e-6])},
     "run": {"imu_hz": st.sampled_from([50, 100, 200, 400, 2000]),
             "odom_hz": st.sampled_from([5, 10, 20]), "lidar_hz": st.sampled_from([1, 2, 5, 10]),
             "policy_hz": st.sampled_from([25, 50, 100]), "map_size": st.sampled_from([10.0, 20.0]),

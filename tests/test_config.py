@@ -174,8 +174,16 @@ class TestLoadConfig:
          "peak vertical acceleration"),
         ("[trajectory]\nkind = sinusoid\namplitude = 1\nfrequency = 5\n",
          "peak vertical acceleration"),
+        ("[terrain]\ntile_size = 0.05\n", "spans one node"),
+        ("[terrain]\ntile_size = 0.1\nresolution = 0.1\n", "spans one node"),
+        ("[lidar]\nray_step = 1e-6\n", "at most 100000 steps"),
+        ("[lidar]\nmax_range = 1e9\n", "at most 100000 steps"),
+        ("[lidar]\nn_azimuth = 100000\n", "at most 100000 rays"),
+        ("[lidar]\nn_azimuth = 3126\nn_elevation = 32\n", "at most 100000 rays"),
     ], ids=["imu-50", "imu-2000", "reversed-magnitude", "gap-tile", "stairs-tile", "tiny-circle",
-            "negative-frequency", "huge-amplitude", "huge-frequency", "hard-sinusoid"])
+            "negative-frequency", "huge-amplitude", "huge-frequency", "hard-sinusoid",
+            "one-node-tile", "one-node-coarse-tile", "tiny-ray-step", "huge-range",
+            "many-azimuths", "just-too-many-rays"])
     def test_config_that_cannot_run_is_refused(self, text, match):
         with pytest.raises(ValueError, match=match):
             load_config(text, is_text=True)

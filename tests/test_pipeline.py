@@ -6,6 +6,7 @@ import logging
 import math
 import socket
 import tracemalloc
+import weakref
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from terraforge.pipeline import (
     FOOT_OFFSETS,
     NOMINAL_CONTACT_FORCE,
     ODOMETRY,
+    SCAN,
     PipelineInvariantError,
     PipelineResult,
     _policy_ticks,
@@ -475,6 +477,20 @@ class TestLogsFromRows:
             assert not (isinstance(value, list) and value and isinstance(value[0], dict)), name
         assert replay.fused.shape == (replay.imu_count, 7)
         assert replay.tick_rows.shape[0] == replay.policy_count
+
+    def test_each_scan_is_freed_once_integrated(self):
+        replay = _Replay(small_cfg())
+        events = list(replay.events)
+        scans = [weakref.ref(item) for _, kind, item in events if kind == SCAN]
+        assert len(scans) == 21
+        seen = []
+        for event in replay.pop_events():
+            seen.append(event)
+            replay.step(*event[1:])
+            assert len(replay.events) == len(events) - len(seen)
+        assert seen == events
+        del events, seen, event
+        assert replay.scan_count == 21 and all(ref() is None for ref in scans)
 
 
 GAP_POLICY_INI = Path(__file__).parent.parent / "perfbench" / "workloads" / "gap_policy.ini"

@@ -28,8 +28,8 @@ from terraforge.sensors import (
     scan_points_world,
     true_state,
 )
-from terraforge.terrain import (Robot, TerrainSpec, TerrainType, generate, sample_height,
-                                sample_height_vec)
+from terraforge.terrain import (Robot, TerrainSpec, TerrainType, generate, grid_coords,
+                                sample_height, sample_height_vec)
 
 from reference_kinematics import reference_true_state
 
@@ -312,6 +312,16 @@ class TestLidarScan:
             with pytest.raises(ValueError, match="must be >= 1"):
                 ScanPattern(**empty)
 
+    def test_march_that_cannot_fit_is_refused(self):
+        for pattern in ({"ray_step": 1e-6}, {"max_range": np.inf}, {"max_range": np.nan},
+                        {"max_range": 1000.0, "ray_step": 0.0099}):
+            with pytest.raises(ValueError, match="at most 100000 steps"):
+                ScanPattern(**pattern)
+        for rays in ({"n_azimuth": 10**6}, {"n_azimuth": 3126, "n_elevation": 32}):
+            with pytest.raises(ValueError, match="at most 100000 rays"):
+                ScanPattern(**rays)
+        ScanPattern(n_azimuth=3125, n_elevation=32, max_range=1000.0, ray_step=0.01)  # the limits
+
     def test_sensor_underground(self):
         hf = generate(TerrainSpec(TerrainType.HIGH_PLATFORM, 9))
         pose_cls = type(true_state(static_traj(), 0.0).pose)
@@ -443,8 +453,9 @@ SENSOR_POSES = dict(robot=st.sampled_from(list(Robot)), terrain=st.sampled_from(
 
 # poses whose rays descend into a block they do not clear: near-vertical rays
 # from high above a low stair tread whose block holds the next riser, a sensor
-# on a tread 1e-5 m above the next tread's block max, and a tilted sensor over
-# a platform edge
+# on a tread 1e-5 m above the next tread's block max, a tilted sensor over a
+# platform edge, and a sensor 1.5 m above the lowest stairs tread looking
+# along it, whose grazing rays walk more than 20 blocks
 DESCENT_POSES = [
     dict(robot=Robot.LITE3, terrain=TerrainType.STAIRS, level=5, x=1.27, y=0.1,
          height="above_top", lift=0.5, yaw=0.0, tilt=0.03, pattern=PATTERNS[0]),
@@ -452,6 +463,9 @@ DESCENT_POSES = [
          height="on_block", lift=0.125, yaw=0.3, tilt=0.0, pattern=PATTERNS[0]),
     dict(robot=Robot.X30, terrain=TerrainType.HIGH_PLATFORM, level=9, x=3.98, y=0.3,
          height="above_top", lift=0.3, yaw=np.pi, tilt=0.2, pattern=PATTERNS[0]),
+    *(dict(robot=Robot.LITE3, terrain=TerrainType.STAIRS, level=5, x=1.15, y=y,
+           height="above_top", lift=0.285, yaw=yaw, tilt=0.0, pattern=PATTERNS[0])
+      for y, yaw in ((-3.9, np.pi / 2), (3.9, -np.pi / 2))),
 ]
 
 
@@ -532,6 +546,43 @@ class TestMarcherEquivalence:
                    for t in np.arange(0.0, 5.01, 0.5))
         assert hits > 0
         assert sum(samples) / hits < bound
+
+
+def _last_oracle(hf, origin, dirs, step, n_steps):
+    """Each ray's last step as first written: every chunk end is tested, and
+    the ray ends at the first one off the tile, or at the last step."""
+    ends = np.append(np.arange(63, n_steps - 1, 64), n_steps - 1)
+    te = (ends + 1) * step
+    _, _, ok = grid_coords(hf, origin[0] + te * dirs[:, :1], origin[1] + te * dirs[:, 1:2])
+    ok[:, -1] = False
+    return ends[(~ok).argmax(axis=1)]
+
+
+# the tile's corner nodes are x in {0, 7.95} and y in {-3.975, 3.975}; yaw 0
+# gives rays whose y direction is exactly zero, and +-pi/2 rays whose x
+# direction is zero to within 1e-16
+EDGE_X = [-0.05, 0.0, 7.95, 8.0]
+EDGE_Y = [-4.0, -3.975, 3.975, 4.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(robot=st.sampled_from(list(Robot)), terrain=st.sampled_from(list(TerrainType)),
+       level=st.integers(0, 9),
+       x=st.one_of(st.floats(-1.5, 9.5), st.sampled_from(EDGE_X)),
+       y=st.one_of(st.floats(-5.5, 5.5), st.sampled_from(EDGE_Y)),
+       yaw=st.one_of(st.floats(-np.pi, np.pi), st.sampled_from([0.0, np.pi / 2, -np.pi / 2])),
+       tilt=st.one_of(st.just(0.0), st.floats(-0.4, 0.4)),
+       pattern=st.sampled_from(PATTERNS + [ScanPattern(max_range=0.5),
+                                           ScanPattern(max_range=0.64)]))
+def test_bisected_last_matches_every_chunk_end(robot, terrain, level, x, y, yaw, tilt, pattern):
+    hf = _tile(robot, terrain, level)
+    q = quat_multiply(quat_from_rotvec([0.0, 0.0, yaw]), quat_from_rotvec([tilt, 0.5 * tilt, 0.0]))
+    origin = np.array([x, y, 1.0])
+    dirs = pattern.ray_directions @ quat_to_matrix(q).T
+    step = pattern.ray_step
+    n_steps = int(pattern.max_range / step)
+    _, last = sensors_mod._march_bounds(hf, origin, dirs, step, n_steps)
+    assert np.array_equal(last, _last_oracle(hf, origin, dirs, step, n_steps))
 
 
 class TestApplyDelay:

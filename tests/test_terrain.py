@@ -171,6 +171,28 @@ class TestSampleHeight:
         hf = Heightfield(1, 3, 0.05, np.array([0.0, 0.0]), np.array([[0.0, 0.1, 0.2]]))
         assert sample_height(hf, 0.0, 0.075) == pytest.approx(0.15, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1)])
+    def test_one_node_side_matches_reference(self, shape):
+        # reference_sample_height needs two nodes per side: a one-node side
+        # samples as that node doubled
+        heights = np.random.default_rng(2).normal(size=shape)
+        hf = Heightfield(*shape, 0.05, np.array([1.0, -2.0]), heights)
+        doubled = np.broadcast_to(heights, (max(shape[0], 2), max(shape[1], 2)))
+        ref = Heightfield(*doubled.shape, 0.05, hf.origin, doubled.copy())
+        rng = np.random.default_rng(3)
+        along = rng.uniform(0.0, 0.05 * 6, 50)  # along the long side, on the tile
+        across = np.zeros(50)
+        gx, gy = (across, along) if shape[0] == 1 else (along, across)
+        xs, ys = hf.origin[0] + gx, hf.origin[1] + gy
+        vals, ok = sample_height_vec(hf, xs, ys)
+        assert ok.all()
+        for x, y, v in zip(xs, ys, vals):
+            assert v == reference_sample_height(ref, x, y)
+        # a step off the one-node side is off the field
+        off = (xs + 1e-9, ys) if shape[0] == 1 else (xs, ys + 1e-9)
+        vals, ok = sample_height_vec(hf, *off)
+        assert not ok.any() and np.isnan(vals).all()
+
     def test_vectorized_flags_out_of_bounds(self):
         hf = generate(TerrainSpec(TerrainType.SLOPE, 1))
         vals, ok = sample_height_vec(hf, np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
@@ -193,6 +215,14 @@ def test_block_max_covers_block_and_rim():
              for j in range(-(-6 // b))] for i in range(-(-11 // b))]
     assert np.array_equal(hf.block_max, want)
     assert hf.block_max is hf.block_max  # built once, on first use
+
+
+def test_one_node_tile_rejected():
+    # one node per side makes a zero-length slope ramp, 0/0 in every cell
+    with pytest.raises(ValueError, match="spans one node"):
+        TerrainSpec(TerrainType.SLOPE, 0, tile_size=0.05, resolution=0.05)
+    hf = generate(TerrainSpec(TerrainType.SLOPE, 9, tile_size=0.1, resolution=0.05))
+    assert hf.heights.shape == (2, 2) and np.all(hf.heights == 0.0)
 
 
 @pytest.mark.parametrize("size", [0.0, -8.0, float("nan")])
