@@ -54,6 +54,8 @@ def encode_local_map(heights: np.ndarray, resolution: float) -> bytes:
     h = np.asarray(heights)
     if h.ndim != 2:
         raise ValueError("local map must be 2-D")
+    if max(h.shape) > 0xFFFF:
+        raise ValueError(f"a {h.shape[0]}x{h.shape[1]} local map does not fit the u16 header")
     head = _LOCAL_HEAD.pack(h.shape[0], h.shape[1], resolution)
     return head + np.ascontiguousarray(h, dtype="<f4").tobytes()
 

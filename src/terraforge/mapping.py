@@ -7,11 +7,13 @@ Kalman update whose measurement variance grows with range. Cells written
 by a virtual edit are pinned: scans never overwrite them, which is what
 lets an operator paint a trench onto flat ground.
 
-The map is three grids (heights, variance, pinned); a cell is known iff
-its variance is finite. It has one writer: integrate_scan, apply_edit and
-recenter update the grids in place, a shift being one in-place move per
-grid. snapshot() returns a copy, so a reader holds a consistent map that
-later writes do not change.
+The map is two grids, heights and variance: a cell is unknown iff its
+variance is inf and pinned iff it is 0. The Kalman update keeps a pin
+(its gain P / (P + R) is 0 at P = 0) and never takes a measured cell to
+0; a rule that replaces a height instead must skip variance-0 cells. It
+has one writer: integrate_scan, apply_edit and recenter update the grids
+in place, a shift being one in-place move per grid. snapshot() returns a
+copy, so a reader holds a consistent map that later writes do not change.
 """
 
 from __future__ import annotations
@@ -23,11 +25,15 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Pose, quat_yaw
+from .rewards import MIN_PLANE_POINTS
 from .sensors import LidarScan, scan_points_world
+from .terrain import MAX_GRID_SIDE
 
 MAX_POSE_SCAN_DESYNC_S = 0.100
 HEIGHT_BOUND = 5.0  # valid cell heights live in [-5, 5] m
-EDIT_VARIANCE = 1e-6
+# samples per local map; any grid this size has sides and a datagram
+# fragment count that fit the u16 fields of localmaps.bin and telemetry
+MAX_LOCAL_SAMPLES = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,8 @@ class VirtualEdit:
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.region
+        if not all(map(math.isfinite, self.region)):
+            raise ValueError(f"edit region bounds must be finite, got {self.region}")
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("edit region area must be positive")
         if not (-HEIGHT_BOUND <= self.height <= HEIGHT_BOUND):
@@ -48,19 +56,29 @@ class VirtualEdit:
 @dataclass(frozen=True)
 class LocalMapSpec:
     """Yaw-aligned sampling rectangle for e_t. Sample counts are
-    fencepost-inclusive: 1.6 x 1.0 at 0.1 gives 17 x 11 = 187."""
+    fencepost-inclusive: 1.6 x 1.0 at 0.1 gives 17 x 11 = 187. A grid the
+    plane fit or the u16 local-map headers cannot take is refused."""
 
     length_x: float = 1.6
     length_y: float = 1.0
     resolution: float = 0.1
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        for name in ("length_x", "length_y", "resolution"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("length_x", "length_y"):
             ratio = getattr(self, name) / self.resolution
+            if not ratio < MAX_LOCAL_SAMPLES:  # an inf ratio has no round()
+                raise ValueError(f"{name} spans over {MAX_LOCAL_SAMPLES} samples")
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ValueError(f"{name} must be an integer multiple of resolution")
+        nx, ny = self.samples_x, self.samples_y
+        if min(nx, ny) < 2 or nx * ny < MIN_PLANE_POINTS:
+            raise ValueError(f"local map of {nx} x {ny} samples: the plane fit needs at "
+                             f"least 2 per side and {MIN_PLANE_POINTS} in all")
+        if nx * ny > MAX_LOCAL_SAMPLES:
+            raise ValueError(f"local map of {nx} x {ny} samples exceeds {MAX_LOCAL_SAMPLES}")
 
     @property
     def samples_x(self) -> int:
@@ -97,7 +115,6 @@ class LocalMap:
     ys: np.ndarray
     resolution: float
     fill_ratio: float
-    timestamp_ns: int
 
     def to_points(self) -> np.ndarray:
         """Flatten to (n, 3) body-frame points for plane fitting, row-major
@@ -123,12 +140,13 @@ def _edit_window(edit: VirtualEdit, origin, resolution: float,
                  shape: tuple[int, int]) -> tuple[slice, slice]:
     """Grid cells of an edit rectangle, half-open on cell nodes, so an
     L/res-wide edit affects exactly L/res cells."""
-    xmin, ymin, xmax, ymax = edit.region
+    xmin, ymin, xmax, ymax = map(float, edit.region)
+    (ox, oy), res = map(float, origin), float(resolution)
     window = []
-    for lo, hi, o, n in ((xmin, xmax, origin[0], shape[0]),
-                         (ymin, ymax, origin[1], shape[1])):
-        i0 = max(int(math.ceil((lo - o) / resolution - 1e-9)), 0)
-        i1 = min(int(math.ceil((hi - o) / resolution - 1e-9)), n)
+    for lo, hi, o, n in ((xmin, xmax, ox, shape[0]), (ymin, ymax, oy, shape[1])):
+        # clipped to the grid in Python floats, which overflow to inf with no
+        # warning, so a far bound selects up to the edge
+        i0, i1 = (math.ceil(min(max((b - o) / res - 1e-9, 0.0), n)) for b in (lo, hi))
         if i1 <= i0:
             raise ValueError("edit outside map")
         window.append(slice(i0, i1))
@@ -136,16 +154,21 @@ def _edit_window(edit: VirtualEdit, origin, resolution: float,
 
 
 def grid_cells(size: float, resolution: float) -> int:
-    """Cells per side of a size x size map at the given resolution."""
-    n = round(size / resolution) if size > 0 and resolution > 0 else 0
-    if n < 1 or abs(size / resolution - n) > 1e-9:
+    """Cells per side of a size x size map at the given resolution; at
+    most MAX_GRID_SIDE."""
+    ratio = size / resolution if size > 0 and resolution > 0 else 0.0
+    if not ratio <= MAX_GRID_SIDE:
+        raise ValueError(f"a {size} m map at {resolution} m is over {MAX_GRID_SIDE} "
+                         "cells per side")
+    n = round(ratio)
+    if n < 1 or abs(ratio - n) > 1e-9:
         raise ValueError("map size must be a positive integer multiple of map resolution")
     return n
 
 
 class ElevationMap:
-    """Rolling heights/variance/pinned grids, known iff variance is finite,
-    with one in-place writer; readers take a copy through snapshot()."""
+    """Rolling heights/variance grids (unknown iff inf, pinned iff 0) with
+    one in-place writer; readers take a copy through snapshot()."""
 
     def __init__(self, size: float = 20.0, resolution: float = 0.05,
                  center: tuple[float, float] = (0.0, 0.0)):
@@ -155,12 +178,11 @@ class ElevationMap:
         self._origin = np.array([center[0] - extent / 2, center[1] - extent / 2])
         self._heights = np.zeros((n, n))
         self._variance = np.full((n, n), np.inf)
-        self._pinned = np.zeros((n, n), dtype=bool)
 
     def snapshot(self) -> MapSnapshot:
-        return MapSnapshot(self._heights.copy(), self._variance.copy(),
-                           np.isfinite(self._variance), self._pinned.copy(),
-                           self._origin.copy(), self.resolution)
+        variance = self._variance.copy()
+        return MapSnapshot(self._heights.copy(), variance, np.isfinite(variance),
+                           variance == 0, self._origin.copy(), self.resolution)
 
     @property
     def origin(self) -> np.ndarray:
@@ -202,8 +224,7 @@ class ElevationMap:
         d = kx * n + ky
         rows = slice(max(n - kx, 0), n) if kx > 0 else slice(0, -kx)
         cols = slice(max(n - ky, 0), n) if ky > 0 else slice(0, -ky)
-        for grid, fill in ((self._heights, 0.0), (self._variance, np.inf),
-                           (self._pinned, False)):
+        for grid, fill in ((self._heights, 0.0), (self._variance, np.inf)):
             flat = grid.reshape(-1)
             if d > 0:
                 flat[:-d] = flat[d:]
@@ -215,7 +236,8 @@ class ElevationMap:
         return (kx, ky)
 
     def integrate_scan(self, scan: LidarScan, pose: Pose) -> int:
-        """Fuse one scan taken at `pose` into the grid; returns cells touched.
+        """Fuse one scan taken at `pose` into the grid; returns the cells it
+        measured, pinned ones included (no run path pins a cell).
 
         Points are per-cell aggregated (inverse-variance weighted mean)
         before the scalar Kalman update, so the result does not depend on
@@ -248,12 +270,6 @@ class ElevationMap:
         var_cell = 1.0 / sw
         tix, tiy = touched // self.cells, touched % self.cells
 
-        pinned = self._pinned[tix, tiy]
-        tix, tiy = tix[~pinned], tiy[~pinned]
-        z_cell, var_cell = z_cell[~pinned], var_cell[~pinned]
-        if tix.size == 0:
-            return 0
-
         heights, variance = self._heights, self._variance
         seen = np.isfinite(variance[tix, tiy])
         # fresh cells take the measurement directly
@@ -271,8 +287,7 @@ class ElevationMap:
         window = _edit_window(edit, self._origin, self.resolution,
                               self._heights.shape)
         self._heights[window] = edit.height
-        self._variance[window] = EDIT_VARIANCE
-        self._pinned[window] = True
+        self._variance[window] = 0.0
         return self._heights[window].size
 
     def extract_local(self, pose: Pose, spec: LocalMapSpec | None = None) -> LocalMap:
@@ -291,7 +306,7 @@ class ElevationMap:
         heights = np.where(known, self._heights.take(cell) - pz, 0.0)
         fill_ratio = 1.0 - known.sum() / known.size
         return LocalMap(heights=heights, xs=xs, ys=ys, resolution=spec.resolution,
-                        fill_ratio=float(fill_ratio), timestamp_ns=pose.timestamp_ns)
+                        fill_ratio=float(fill_ratio))
 
 
 def edit_heightfield(hf, edit: VirtualEdit):
@@ -324,5 +339,4 @@ def inject_map_noise(local: LocalMap, ratio: float,
     picks = rng.choice(cells, size=count, replace=False)
     heights = local.heights.copy()
     heights.reshape(-1)[picks] += rng.uniform(lo, hi, size=count)
-    return LocalMap(heights, local.xs, local.ys, local.resolution, local.fill_ratio,
-                    local.timestamp_ns)
+    return replace(local, heights=heights)

@@ -60,8 +60,10 @@ def encode_local_map(timestamp_ns: int, heights: np.ndarray,
     h = np.asarray(heights)
     if h.ndim != 2:
         raise ValueError("local map must be 2-D")
+    count = max(1, -(-h.size // MAX_FRAGMENT_CELLS))
+    if max(*h.shape, count) > 0xFFFF:
+        raise ValueError(f"a {h.shape[0]}x{h.shape[1]} local map does not fit the u16 header")
     flat = np.ascontiguousarray(h, dtype="<f4").ravel()
-    count = max(1, -(-flat.size // MAX_FRAGMENT_CELLS))
     out = []
     for k in range(count):
         chunk = flat[k * MAX_FRAGMENT_CELLS:(k + 1) * MAX_FRAGMENT_CELLS]

@@ -13,6 +13,7 @@ does not fit its tile is refused when the spec is made.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -79,6 +80,9 @@ STONE_PITCH = 0.90  # m lattice pitch between stone centers
 GAP_DEPTH = -1.0  # m, gap floor height (well-defined surface, not missing data)
 MAX_STAIR_CLIMB = 1.8  # m, keeps peak height inside the +/-2 m bound at level 9
 BLOCK_CELLS = 4  # side of a Heightfield.block_max block, in cells
+# cells per side of a generated tile or an elevation map: 32 MB per
+# float64 grid, so a mistyped resolution is refused instead of allocated
+MAX_GRID_SIDE = 2000
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,14 @@ class TerrainSpec:
     def __post_init__(self):
         if not 0 <= self.level <= 9:
             raise ValueError(f"level {self.level} outside [0, 9]")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be finite and positive, got {self.resolution}")
         if not self.tile_size > 0:
             raise ValueError(f"tile_size must be positive, got {self.tile_size}")
         cells = self.tile_size / self.resolution
+        if not cells <= MAX_GRID_SIDE:
+            raise ValueError(f"tile_size {self.tile_size} m at {self.resolution} m is over "
+                             f"{MAX_GRID_SIDE} cells per side")
         if abs(cells - round(cells)) > 1e-9:
             raise ValueError("tile_size must be an integer multiple of resolution")
         if round(cells) < 2:  # a one-node ramp divides by its zero length
@@ -123,6 +130,12 @@ class Heightfield:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64))
+        # a subnormal resolution's reciprocal overflows
+        if not sys.float_info.min <= self.resolution < math.inf:
+            raise ValueError(f"resolution must be finite and at least {sys.float_info.min}, "
+                             f"got {self.resolution}")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin.tolist()}")
         h = np.asarray(self.heights, dtype=np.float64)
         if h.shape != (self.width, self.height):
             raise ValueError(f"heights shape {h.shape} != ({self.width}, {self.height})")
@@ -145,21 +158,11 @@ class Heightfield:
         grown = np.pad(grown, ((0, -w % b), (0, -h % b)), mode="edge")
         return grown.reshape(-(-w // b), b, -(-h // b), b).max(axis=(1, 3))
 
-    @cached_property
-    def _edge_xy(self) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-        return {}
-
     def edge_xy(self, grad_threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only world x and y of every edge_cells cell, in ascending
-        x, computed once per grad_threshold and kept with the field."""
-        xy = self._edge_xy.get(grad_threshold)
-        if xy is None:
-            exi, eyi = np.nonzero(edge_cells(self, grad_threshold))
-            ex = self.origin[0] + exi * self.resolution
-            ey = self.origin[1] + eyi * self.resolution
-            ex.flags.writeable = ey.flags.writeable = False
-            xy = self._edge_xy[grad_threshold] = (ex, ey)
-        return xy
+        """World x and y of every edge_cells cell, in ascending x (row-major
+        nonzero order)."""
+        exi, eyi = np.nonzero(edge_cells(self, grad_threshold))
+        return self.origin[0] + exi * self.resolution, self.origin[1] + eyi * self.resolution
 
 
 def edge_cells(hf: Heightfield, grad_threshold: float = 0.5) -> np.ndarray:

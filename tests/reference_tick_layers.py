@@ -50,7 +50,7 @@ def reference_extract_local(emap, pose, spec: LocalMapSpec) -> LocalMap:
     heights = rel.reshape(spec.samples_x, spec.samples_y)
     fill_ratio = 1.0 - known.sum() / known.size
     return LocalMap(heights=heights, xs=xs, ys=ys, resolution=spec.resolution,
-                    fill_ratio=float(fill_ratio), timestamp_ns=pose.timestamp_ns)
+                    fill_ratio=float(fill_ratio))
 
 
 def reference_fit_plane(points, min_count: int = 10) -> PlaneFit:

@@ -7,6 +7,7 @@ import os
 import platform
 import shutil
 import socket
+import struct
 import subprocess
 import sys
 import warnings
@@ -274,8 +275,15 @@ class TestConfigErrors:
         ("[trajectory]\nkind = sinusoid\namplitude = 0.05\nfrequency = 1e300\n",
          "peak vertical acceleration"),
         ("[trajectory]\nkind = sinusoid\namplitude = 1e300\n", "|amplitude| must be <= 10 m"),
+        ("[local_map]\nlength_x = 0.2\nlength_y = 0.2\n", "3 x 3 samples"),
+        ("[local_map]\nlength_x = 0\n", "length_x must be finite and positive"),
+        ("[local_map]\nlength_x = -1.6\n", "length_x must be finite and positive"),
+        ("[local_map]\nresolution = 1e-300\n", "spans over 65535 samples"),
+        ("[local_map]\nlength_x = 6600\n", "spans over 65535 samples"),
     ], ids=["imu-rate", "reversed-magnitude", "gap-on-small-tile", "stairs-on-small-tile",
-            "sinusoid-frequency", "sinusoid-amplitude"])
+            "sinusoid-frequency", "sinusoid-amplitude", "local-map-under-10-samples",
+            "zero-local-map", "negative-local-map", "tiny-local-map-resolution",
+            "local-map-over-u16"])
     def test_config_that_cannot_run_is_refused_at_load(self, tmp_path, capsys, command,
                                                         text, match):
         cfg_path = tmp_path / "bad.ini"
@@ -323,12 +331,14 @@ class TestMalformedIni:
 # values (imu_hz, a reversed magnitude, a small tile for a gap or stairs, a
 # tile of 1-3 nodes per side, speed, radius, a sinusoid's amplitude and
 # frequency up to 1e300, zero LiDAR sizes, LiDAR marches too long or too
-# wide to fit) are drawn beside valid ones
+# wide to fit, local maps too small for the plane fit or too large for
+# their u16 headers, tile and map grids over their cells-per-side bound)
+# are drawn beside valid ones
 _DRAWN_KEYS = {
     "terrain": {"type": st.sampled_from(["slope", "stones", "stairs", "gap", "platform"]),
                 "level": st.integers(0, 9), "robot": st.sampled_from(["lite3", "x30"]),
                 "tile_size": st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3, 2.0, 3.0, 4.0, 8.0]),
-                "resolution": st.sampled_from([0.05, 0.1]), "seed": st.integers(0, 99)},
+                "resolution": st.sampled_from([0.05, 0.1, 0.001]), "seed": st.integers(0, 99)},
     "trajectory": {"kind": st.sampled_from(["static", "constant_velocity", "circle", "sinusoid"]),
                    "height_above_ground": st.sampled_from([0.2, 0.4, 1.0, 1.5]),
                    "speed": st.floats(0.0, 3.5), "radius": st.floats(-0.5, 3.0),
@@ -342,9 +352,9 @@ _DRAWN_KEYS = {
               "system_delay_ms": st.floats(0.0, 15.0)},
     "fusion": {"gyro_noise": st.floats(1e-4, 1e-2), "odom_pos_std": st.floats(1e-3, 0.1),
                "init_att_std": st.floats(0.01, 0.5)},
-    "local_map": {"length_x": st.sampled_from([0.8, 1.6]),
-                  "length_y": st.sampled_from([0.5, 1.0]),
-                  "resolution": st.sampled_from([0.05, 0.1])},
+    "local_map": {"length_x": st.sampled_from([0.8, 1.6, 0.2, 0.0, -1.6, 6600.0]),
+                  "length_y": st.sampled_from([0.5, 1.0, 0.2]),
+                  "resolution": st.sampled_from([0.05, 0.1, 1e-300])},
     "rewards": {"l_tracking": st.floats(-5.0, 5.0), "feet_edge_gap": st.floats(-20.0, 0.0),
                 "edge_margin": st.floats(0.0, 0.2), "grad_threshold": st.floats(0.05, 1.0)},
     "lidar": {"n_azimuth": st.one_of(st.integers(0, 64), st.just(10**6)),
@@ -354,7 +364,8 @@ _DRAWN_KEYS = {
     "run": {"imu_hz": st.sampled_from([50, 100, 200, 400, 2000]),
             "odom_hz": st.sampled_from([5, 10, 20]), "lidar_hz": st.sampled_from([1, 2, 5, 10]),
             "policy_hz": st.sampled_from([25, 50, 100]), "map_size": st.sampled_from([10.0, 20.0]),
-            "map_resolution": st.sampled_from([0.05, 0.1]), "desired_height": st.floats(0.2, 0.6),
+            "map_resolution": st.sampled_from([0.05, 0.1, 0.001]),
+            "desired_height": st.floats(0.2, 0.6),
             "seed": st.integers(0, 2**16)},
 }
 
@@ -431,6 +442,35 @@ class TestEditMap:
                      "--xmax", "2.0", "--ymax", "1.0",
                      "--height", "0.3"])
         assert code == 2
+
+    @pytest.mark.parametrize("bound, code, out", [("1e300", 0, "affected_cells 1600\n"),
+                                                  ("1e308", 0, "affected_cells 1600\n"),
+                                                  ("inf", 2, "")])
+    def test_far_or_infinite_bound(self, tmp_path, capsys, bound, code, out):
+        path = tmp_path / "tile.hfld"
+        main(["gen", "--out", str(path)])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning
+            assert main(["edit-map", "--map", str(path), "--xmin", "0", "--ymin", "0",
+                         "--xmax", bound, "--ymax", "0.5", "--height", "0.1"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out and "Traceback" not in captured.err
+        if code:
+            assert captured.err.startswith("error: edit region bounds must be finite")
+
+    @pytest.mark.parametrize("res, origin_x, match", [
+        (0.0, 0.0, "resolution must be finite"), (1e-320, 0.0, "resolution must be finite"),
+        (float("nan"), 0.0, "resolution must be finite"), (0.05, float("inf"), "origin must be finite"),
+    ], ids=["zero-resolution", "subnormal-resolution", "nan-resolution", "infinite-origin"])
+    def test_map_file_with_bad_geometry_exits_2(self, tmp_path, capsys, res, origin_x, match):
+        path = tmp_path / "bad.hfld"
+        path.write_bytes(struct.pack("<4sHIIddd", b"HFLD", 1, 4, 4, res, origin_x, 0.0)
+                         + bytes(4 * 16))
+        assert main(["edit-map", "--map", str(path), "--xmin", "0", "--ymin", "0",
+                     "--xmax", "1", "--ymax", "0.5", "--height", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err and "Traceback" not in err
 
     def test_missing_map_file(self, tmp_path, capsys):
         code = main(["edit-map", "--map", str(tmp_path / "nope.hfld"),

@@ -180,10 +180,24 @@ class TestLoadConfig:
         ("[lidar]\nmax_range = 1e9\n", "at most 100000 steps"),
         ("[lidar]\nn_azimuth = 100000\n", "at most 100000 rays"),
         ("[lidar]\nn_azimuth = 3126\nn_elevation = 32\n", "at most 100000 rays"),
+        ("[local_map]\nlength_x = 0.2\nlength_y = 0.2\n", "3 x 3 samples"),
+        ("[local_map]\nlength_x = 0\n", "length_x must be finite and positive"),
+        ("[local_map]\nlength_x = -1.6\n", "length_x must be finite and positive"),
+        ("[local_map]\nlength_y = 1e-12\n", "17 x 1 samples"),
+        ("[local_map]\nresolution = 1e-300\n", "length_x spans over 65535 samples"),
+        ("[local_map]\nlength_x = 6600\n", "length_x spans over 65535 samples"),
+        ("[local_map]\nlength_x = 600\n", "6001 x 11 samples exceeds 65535"),
+        ("[terrain]\nresolution = 0.001\n", "over 2000 cells per side"),
+        ("[terrain]\nresolution = 1e-320\n", "over 2000 cells per side"),
+        ("[run]\nmap_resolution = 0.001\n", "over 2000 cells per side"),
+        ("[run]\nmap_resolution = 1e-320\n", "over 2000 cells per side"),
     ], ids=["imu-50", "imu-2000", "reversed-magnitude", "gap-tile", "stairs-tile", "tiny-circle",
             "negative-frequency", "huge-amplitude", "huge-frequency", "hard-sinusoid",
             "one-node-tile", "one-node-coarse-tile", "tiny-ray-step", "huge-range",
-            "many-azimuths", "just-too-many-rays"])
+            "many-azimuths", "just-too-many-rays", "local-map-under-10-samples",
+            "zero-local-map", "negative-local-map", "one-sample-local-map-side",
+            "tiny-local-map-resolution", "local-map-side-over-u16", "local-map-over-u16",
+            "fine-tile", "subnormal-tile-resolution", "fine-map", "subnormal-map-resolution"])
     def test_config_that_cannot_run_is_refused(self, text, match):
         with pytest.raises(ValueError, match=match):
             load_config(text, is_text=True)
@@ -195,7 +209,10 @@ class TestLoadConfig:
                      "[terrain]\ntype = stairs\ntile_size = 3\n",
                      "[trajectory]\nkind = circle\nradius = 0.1\n",
                      "[trajectory]\nkind = sinusoid\namplitude = 0.5\nfrequency = 5\n",
-                     "[trajectory]\nkind = sinusoid\namplitude = -10\nfrequency = 0\n"):
+                     "[trajectory]\nkind = sinusoid\namplitude = -10\nfrequency = 0\n",
+                     "[local_map]\nlength_x = 0.1\nlength_y = 0.4\n",
+                     "[local_map]\nlength_x = 25.6\nlength_y = 25.4\n",  # 257 x 255 = 65535
+                     "[terrain]\ntile_size = 100\n", "[run]\nmap_size = 100\n"):
             load_config(text, is_text=True)
 
     @pytest.mark.parametrize("line, match", [

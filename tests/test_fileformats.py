@@ -106,6 +106,12 @@ class TestLocalMapBlob:
         with pytest.raises(ValueError, match="2-D"):
             encode_local_map(np.zeros(187), 0.1)
 
+    @pytest.mark.parametrize("shape", [(0x10000, 1), (2, 0x10000)])
+    def test_side_past_u16_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not fit the u16 header"):
+            encode_local_map(np.zeros(shape), 0.1)
+        encode_local_map(np.zeros((0xFFFF, 1)), 0.1)  # the largest side fits
+
     @pytest.mark.parametrize("size, match", [(0, "header"), (15, "header"),
                                              (16, "17x11 cells"), (16 + 17 * 11 * 4 - 1, "17x11 cells")])
     def test_truncated_blob_rejected(self, size, match):

@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from terraforge.geometry import Pose, Quaternion, quat_from_yaw, vec3
@@ -17,6 +18,7 @@ from terraforge.mapping import (
     edit_heightfield,
     inject_map_noise,
 )
+from terraforge.rewards import MIN_PLANE_POINTS
 from terraforge.sensors import LidarScan, lidar_scan
 from terraforge.terrain import TerrainSpec, TerrainType, generate, sample_height
 
@@ -240,8 +242,16 @@ class TestRecenterMatchesOracle:
                 rng = np.random.default_rng(op[1])
                 pts = np.column_stack([rng.uniform(-1.1, 1.1, (op[2], 2)),
                                        rng.uniform(-0.6, 0.2, op[2])])
+                before = emap.snapshot()
                 emap.integrate_scan(LidarScan(0, pts),
                                     pose_at(center[0], center[1], 0.4))
+                after = emap.snapshot()
+                # a pin keeps its height value and zero variance; a cell
+                # that was only measured never reaches zero variance
+                pins = before.pinned
+                assert np.array_equal(after.heights[pins], before.heights[pins])
+                assert np.all(after.variance[pins] == 0.0)
+                assert np.array_equal(after.pinned, pins)
             elif op[0] == "edit":
                 x0, y0 = center[0] + op[1], center[1] + op[2]
                 emap.apply_edit(VirtualEdit((x0, y0, x0 + op[3], y0 + op[4]), op[5]))
@@ -276,6 +286,7 @@ class TestExtractLocal:
     @given(st.integers(1, 30), st.integers(1, 30), st.sampled_from([0.05, 0.1, 0.25]))
     @settings(max_examples=50, deadline=None)
     def test_sample_grid_bit_equal_built_once_read_only(self, nx, ny, res):
+        assume((nx + 1) * (ny + 1) >= MIN_PLANE_POINTS)  # smaller specs are refused
         spec = LocalMapSpec(nx * res, ny * res, res)
         xs = -spec.length_x / 3 + spec.resolution * np.arange(spec.samples_x)
         ys = -spec.length_y / 2 + spec.resolution * np.arange(spec.samples_y)
@@ -369,6 +380,19 @@ class TestApplyEdit:
         with pytest.raises(ValueError, match="edit outside map"):
             emap.apply_edit(VirtualEdit((50.0, 50.0, 51.0, 51.0), -1.0))
 
+    @pytest.mark.parametrize("far", [1e300, 1e308, np.finfo(float).max])
+    def test_far_bound_selects_to_the_edge(self, far):
+        emap = ElevationMap(size=2.0, resolution=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert emap.apply_edit(VirtualEdit((0.0, -far, far, 0.5), -1.0)) == 10 * 15
+        assert emap.snapshot().pinned.sum() == 10 * 15
+
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            VirtualEdit((0.0, bound, 1.0, 1.0), -1.0)
+
     def test_height_bound(self):
         with pytest.raises(ValueError, match="height"):
             VirtualEdit((0, 0, 1, 1), -7.0)
@@ -446,12 +470,12 @@ def test_local_map_to_points_shape():
        st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_local_map_to_points_bit_equal_meshgrid(nx, ny, res, seed):
+    assume((nx + 1) * (ny + 1) >= MIN_PLANE_POINTS)  # smaller specs are refused
     spec = LocalMapSpec(nx * res, ny * res, res)
     xs, ys, _, _ = spec.sample_grid
     heights = np.random.default_rng(seed).normal(size=(spec.samples_x, spec.samples_y))
     heights[0, -1] = np.nan  # values are copied, not computed on
-    local = LocalMap(heights=heights, xs=xs, ys=ys, resolution=res,
-                     fill_ratio=0.0, timestamp_ns=0)
+    local = LocalMap(heights=heights, xs=xs, ys=ys, resolution=res, fill_ratio=0.0)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     want = np.column_stack([gx.ravel(), gy.ravel(), heights.ravel()])
     got = local.to_points()
@@ -489,8 +513,7 @@ class TestTickLayersMatchReference:
         assert got.heights.tobytes() == want.heights.tobytes()
         assert got.heights.shape == want.heights.shape
         assert got.fill_ratio.hex() == want.fill_ratio.hex()
-        assert (got.xs is want.xs and got.ys is want.ys
-                and got.timestamp_ns == want.timestamp_ns)
+        assert got.xs is want.xs and got.ys is want.ys
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.1), st.integers(0, 2**32 - 1),
            st.tuples(st.floats(-2.0, 0.0), st.floats(0.0, 3.0)))
@@ -503,5 +526,5 @@ class TestTickLayersMatchReference:
         want = reference_inject_map_noise(local, ratio, magnitude, seed)
         assert got.heights.tobytes() == want.heights.tobytes()
         assert local.heights.tobytes() == before  # noise goes on a copy
-        for name in ("xs", "ys", "resolution", "fill_ratio", "timestamp_ns"):
+        for name in ("xs", "ys", "resolution", "fill_ratio"):
             assert getattr(got, name) is getattr(want, name), name

@@ -300,12 +300,6 @@ class TestCachedEdgeField:
         assert not flags.any() and count == 0.0
         assert flat.edge_xy(0.0)[0].size == 0
 
-    def test_edge_field_built_once_and_read_only(self, platform):
-        ex, ey = platform.edge_xy(0.5)
-        assert platform.edge_xy(0.5)[0] is ex
-        assert not ex.flags.writeable and not ey.flags.writeable
-        assert platform.edge_xy(0.1)[0] is not ex
-
     def test_cache_dies_with_its_terrain(self):
         hf = generate(TerrainSpec(TerrainType.GAP, 9))
         feet_edge_penalty(np.zeros((4, 3)), np.tile([0.0, 0.0, 30.0], (4, 1)), hf)

@@ -105,6 +105,13 @@ class TestLocalMapMessage:
         with pytest.raises(ValueError, match="2-D"):
             encode_local_map(0, np.zeros(10), 0.1)
 
+    # a side past u16, and sides within it whose 81,914 fragments are not
+    # (a zero-stride view, so nothing is allocated before the check)
+    @pytest.mark.parametrize("shape", [(0x10000, 1), (1, 0x10000), (0xFFFF, 400)])
+    def test_past_u16_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not fit the u16 header"):
+            encode_local_map(0, np.broadcast_to(np.float32(0.0), shape), 0.1)
+
 
 class TestRewardMessage:
     def test_round_trip(self):

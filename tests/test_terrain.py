@@ -1,10 +1,13 @@
 """Terrain generation and parameter table tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from terraforge.terrain import (
     BLOCK_CELLS,
+    MAX_GRID_SIDE,
     Heightfield,
     Robot,
     TerrainSpec,
@@ -205,6 +208,29 @@ def test_non_finite_heights_rejected():
     bad[2, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         Heightfield(4, 4, 0.05, np.array([0.0, 0.0]), bad)
+
+
+@pytest.mark.parametrize("res, origin, match", [
+    (0.0, (0.0, 0.0), "resolution must be finite"),
+    (-0.05, (0.0, 0.0), "resolution must be finite"),
+    (np.nan, (0.0, 0.0), "resolution must be finite"),
+    (np.inf, (0.0, 0.0), "resolution must be finite"),
+    (1e-320, (0.0, 0.0), "resolution must be finite"),  # subnormal: 1 / res overflows
+    (0.05, (np.inf, 0.0), "origin must be finite"),
+    (0.05, (0.0, np.nan), "origin must be finite"),
+])
+def test_bad_resolution_or_origin_rejected(res, origin, match):
+    with pytest.raises(ValueError, match=match):
+        Heightfield(4, 4, res, np.array(origin), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("kwargs", [{"resolution": 0.001}, {"tile_size": 1e6},
+                                    {"tile_size": math.inf}, {"resolution": 5e-324}])
+def test_tile_over_the_grid_bound_rejected(kwargs):
+    with pytest.raises(ValueError, match=f"over {MAX_GRID_SIDE} cells per side"):
+        TerrainSpec(TerrainType.SLOPE, 0, **kwargs)
+    spec = TerrainSpec(TerrainType.SLOPE, 0, tile_size=100.0)  # 2000 cells: the bound
+    assert round(spec.tile_size / spec.resolution) == MAX_GRID_SIDE
 
 
 def test_block_max_covers_block_and_rim():
