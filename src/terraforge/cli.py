@@ -120,7 +120,7 @@ def _environment() -> dict:
 
 
 def cmd_edit_map(args) -> int:
-    with _reading():
+    with _reading(f"{args.map}: "):
         hf = fileformats.read_heightfield(args.map)
     edit = VirtualEdit(region=(args.xmin, args.ymin, args.xmax, args.ymax),
                        height=args.height)

@@ -19,6 +19,12 @@ from .telemetry import parse_endpoint
 from .terrain import Robot, TerrainSpec, TerrainType
 
 
+# a replay synthesizes and holds every sample of its IMU, odometry and
+# LiDAR streams, and every point of its scans, before its first tick
+MAX_STREAM_SAMPLES = 10**6  # 5,000 s of IMU at 200 Hz
+MAX_REPLAY_RAYS = 2 * 10**7  # scans x rays per scan; 480 MB of float64 points
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     terrain: TerrainSpec = field(default_factory=lambda: TerrainSpec(
@@ -51,6 +57,18 @@ class PipelineConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         grid_cells(self.map_size, self.map_resolution)
+        duration = self.trajectory.duration
+        for name in ("imu_hz", "odom_hz", "lidar_hz"):
+            # int(duration * rate) + 1 samples; compared so that no int is
+            # converted to a float, which overflows past 1e308
+            if getattr(self, name) >= MAX_STREAM_SAMPLES / duration:
+                raise ValueError(f"{name} {getattr(self, name)} over {duration} s is over "
+                                 f"{MAX_STREAM_SAMPLES} samples")
+        pattern = self.scan_pattern
+        rays = (int(duration * self.lidar_hz) + 1) * pattern.n_azimuth * pattern.n_elevation
+        if rays > MAX_REPLAY_RAYS:
+            raise ValueError(f"{rays} LiDAR rays per replay (scans x n_azimuth x n_elevation) "
+                             f"is over {MAX_REPLAY_RAYS}")
 
     @property
     def ticks_per_policy(self) -> int:

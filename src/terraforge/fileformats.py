@@ -38,6 +38,9 @@ def read_heightfield(path) -> Heightfield:
         raise ValueError("not a heightfield file")
     if ver != FORMAT_VERSION:
         raise ValueError(f"unsupported heightfield version {ver}")
+    if len(data) < _HFLD_HEAD.size + 4 * w * h:
+        raise ValueError(f"truncated heightfield file: {(len(data) - _HFLD_HEAD.size) // 4} "
+                         f"of {w}x{h} cells")
     cells = np.frombuffer(data, dtype="<f4", count=w * h, offset=_HFLD_HEAD.size)
     heights = cells.reshape(w, h).astype(float)
     return Heightfield(width=w, height=h, resolution=res,

@@ -57,8 +57,8 @@ class TrajectorySpec:
     frequency: float = 1.0  # Hz (sinusoid)
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if not 0.0 <= self.speed <= 3.0:
             raise ValueError("speed outside [0, 3] m/s")
         # a tighter circle turns faster than 30 rad/s at 3 m/s; radii near
@@ -307,27 +307,20 @@ def odometry_stream(traj: TrajectorySpec, rate: float = 10.0,
 def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
                   step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per ray, the first and the last step index to sample (see lidar_scan)."""
-    # last: the end of the first 64-step chunk whose last sample is off the
-    # tile, else the last step. Grid x and y are monotone in t, so the chunk
-    # ends on the tile are one run, and it starts at chunk 0 unless the ray
-    # ends there: probe chunk 0, then bisect between an end on the tile (lo)
-    # and one off it (hi; the last chunk counts as off)
-    ends = np.append(np.arange(63, n_steps - 1, 64), n_steps - 1)  # chunk ends
-
-    def on_tile(ray_dirs, chunks):
-        te = (ends[chunks] + 1) * step
-        return grid_coords(hf, origin[0] + te * ray_dirs[:, 0],
-                           origin[1] + te * ray_dirs[:, 1])[2]
-
-    hi = np.where(on_tile(dirs, np.zeros(dirs.shape[0], dtype=np.int64)), ends.size - 1, 0)
-    rays = np.flatnonzero(hi > 1)
-    ray_dirs, lo, hi_r = dirs[rays], np.zeros(rays.size, dtype=np.int64), hi[rays]
-    while (hi_r - lo > 1).any():  # where hi_r = lo + 1, mid = lo stays
-        mid = (lo + hi_r) // 2
-        ok = on_tile(ray_dirs, mid)
-        lo, hi_r = np.where(ok, mid, lo), np.where(ok, hi_r, mid)
-    hi[rays] = hi_r
-    last = ends[hi]
+    # last: one step past where the ray leaves the tile box, at the nearer
+    # of its two axis exits (Kay & Kajiya's slabs), sparing one for rounding;
+    # sampling masks what is off the tile. Samples round to floats, so an
+    # edge is passed half the float gap beyond it. A ray off the tile at step
+    # k, its first 64-step chunk's end, ends there even if it enters later
+    lo = hf.origin - origin[:2] - 0.5 * (hf.origin - np.nextafter(hf.origin, -np.inf))
+    hi = hf.far_corner - origin[:2] + 0.5 * (np.nextafter(hf.far_corner, np.inf) - hf.far_corner)
+    dxy = dirs[:, :2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t_exit = np.where(dxy > 0, hi / dxy, np.where(dxy < 0, lo / dxy, np.inf)).min(axis=1)
+        last = np.floor(np.clip(t_exit / step, 0, n_steps - 1)).astype(np.int64)
+    k = min(63, n_steps - 1)
+    on_tile = grid_coords(hf, *(origin[:2, None] + (k + 1) * step * dxy.T))[2]
+    last = np.where(on_tile, np.maximum(last, k), k)
     t_stop = (last + 2) * step  # past the last sample
 
     # t: where the ray comes down to the tile top, then past each block whose
@@ -404,10 +397,10 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     three steps before that point, so the sample that a hit interpolates
     from is always taken. It runs in windows of 4 steps, doubling up to 64;
     most hits fall about three steps in, inside the first window. A ray is
-    dropped after max_range, or at the end of the first 64-step chunk from
-    t = 0 whose last sample is off the tile, even if it re-enters later;
-    that chunk is found by bisection, since the chunk ends on the tile are
-    one run from chunk 0.
+    dropped after max_range, or one step past where it leaves the tile,
+    found in closed form from the tile's edges and the float rounding of
+    each sample; a ray whose 64th sample is off the tile is dropped there,
+    even if it enters the tile later.
     """
     pattern = pattern or ScanPattern()
     noise = noise or NoiseConfig()

@@ -144,6 +144,17 @@ class Heightfield:
         object.__setattr__(self, "heights", h)
 
     @cached_property
+    def far_corner(self) -> np.ndarray:
+        """The largest world x and y on the tile, by bisection over floats:
+        (x - origin) / resolution rounds, so the last node's may be off."""
+        top = np.array([self.width - 1, self.height - 1])
+        on, off = self.origin, self.origin + (top + 1) * self.resolution
+        while np.any(((mid := on + 0.5 * (off - on)) != on) & (mid != off)):
+            past = (mid - self.origin) / self.resolution > top
+            on, off = np.where(past, on, mid), np.where(past, mid, off)
+        return on
+
+    @cached_property
     def block_max(self) -> np.ndarray:
         """Max height of each BLOCK_CELLS-square block grown by one cell."""
         b, heights = BLOCK_CELLS, self.heights
@@ -272,11 +283,12 @@ def sample_height(hf: Heightfield, x: float, y: float) -> float:
 
 
 def grid_coords(hf: Heightfield, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fractional grid coordinates of world (xs, ys) and the in-bounds mask."""
-    gx = (np.asarray(xs, dtype=np.float64) - hf.origin[0]) / hf.resolution
-    gy = (np.asarray(ys, dtype=np.float64) - hf.origin[1]) / hf.resolution
-    ok = (gx >= 0) & (gx <= hf.width - 1) & (gy >= 0) & (gy <= hf.height - 1)
-    return gx, gy, ok
+    """Fractional grid coordinates of world (xs, ys) and the in-bounds mask,
+    the box from hf.origin to hf.far_corner."""
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    (x0, y0), (x1, y1) = hf.origin, hf.far_corner
+    ok = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+    return (xs - x0) / hf.resolution, (ys - y0) / hf.resolution, ok
 
 
 def sample_height_vec(hf: Heightfield, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -332,8 +332,11 @@ class TestMalformedIni:
 # tile of 1-3 nodes per side, speed, radius, a sinusoid's amplitude and
 # frequency up to 1e300, zero LiDAR sizes, LiDAR marches too long or too
 # wide to fit, local maps too small for the plane fit or too large for
-# their u16 headers, tile and map grids over their cells-per-side bound)
-# are drawn beside valid ones
+# their u16 headers, tile and map grids over their cells-per-side bound,
+# streams over their sample bound) are drawn beside valid ones. Rates of
+# 1e9 Hz and a 1e9 s duration are refused with every drawn duration and
+# rate; 1e7 Hz would load for a 1 ms trajectory, as 10^4 scans, too many
+# for a quick draw
 _DRAWN_KEYS = {
     "terrain": {"type": st.sampled_from(["slope", "stones", "stairs", "gap", "platform"]),
                 "level": st.integers(0, 9), "robot": st.sampled_from(["lite3", "x30"]),
@@ -362,7 +365,8 @@ _DRAWN_KEYS = {
               "max_range": st.sampled_from([0.0, 2.0, 6.0, 12.0, 1e9]),
               "ray_step": st.sampled_from([0.0, 0.01, 0.05, 1e-6])},
     "run": {"imu_hz": st.sampled_from([50, 100, 200, 400, 2000]),
-            "odom_hz": st.sampled_from([5, 10, 20]), "lidar_hz": st.sampled_from([1, 2, 5, 10]),
+            "odom_hz": st.sampled_from([5, 10, 20, 10**9]),
+            "lidar_hz": st.sampled_from([1, 2, 5, 10, 10**9]),
             "policy_hz": st.sampled_from([25, 50, 100]), "map_size": st.sampled_from([10.0, 20.0]),
             "map_resolution": st.sampled_from([0.05, 0.1, 0.001]),
             "desired_height": st.floats(0.2, 0.6),
@@ -373,13 +377,13 @@ _DRAWN_KEYS = {
 @st.composite
 def ini_texts(draw):
     """INI text over every section, with a duration of at most 0.5 s, on
-    the 0.05 s grid or anywhere."""
+    the 0.05 s grid or anywhere, or of 1e9 s."""
     lines = []
     for section, keys in _DRAWN_KEYS.items():
         lines.append(f"[{section}]")
         if section == "trajectory":
             grid = st.integers(1, 10).map(lambda k: round(k * 0.05, 2))
-            lines.append(f"duration = {draw(st.one_of(grid, st.floats(1e-3, 0.5)))}")
+            lines.append(f"duration = {draw(st.one_of(grid, st.floats(1e-3, 0.5), st.just(1e9)))}")
         lines += [f"{key} = {draw(values)}" for key, values in keys.items()
                   if draw(st.booleans())]
     return "\n".join(lines) + "\n"
@@ -413,6 +417,11 @@ class TestEveryConfigThatLoadsRuns:
         if code == 0:
             for name in SEVEN_FILES:
                 assert (tmp / "cli" / name).read_bytes() == (tmp / "lib" / name).read_bytes()
+
+
+def _hfld(res=0.05, origin_x=0.0, magic=b"HFLD", cells=16):
+    """A 4x4 heightfield file with these header fields and body cells."""
+    return struct.pack("<4sHIIddd", magic, 1, 4, 4, res, origin_x, 0.0) + bytes(4 * cells)
 
 
 class TestEditMap:
@@ -459,18 +468,23 @@ class TestEditMap:
         if code:
             assert captured.err.startswith("error: edit region bounds must be finite")
 
-    @pytest.mark.parametrize("res, origin_x, match", [
-        (0.0, 0.0, "resolution must be finite"), (1e-320, 0.0, "resolution must be finite"),
-        (float("nan"), 0.0, "resolution must be finite"), (0.05, float("inf"), "origin must be finite"),
-    ], ids=["zero-resolution", "subnormal-resolution", "nan-resolution", "infinite-origin"])
-    def test_map_file_with_bad_geometry_exits_2(self, tmp_path, capsys, res, origin_x, match):
+    @pytest.mark.parametrize("blob, match", [
+        (_hfld(res=0.0), "resolution must be finite"),
+        (_hfld(res=1e-320), "resolution must be finite"),
+        (_hfld(res=float("nan")), "resolution must be finite"),
+        (_hfld(origin_x=float("inf")), "origin must be finite"),
+        (_hfld(cells=2), "truncated heightfield file: 2 of 4x4 cells"),
+        (_hfld(magic=b"PNG\0"), "not a heightfield file"),
+        (b"HFLD", "truncated heightfield file"),
+    ], ids=["zero-resolution", "subnormal-resolution", "nan-resolution", "infinite-origin",
+            "truncated-body", "bad-magic", "four-byte-file"])
+    def test_map_file_with_bad_geometry_exits_2(self, tmp_path, capsys, blob, match):
         path = tmp_path / "bad.hfld"
-        path.write_bytes(struct.pack("<4sHIIddd", b"HFLD", 1, 4, 4, res, origin_x, 0.0)
-                         + bytes(4 * 16))
+        path.write_bytes(blob)
         assert main(["edit-map", "--map", str(path), "--xmin", "0", "--ymin", "0",
                      "--xmax", "1", "--ymax", "0.5", "--height", "0.1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and match in err and "Traceback" not in err
+        assert err.startswith(f"error: {path}: ") and match in err and "Traceback" not in err
 
     def test_missing_map_file(self, tmp_path, capsys):
         code = main(["edit-map", "--map", str(tmp_path / "nope.hfld"),

@@ -6,7 +6,7 @@ import pytest
 
 from terraforge.config import PipelineConfig, load_config, reference_text
 from terraforge.mapping import ElevationMap
-from terraforge.sensors import TrajectoryKind
+from terraforge.sensors import TrajectoryKind, TrajectorySpec
 from terraforge.terrain import Robot, TerrainType
 
 
@@ -157,6 +157,11 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=match):
             load_config(text, is_text=True)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_duration_refused_by_the_api(self, duration):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            TrajectorySpec(TrajectoryKind.STATIC, duration)
+
     def test_invalid_combo_propagates(self):
         with pytest.raises(ValueError, match="divisible"):
             load_config("[run]\nimu_hz = 200\npolicy_hz = 60\n", is_text=True)
@@ -191,13 +196,24 @@ class TestLoadConfig:
         ("[terrain]\nresolution = 1e-320\n", "over 2000 cells per side"),
         ("[run]\nmap_resolution = 0.001\n", "over 2000 cells per side"),
         ("[run]\nmap_resolution = 1e-320\n", "over 2000 cells per side"),
+        ("[run]\nlidar_hz = 10000000\n", "lidar_hz 10000000 over 5.0 s is over 1000000 samples"),
+        ("[run]\nodom_hz = 10000000\n", "odom_hz 10000000 over 5.0 s is over 1000000 samples"),
+        ("[run]\nodom_hz = 1" + "0" * 400 + "\n", "over 5.0 s is over 1000000 samples"),
+        ("[trajectory]\nduration = 1e9\n", "imu_hz 200 over 1000000000.0 s is over 1000000 samples"),
+        ("[trajectory]\nduration = 5000\n[lidar]\nn_azimuth = 1\nn_elevation = 1\n",
+         "imu_hz 200 over 5000.0 s is over 1000000 samples"),  # 1000001 samples
+        ("[run]\nlidar_hz = 4000\n", "40962048 LiDAR rays per replay"),
+        ("[lidar]\nn_azimuth = 3125\n[run]\nlidar_hz = 100\n", "50100000 LiDAR rays per replay"),
     ], ids=["imu-50", "imu-2000", "reversed-magnitude", "gap-tile", "stairs-tile", "tiny-circle",
             "negative-frequency", "huge-amplitude", "huge-frequency", "hard-sinusoid",
             "one-node-tile", "one-node-coarse-tile", "tiny-ray-step", "huge-range",
             "many-azimuths", "just-too-many-rays", "local-map-under-10-samples",
             "zero-local-map", "negative-local-map", "one-sample-local-map-side",
             "tiny-local-map-resolution", "local-map-side-over-u16", "local-map-over-u16",
-            "fine-tile", "subnormal-tile-resolution", "fine-map", "subnormal-map-resolution"])
+            "fine-tile", "subnormal-tile-resolution", "fine-map", "subnormal-map-resolution",
+            "lidar-10-MHz", "odometry-10-MHz", "odometry-rate-past-float-range",
+            "billion-second-trajectory", "one-imu-sample-too-many", "rays-at-4-kHz",
+            "widest-scan-at-100-Hz"])
     def test_config_that_cannot_run_is_refused(self, text, match):
         with pytest.raises(ValueError, match=match):
             load_config(text, is_text=True)
@@ -212,7 +228,10 @@ class TestLoadConfig:
                      "[trajectory]\nkind = sinusoid\namplitude = -10\nfrequency = 0\n",
                      "[local_map]\nlength_x = 0.1\nlength_y = 0.4\n",
                      "[local_map]\nlength_x = 25.6\nlength_y = 25.4\n",  # 257 x 255 = 65535
-                     "[terrain]\ntile_size = 100\n", "[run]\nmap_size = 100\n"):
+                     "[terrain]\ntile_size = 100\n", "[run]\nmap_size = 100\n",
+                     # 999999 IMU samples; 9751 scans of 2048 rays
+                     "[trajectory]\nduration = 4999.99\n[lidar]\nn_azimuth = 1\nn_elevation = 1\n",
+                     "[run]\nlidar_hz = 1950\n"):
             load_config(text, is_text=True)
 
     @pytest.mark.parametrize("line, match", [

@@ -203,6 +203,23 @@ class TestSampleHeight:
         assert np.isnan(vals[0])
 
 
+def test_far_corner_is_the_last_float_on_the_tile():
+    # on the tile means (x - origin) / resolution <= width - 1, and so for y
+    rng = np.random.default_rng(4)
+    for k in range(300):
+        shape = rng.integers(1, 400, 2)
+        res = float(rng.choice([0.05, 0.1, 0.02, 0.033])) * rng.uniform(0.5, 2.0)
+        # every third tile ends near world 0, where floats are dense
+        origin = -(shape - 1) * res if k % 3 == 0 else rng.normal(0.0, 10.0, 2)
+        hf = Heightfield(*shape, res, origin, np.zeros(shape))
+        fc, top = hf.far_corner, shape - 1
+        assert np.all((fc - hf.origin) / res <= top)
+        assert np.all((np.nextafter(fc, np.inf) - hf.origin) / res > top)
+        _, ok = sample_height_vec(hf, [fc[0], np.nextafter(fc[0], np.inf), fc[0]],
+                                  [fc[1], fc[1], np.nextafter(fc[1], np.inf)])
+        assert ok.tolist() == [True, False, False]
+
+
 def test_non_finite_heights_rejected():
     bad = np.zeros((4, 4))
     bad[2, 2] = np.nan
