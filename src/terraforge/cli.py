@@ -52,13 +52,19 @@ def _setup_logging() -> None:
 
 
 @contextmanager
-def _reading(prefix: str = ""):
-    """Re-raise a bad or unreadable input as a ValueError led by prefix,
-    so that main never reports a failed read as a failed write."""
+def _reading(prefix: str = "", path: str | None = None):
+    """Re-raise a bad or unreadable input as a ValueError led by prefix, so
+    that main never reports a failed read as a failed write. The message
+    names the file read once: an OSError's own file, or else path."""
+    lead = prefix if path is None else f"{prefix}{path}: "
     try:
         yield
-    except (OSError, ValueError) as e:
-        raise ValueError(f"{prefix}{e}") from e
+    except OSError as e:
+        if e.filename is None:
+            raise ValueError(f"{lead}{e}") from e
+        raise ValueError(f"{prefix}{e.filename}: {e.strerror}") from e
+    except ValueError as e:
+        raise ValueError(f"{lead}{e}") from e
 
 
 def _config(path: str | None, seed: int | None = None) -> PipelineConfig:
@@ -120,7 +126,7 @@ def _environment() -> dict:
 
 
 def cmd_edit_map(args) -> int:
-    with _reading(f"{args.map}: "):
+    with _reading(path=args.map):
         hf = fileformats.read_heightfield(args.map)
     edit = VirtualEdit(region=(args.xmin, args.ymin, args.xmax, args.ymax),
                        height=args.height)

@@ -31,7 +31,7 @@ from .geometry import (
     quat_to_matrix,
     vec3,
 )
-from .terrain import BLOCK_CELLS, Heightfield, grid_coords, sample_height_vec
+from .terrain import Heightfield, grid_coords, sample_height_vec, window_max
 
 
 class TrajectoryKind(Enum):
@@ -304,6 +304,112 @@ def odometry_stream(traj: TrajectorySpec, rate: float = 10.0,
     return [Pose(p, q, ts) for p, q, ts in zip(pos, quats, times)]
 
 
+# the rays of one of this many heading bins share a height profile, which
+# is built this many segments at a time
+PROFILE_BINS = 256
+PROFILE_BLOCK = 48
+
+
+def _profile_starts(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
+                    t_stop: np.ndarray) -> np.ndarray:
+    """Per ray, a t before which no sample is at or below the surface, from
+    vertical ray coherence (Cohen-Or, Rich, Lerner & Shenkar 1996).
+
+    The rays of one heading bin form a group. Its line runs out from the
+    sensor at the middle of their headings, in segments just under one cell
+    long; segment m, from s_m to s_{m+1} along the ground, is bounded by H_m,
+    the largest hf.cell_max (+1e-5 m) that its box touches. A ray whose
+    heading differs by dphi stays within dphi * s of the line, so each box
+    is widened by the group's largest dphi times its reach. A ray that
+    descends tau per m along the ground is lowest in a segment at its far
+    end, so it clears segment m iff tau > (H_m - z0) / s_{m+1}; it starts in
+    the first segment it does not clear, where it comes down to H_m."""
+    res, oz = hf.resolution, origin[2]
+    seg = 0.99 * res  # segment length, m: a box spans at most two cells
+    dx, dy, dz = dirs.T
+    a = np.sqrt(dx * dx + dy * dy)
+    phi = np.arctan2(dy, dx)
+    bins = ((phi + np.pi) * (PROFILE_BINS / (2 * np.pi))).astype(np.int64)
+    order = np.argsort(bins, kind="stable")
+    bins, phi, a, dz, t_stop = (v[order] for v in (bins, phi, a, dz, t_stop))
+    new = np.empty(bins.size, bool)
+    new[0] = True
+    np.not_equal(bins[1:], bins[:-1], out=new[1:])
+    first, group = np.flatnonzero(new), np.cumsum(new) - 1
+    mid = 0.5 * (np.minimum.reduceat(phi, first) + np.maximum.reduceat(phi, first))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # clipped for the search below; a rising ray is never below z0
+        tau = np.where(dz < 0, np.maximum(dz / a, -1e6), 0.0)
+        # a profile reaches its rays' t_stop or, if they all descend, where
+        # the shallowest is 1 mm under every node, so that no segment after
+        # lets it through
+        shallowest = np.maximum.reduceat(tau, first)
+        depth = np.where(shallowest < 0, (oz - hf.heights.min() + 1e-3) / -shallowest, np.inf)
+    reach = np.minimum(np.maximum.reduceat(t_stop * a, first), depth)
+    need = np.maximum(np.ceil(reach / seg), 1).astype(np.int64)  # segments
+    # in cells, with 1e-9 m for rounding
+    widen = (np.maximum.reduceat(np.abs(phi - mid[group]), first) * need * seg + 1e-9) / res
+
+    # in grid coordinates: each line's step per segment, and the low and
+    # high corners of its segment m's box less m steps
+    g_step = np.stack([np.cos(mid), np.sin(mid)]) * (seg / res)
+    g0 = ((origin[:2] - hf.origin) / res)[:, None]
+    box_lo, box_hi = g0 + np.minimum(g_step, 0) - widen, g0 + np.maximum(g_step, 0) + widen
+    cells = hf.cell_max
+    top = np.array(cells.shape)[:, None, None] - 1
+    n_y = cells.shape[1]
+    # a box that spans over two cells on a side reads a k x k window maximum
+    k = int(np.ceil(seg / res + 2 * widen.max())) + 1
+    window = window_max(cells, k).ravel() if k > 2 else None
+    cells = cells.ravel()
+
+    # each group's H_m and (H_m - z0) / s_{m+1}, built a block at a time
+    # until its shallowest ray stops or its reach is covered; inf past that
+    n_max = -(-int(need.max()) // PROFILE_BLOCK) * PROFILE_BLOCK
+    bound, rise = np.full((2, first.size, n_max), np.inf)
+    s_end = np.arange(1, n_max + 1) * seg
+    rise_max = np.full(first.size, -np.inf)
+    live, m0 = np.arange(first.size), 0
+    while live.size:
+        ms = np.arange(m0, m0 + PROFILE_BLOCK) * g_step[:, live, None]
+        # each box's cells: clipped to the grid, where truncating is flooring
+        lo = (ms + box_lo[:, live, None]).clip(0, top).astype(np.int64)
+        if window is None:
+            hi = (ms + box_hi[:, live, None]).clip(0, top).astype(np.int64)
+            lo[0] *= n_y
+            hi[0] *= n_y
+            h = np.maximum(np.maximum(cells.take(lo[0] + lo[1]), cells.take(hi[0] + lo[1])),
+                           np.maximum(cells.take(lo[0] + hi[1]), cells.take(hi[0] + hi[1])))
+        else:
+            h = window.take(lo[0] * n_y + lo[1])
+        h += 1e-5
+        r = (h - oz) / s_end[m0:m0 + PROFILE_BLOCK]
+        bound[live, m0:m0 + PROFILE_BLOCK], rise[live, m0:m0 + PROFILE_BLOCK] = h, r
+        m0 += PROFILE_BLOCK
+        rise_max[live] = np.maximum(rise_max[live], r.max(axis=1))
+        live = live[(rise_max[live] < shallowest[live]) & (need[live] > m0)]
+
+    # C_m, the running max of (H_m - z0) / s_{m+1}: a ray clears segments 0
+    # to m iff tau > C_m. One search per ray finds the first m with C_m >=
+    # tau, over keys g * 2^24 + C_m with C clipped to [-1e6, 0] like tau:
+    # float addition is monotone, so a segment that a ray does not clear
+    # never sorts below it, and a tie in rounding only stops the ray sooner
+    c = np.maximum.accumulate(rise, axis=1).clip(-1e6, 0)
+    keys = (c + np.arange(first.size)[:, None] * 2.0**24).ravel()
+    base = group * n_max
+    m = np.searchsorted(keys, tau + group * 2.0**24) - base
+    cap = need[group]
+    descends = (m < cap) & (dz < 0)  # into segment m, down to H_m
+    m = np.minimum(m, cap)  # a ray that clears its reach starts past it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_in = np.where(m > 0, m * seg / a, 0.0)
+        down = (bound.ravel()[base + np.minimum(m, n_max - 1)] - oz) / dz
+        t = np.where(descends, np.maximum(t_in, down), t_in)
+    starts = np.empty_like(t)
+    starts[order] = t
+    return starts
+
+
 def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
                   step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per ray, the first and the last step index to sample (see lidar_scan)."""
@@ -323,62 +429,8 @@ def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
     last = np.where(on_tile, np.maximum(last, k), k)
     t_stop = (last + 2) * step  # past the last sample
 
-    # t: where the ray comes down to the tile top, then past each block whose
-    # max it clears, then, in the first block it does not clear, down to that
-    # block's max; block_max has a one-cell rim, so rounding cannot put a
-    # sample outside the block it was checked against, and every sample
-    # skipped is above the surface. A block is checked at its exit, where a
-    # descending ray is lowest. Each pass walks w blocks per ray (Amanatides &
-    # Woo): the one entered just past t, then one more per crossing, in the
-    # order of the merged x and y crossing times; w doubles from 1 to 16.
-    # Block coordinates are mirrored on each axis a ray moves down, so every
-    # ray moves up both: it is in block floor(p) and leaves it at floor(p) + 1.
-    above = origin[2] - (hf.heights.max() + 1e-5)
-    # per ray: the axis signs s, and the block coordinates at t = 0 and the
-    # blocks per m, both mirrored; mirrored block b is block
-    # s * (b + 0.5) - 0.5 of the tile
-    sign = np.where(dirs[:, :2] < 0, -1.0, 1.0)
-    b0 = sign * ((origin[:2] - hf.origin) / (BLOCK_CELLS * hf.resolution))
-    db = np.abs(dirs[:, :2]) / (BLOCK_CELLS * hf.resolution)
-    top_block = np.array(hf.block_max.shape) - 1
-    block_top = hf.block_max + 1e-5
-    oz, dz = origin[2], dirs[:, 2]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.where(above <= 0, 0.0, np.where(dz < 0, above / -dz, np.inf))
-        idx = np.flatnonzero(t < t_stop)
-        w = 1
-        while idx.size:
-            n, ti, ts, dzi = idx.size, t[idx], t_stop[idx], dz[idx]
-            b, d, s = b0[idx], db[idx], sign[idx]
-            block = np.floor(b + (ti[:, None] + 1e-7) * d)
-            # the times at which the ray crosses the next w boundaries of each
-            # axis (inf on an axis it does not move along), merged in order,
-            # and n_y, how many of the crossings before each block are in y
-            cross = ((block + 1)[:, :, None] + np.arange(w) - b[:, :, None]) / d[:, :, None]
-            cross = cross.reshape(n, 2 * w)
-            order = cross.argsort(axis=1)[:, :w]
-            t_out = np.take_along_axis(cross, order, axis=1)
-            n_y = np.zeros((n, w))
-            np.cumsum(order[:, :-1] >= w, axis=1, out=n_y[:, 1:])
-            # each block, back in the tile's indices
-            centre = block + 0.5
-            i = s[:, :1] * (centre[:, :1] + np.arange(w) - n_y) - 0.5
-            j = s[:, 1:] * (centre[:, 1:] + n_y) - 0.5
-            top = block_top[i.clip(0, top_block[0]).astype(np.int64),  # off the tile:
-                            j.clip(0, top_block[1]).astype(np.int64)]  # the edge block
-            clear = oz + np.minimum(dzi[:, None], 0.0) * t_out > top
-            # each ray stops in the first block it does not clear or that it
-            # leaves past t_stop, and pauses after the window's last block
-            halt = ~clear | (t_out >= ts[:, None])
-            halt[:, -1] = True
-            rows, k = np.arange(n), halt.argmax(axis=1)
-            t_in = np.where(k > 0, t_out[rows, k - 1], ti)
-            clear, t_out, top = clear[rows, k], t_out[rows, k], top[rows, k]
-            down = np.where(dzi < 0, np.maximum(t_in, (oz - top) / -dzi), t_in)
-            t[idx] = np.where(clear, t_out, down)
-            idx = idx[clear & (t_out < ts)]
-            w = min(2 * w, 16)
-        start = np.where(t < t_stop, np.floor(t / step) - 3, n_steps)
+    t = _profile_starts(hf, origin, dirs, t_stop)
+    start = np.where(t < t_stop, np.floor(t / step) - 3, n_steps)
     return np.maximum(start, 0).astype(np.int64), last
 
 
@@ -389,13 +441,15 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     A ray is sampled at t = (k+1)*ray_step; its first on-tile sample at or
     below the surface is refined by linear interpolation from the sample
     before it, so noise-free hits sit on the surface to within one step.
-    Each ray skips, without sampling, the blocks of hf.block_max whose max it
-    clears and, in the first block it does not clear, its descent down to
-    that block's max: no skipped sample is at or below the surface. The
-    block walk takes each ray's next 1, 2, 4, 8, then 16 blocks per pass, in
-    the order of its merged x and y boundary crossings. Sampling starts
-    three steps before that point, so the sample that a hit interpolates
-    from is always taken. It runs in windows of 4 steps, doubling up to 64;
+    The rays that share a world heading share one height profile (vertical
+    ray coherence): their line out from the sensor, cut into segments just
+    under one cell long, each bounded by the largest hf.cell_max its box
+    touches, the box widened by how far the group's rays stray from the
+    line. Each ray skips, without sampling, the segments it clears and, in
+    the first it does not clear, its descent down to that segment's bound:
+    no skipped sample is at or below the surface. Sampling starts three
+    steps before that point, so the sample that a hit interpolates from is
+    always taken. It runs in windows of 4 steps, doubling up to 64;
     most hits fall about three steps in, inside the first window. A ray is
     dropped after max_range, or one step past where it leaves the tile,
     found in closed form from the tile's edges and the float rounding of

@@ -79,7 +79,6 @@ STONE_SIZE = 0.50  # m square stones
 STONE_PITCH = 0.90  # m lattice pitch between stone centers
 GAP_DEPTH = -1.0  # m, gap floor height (well-defined surface, not missing data)
 MAX_STAIR_CLIMB = 1.8  # m, keeps peak height inside the +/-2 m bound at level 9
-BLOCK_CELLS = 4  # side of a Heightfield.block_max block, in cells
 # cells per side of a generated tile or an elevation map: 32 MB per
 # float64 grid, so a mistyped resolution is refused instead of allocated
 MAX_GRID_SIDE = 2000
@@ -155,19 +154,12 @@ class Heightfield:
         return on
 
     @cached_property
-    def block_max(self) -> np.ndarray:
-        """Max height of each BLOCK_CELLS-square block grown by one cell."""
-        b, heights = BLOCK_CELLS, self.heights
-        w, h = heights.shape
-        # each cell's max over its 3x3 neighbourhood, rows then columns
-        grown = heights.copy()
-        np.maximum(grown[1:], heights[:-1], out=grown[1:])
-        np.maximum(grown[:-1], heights[1:], out=grown[:-1])
-        rows = grown.copy()
-        np.maximum(grown[:, 1:], rows[:, :-1], out=grown[:, 1:])
-        np.maximum(grown[:, :-1], rows[:, 1:], out=grown[:, :-1])
-        grown = np.pad(grown, ((0, -w % b), (0, -h % b)), mode="edge")
-        return grown.reshape(-(-w // b), b, -(-h // b), b).max(axis=(1, 3))
+    def cell_max(self) -> np.ndarray:
+        """Max height of each cell's four corner nodes, shape (width - 1,
+        height - 1); a one-node side repeats its node. Bilinear sampling
+        inside a cell never exceeds it."""
+        h = np.pad(self.heights, ((0, self.width == 1), (0, self.height == 1)), mode="edge")
+        return np.maximum(np.maximum(h[:-1, :-1], h[1:, :-1]), np.maximum(h[:-1, 1:], h[1:, 1:]))
 
     def edge_xy(self, grad_threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
         """World x and y of every edge_cells cell, in ascending x (row-major
@@ -187,6 +179,19 @@ def edge_cells(hf: Heightfield, grad_threshold: float = 0.5) -> np.ndarray:
     mask[:, :-1][dy] = True
     mask[:, 1:][dy] = True
     return mask
+
+
+def window_max(grid: np.ndarray, k: int) -> np.ndarray:
+    """Max of each k x k window of grid, anchored at its low corner and cut
+    off at the far edges: out[i, j] = grid[i:i + k, j:j + k].max()."""
+    out = grid.copy()
+    for axis in (0, 1):
+        rows, w = np.moveaxis(out, axis, 0), 1  # rows holds windows w long
+        while w < k:
+            d = min(w, k - w)
+            np.maximum(rows[:-d], rows[d:], out=rows[:-d])
+            w += d
+    return out
 
 
 def terrain_parameter(spec: TerrainSpec) -> float:

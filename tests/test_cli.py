@@ -250,6 +250,13 @@ class TestConfigErrors:
         assert err.startswith("error: config:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_missing_config_file_named(self, tmp_path, capsys):
+        path = tmp_path / "missing.ini"
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: {path}: No such file or directory\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, argv, key", [
         ("[trajectory]\nduration = nan\n", [], "duration"),
         ("[trajectory]\nheight_above_ground = nan\n", [], "height_above_ground"),
@@ -327,65 +334,81 @@ class TestMalformedIni:
         assert not (tmp_path / "out").exists()
 
 
-# values per INI key, each key set or left out at random; out-of-range
+# per INI key, its values in range and, where it has any, its out-of-range
 # values (imu_hz, a reversed magnitude, a small tile for a gap or stairs, a
 # tile of 1-3 nodes per side, speed, radius, a sinusoid's amplitude and
 # frequency up to 1e300, zero LiDAR sizes, LiDAR marches too long or too
 # wide to fit, local maps too small for the plane fit or too large for
 # their u16 headers, tile and map grids over their cells-per-side bound,
-# streams over their sample bound) are drawn beside valid ones. Rates of
-# 1e9 Hz and a 1e9 s duration are refused with every drawn duration and
-# rate; 1e7 Hz would load for a 1 ms trajectory, as 10^4 scans, too many
-# for a quick draw
+# streams over their sample bound). Rates of 1e9 Hz and a 1e9 s duration
+# are refused with every drawn duration and rate; 1e7 Hz would load for a
+# 1 ms trajectory, as 10^4 scans, too many for a quick draw
 _DRAWN_KEYS = {
-    "terrain": {"type": st.sampled_from(["slope", "stones", "stairs", "gap", "platform"]),
-                "level": st.integers(0, 9), "robot": st.sampled_from(["lite3", "x30"]),
-                "tile_size": st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3, 2.0, 3.0, 4.0, 8.0]),
-                "resolution": st.sampled_from([0.05, 0.1, 0.001]), "seed": st.integers(0, 99)},
-    "trajectory": {"kind": st.sampled_from(["static", "constant_velocity", "circle", "sinusoid"]),
-                   "height_above_ground": st.sampled_from([0.2, 0.4, 1.0, 1.5]),
-                   "speed": st.floats(0.0, 3.5), "radius": st.floats(-0.5, 3.0),
-                   "amplitude": st.one_of(st.floats(0.0, 0.2), st.floats(0.0, 1e300)),
-                   "frequency": st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e300))},
-    "noise": {"gyro_std": st.floats(0.0, 0.05), "accel_std": st.floats(0.0, 0.5),
-              "odom_pos_std": st.floats(0.0, 0.05), "odom_yaw_std": st.floats(0.0, 0.05),
-              "lidar_range_std": st.floats(0.0, 0.05),
-              "map_noise_ratio": st.sampled_from([0.0, 0.05, 0.1]),
-              "map_noise_magnitude": st.sampled_from(["-1 2", "0 0.5", "2 1"]),
-              "system_delay_ms": st.floats(0.0, 15.0)},
-    "fusion": {"gyro_noise": st.floats(1e-4, 1e-2), "odom_pos_std": st.floats(1e-3, 0.1),
-               "init_att_std": st.floats(0.01, 0.5)},
-    "local_map": {"length_x": st.sampled_from([0.8, 1.6, 0.2, 0.0, -1.6, 6600.0]),
-                  "length_y": st.sampled_from([0.5, 1.0, 0.2]),
-                  "resolution": st.sampled_from([0.05, 0.1, 1e-300])},
-    "rewards": {"l_tracking": st.floats(-5.0, 5.0), "feet_edge_gap": st.floats(-20.0, 0.0),
-                "edge_margin": st.floats(0.0, 0.2), "grad_threshold": st.floats(0.05, 1.0)},
-    "lidar": {"n_azimuth": st.one_of(st.integers(0, 64), st.just(10**6)),
-              "n_elevation": st.one_of(st.integers(0, 32), st.just(10**5 + 1)),
-              "max_range": st.sampled_from([0.0, 2.0, 6.0, 12.0, 1e9]),
-              "ray_step": st.sampled_from([0.0, 0.01, 0.05, 1e-6])},
-    "run": {"imu_hz": st.sampled_from([50, 100, 200, 400, 2000]),
-            "odom_hz": st.sampled_from([5, 10, 20, 10**9]),
-            "lidar_hz": st.sampled_from([1, 2, 5, 10, 10**9]),
-            "policy_hz": st.sampled_from([25, 50, 100]), "map_size": st.sampled_from([10.0, 20.0]),
-            "map_resolution": st.sampled_from([0.05, 0.1, 0.001]),
-            "desired_height": st.floats(0.2, 0.6),
-            "seed": st.integers(0, 2**16)},
+    "terrain": {"type": (st.sampled_from(["slope", "stones", "stairs", "gap", "platform"]), None),
+                "level": (st.integers(0, 9), None),
+                "robot": (st.sampled_from(["lite3", "x30"]), None),
+                "tile_size": (st.sampled_from([4.0, 8.0]),
+                              st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3, 2.0, 3.0])),
+                "resolution": (st.sampled_from([0.05, 0.1]), st.just(0.001)),
+                "seed": (st.integers(0, 99), None)},
+    "trajectory": {"duration": (st.one_of(st.integers(1, 10).map(lambda k: round(k * 0.05, 2)),
+                                          st.floats(1e-3, 0.5)), st.just(1e9)),
+                   "kind": (st.sampled_from(["static", "constant_velocity", "circle", "sinusoid"]),
+                            None),
+                   "height_above_ground": (st.sampled_from([0.2, 0.4, 1.0, 1.5]), None),
+                   "speed": (st.floats(0.0, 3.0), st.floats(3.0, 3.5, exclude_min=True)),
+                   "radius": (st.floats(0.1, 3.0), st.floats(-0.5, 0.1, exclude_max=True)),
+                   "amplitude": (st.floats(0.0, 0.2), st.floats(0.0, 1e300)),
+                   "frequency": (st.floats(0.0, 3.0), st.floats(0.0, 1e300))},
+    "noise": {"gyro_std": (st.floats(0.0, 0.05), None), "accel_std": (st.floats(0.0, 0.5), None),
+              "odom_pos_std": (st.floats(0.0, 0.05), None),
+              "odom_yaw_std": (st.floats(0.0, 0.05), None),
+              "lidar_range_std": (st.floats(0.0, 0.05), None),
+              "map_noise_ratio": (st.sampled_from([0.0, 0.05, 0.1]), None),
+              "map_noise_magnitude": (st.sampled_from(["-1 2", "0 0.5"]), st.just("2 1")),
+              "system_delay_ms": (st.floats(0.0, 15.0), None)},
+    "fusion": {"gyro_noise": (st.floats(1e-4, 1e-2), None),
+               "odom_pos_std": (st.floats(1e-3, 0.1), None),
+               "init_att_std": (st.floats(0.01, 0.5), None)},
+    "local_map": {"length_x": (st.sampled_from([0.8, 1.6]),
+                               st.sampled_from([0.2, 0.0, -1.6, 6600.0])),
+                  "length_y": (st.sampled_from([0.5, 1.0]), st.just(0.2)),
+                  "resolution": (st.sampled_from([0.05, 0.1]), st.just(1e-300))},
+    "rewards": {"l_tracking": (st.floats(-5.0, 5.0), None),
+                "feet_edge_gap": (st.floats(-20.0, 0.0), None),
+                "edge_margin": (st.floats(0.0, 0.2), None),
+                "grad_threshold": (st.floats(0.05, 1.0), None)},
+    "lidar": {"n_azimuth": (st.integers(1, 64), st.sampled_from([0, 10**6])),
+              "n_elevation": (st.integers(1, 32), st.sampled_from([0, 10**5 + 1])),
+              "max_range": (st.sampled_from([2.0, 6.0, 12.0]), st.sampled_from([0.0, 1e9])),
+              "ray_step": (st.sampled_from([0.01, 0.05]), st.sampled_from([0.0, 1e-6]))},
+    "run": {"imu_hz": (st.sampled_from([100, 200, 400]), st.sampled_from([50, 2000])),
+            "odom_hz": (st.sampled_from([5, 10, 20]), st.just(10**9)),
+            "lidar_hz": (st.sampled_from([1, 2, 5, 10]), st.just(10**9)),
+            "policy_hz": (st.sampled_from([25, 50, 100]), None),
+            "map_size": (st.sampled_from([10.0, 20.0]), None),
+            "map_resolution": (st.sampled_from([0.05, 0.1]), st.just(0.001)),
+            "desired_height": (st.floats(0.2, 0.6), None),
+            "seed": (st.integers(0, 2**16), None)},
 }
+_OUT_OF_RANGE = [(section, key) for section, keys in _DRAWN_KEYS.items()
+                 for key, (_, out) in keys.items() if out is not None]
 
 
 @st.composite
 def ini_texts(draw):
-    """INI text over every section, with a duration of at most 0.5 s, on
-    the 0.05 s grid or anywhere, or of 1e9 s."""
+    """INI text over every section, each key set or left out at random (a
+    duration always set); in about a quarter of the draws one key is set
+    out of range, so that most draws load and run."""
+    bad = draw(st.sampled_from(_OUT_OF_RANGE)) if draw(st.integers(0, 3)) == 3 else None
     lines = []
     for section, keys in _DRAWN_KEYS.items():
         lines.append(f"[{section}]")
-        if section == "trajectory":
-            grid = st.integers(1, 10).map(lambda k: round(k * 0.05, 2))
-            lines.append(f"duration = {draw(st.one_of(grid, st.floats(1e-3, 0.5), st.just(1e9)))}")
-        lines += [f"{key} = {draw(values)}" for key, values in keys.items()
-                  if draw(st.booleans())]
+        for key, (values, out) in keys.items():
+            if (section, key) == bad:
+                lines.append(f"{key} = {draw(out)}")
+            elif key == "duration" or draw(st.booleans()):
+                lines.append(f"{key} = {draw(values)}")
     return "\n".join(lines) + "\n"
 
 
@@ -487,12 +510,14 @@ class TestEditMap:
         assert err.startswith(f"error: {path}: ") and match in err and "Traceback" not in err
 
     def test_missing_map_file(self, tmp_path, capsys):
-        code = main(["edit-map", "--map", str(tmp_path / "nope.hfld"),
+        path = tmp_path / "nope.hfld"
+        code = main(["edit-map", "--map", str(path),
                      "--xmin", "0", "--ymin", "0", "--xmax", "1",
                      "--ymax", "1", "--height", "0.1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "nope.hfld" in err and "cannot write" not in err
+        assert err.count(str(path)) == 1 and "cannot write" not in err
+        assert err == f"error: {path}: No such file or directory\n"
 
 
 class TestStream:

@@ -28,8 +28,8 @@ from terraforge.sensors import (
     scan_points_world,
     true_state,
 )
-from terraforge.terrain import (Robot, TerrainSpec, TerrainType, generate, grid_coords,
-                                sample_height, sample_height_vec)
+from terraforge.terrain import (Heightfield, Robot, TerrainSpec, TerrainType, generate,
+                                grid_coords, sample_height, sample_height_vec)
 
 from reference_kinematics import reference_true_state
 
@@ -432,9 +432,10 @@ def _sensor_pose(hf, x, y, height, lift, yaw, tilt):
         # over the local ground, under the tile top
         z = ground[0] + (top - ground[0]) * (0.02 + 0.96 * lift)
     elif height == "on_block":
-        # 1e-5 m above one of the block maxima over the local ground, the
-        # height at which the marcher's descent into such a block stops
-        maxes = np.unique(hf.block_max)
+        # 1e-5 m above one of the cell maxima over the local ground, the
+        # height at which the marcher's descent into a segment bounded by
+        # that cell stops
+        maxes = np.unique(hf.cell_max)
         maxes = maxes[maxes + 1e-5 > (ground[0] if on_tile[0] else -np.inf)]
         z = float(maxes[int(lift * (maxes.size - 1))]) + 1e-5
     else:
@@ -479,9 +480,20 @@ EDGE_POSES = [dict(robot=Robot.LITE3, terrain=terrain, level=5, x=x, y=y, height
               for x, y, yaw in ((7.95, 0.0, 0.0), (0.0, -3.975, 0.0), (3.0, 3.975, np.pi / 2))]
 
 
+# sensors tilted 0.3 rad, over stairs and over the gap's near edge: the rays
+# of a heading bin spread, so the profile's boxes are widened past two
+# cells and read the window maximum
+TILTED_POSES = [
+    dict(robot=Robot.LITE3, terrain=TerrainType.STAIRS, level=5, x=2.5, y=0.3,
+         height="above_top", lift=0.3, yaw=0.4, tilt=0.3, pattern=PATTERNS[0]),
+    dict(robot=Robot.LITE3, terrain=TerrainType.GAP, level=9, x=3.7, y=0.2,
+         height="above_top", lift=0.2, yaw=0.1, tilt=0.3, pattern=PATTERNS[0]),
+]
+
+
 def pose_examples(**extra):
     def add(test):
-        for pose in DESCENT_POSES + EDGE_POSES:
+        for pose in DESCENT_POSES + EDGE_POSES + TILTED_POSES:
             test = example(**pose, **extra)(test)
         return test
     return add
@@ -504,6 +516,24 @@ class TestMarcherEquivalence:
             return
         got = lidar_scan(hf, pose, pattern, noise, seed=5).points
         assert got.tobytes() == want.tobytes()
+
+    # ground with one-cell spikes, under level and tilted sensors: a profile
+    # box must be bounded by every cell it touches, not only its corners
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), x=st.floats(0.5, 3.5), y=st.floats(-1.5, 1.5),
+           lift=st.floats(0.02, 1.0), yaw=st.floats(-np.pi, np.pi),
+           tilt=st.one_of(st.just(0.0), st.floats(-0.4, 0.4)))
+    @example(seed=8156, x=1.67, y=1.424, lift=0.633, yaw=1.2166, tilt=0.0172)
+    @example(seed=5344, x=0.521, y=0.437, lift=0.726, yaw=2.108, tilt=-0.1745)
+    @example(seed=1, x=1.3, y=-0.4, lift=0.1, yaw=2.0, tilt=0.0)
+    def test_scan_bytes_match_chunked_oracle_on_spiky_ground(self, seed, x, y, lift, yaw, tilt):
+        rng = np.random.default_rng(seed)
+        heights = rng.normal(0.0, 0.01, (81, 81)) + 0.3 * (rng.random((81, 81)) < 0.03)
+        hf = Heightfield(81, 81, 0.05, np.array([0.0, -2.0]), heights)
+        q = quat_multiply(quat_from_rotvec([0.0, 0.0, yaw]), quat_from_rotvec([tilt, 0.5 * tilt, 0.0]))
+        pose = Pose(np.array([x, y, sample_height(hf, x, y) + lift]), q, 0)
+        want = _chunked_scan(hf, pose, PATTERNS[0], NoiseConfig(), seed=5)
+        assert lidar_scan(hf, pose).points.tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(**SENSOR_POSES)
@@ -534,13 +564,14 @@ class TestMarcherEquivalence:
             first = below.argmax(axis=1)[hit]
             assert np.all(start[rows][hit] <= np.maximum(first - 1, 0))
 
-    # bounds about 20% above what these trajectories measure (5.25 slope,
-    # 16.9 stairs, 8.4 gap, 7.5 platform samples per hit), so a marcher that
-    # restarts sampling at the edge of the block that stops a ray, instead of
-    # where the ray comes down to that block's max, fails (9.4, 41, 14, 30)
+    # bounds about 20% above what these trajectories measure (5.01 slope,
+    # 8.01 stairs, 7.59 gap, 4.87 platform samples per hit), so a marcher
+    # that starts sampling where a ray enters the profile segment that stops
+    # it, instead of where the ray comes down to that segment's bound, fails
+    # (19.7, 24.8, 22.2, 22.9)
     @pytest.mark.parametrize("terrain, level, height, bound", [
-        (TerrainType.SLOPE, 0, 0.4, 6.3), (TerrainType.STAIRS, 5, 1.5, 20),
-        (TerrainType.GAP, 9, 0.4, 10), (TerrainType.HIGH_PLATFORM, 5, 0.9, 9)])
+        (TerrainType.SLOPE, 0, 0.4, 6.3), (TerrainType.STAIRS, 5, 1.5, 9.6),
+        (TerrainType.GAP, 9, 0.4, 9.2), (TerrainType.HIGH_PLATFORM, 5, 0.9, 5.9)])
     def test_few_samples_per_hit(self, monkeypatch, terrain, level, height, bound):
         hf = generate(TerrainSpec(terrain, level))
         samples = []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from terraforge.terrain import (
-    BLOCK_CELLS,
     MAX_GRID_SIDE,
     Heightfield,
     Robot,
@@ -16,6 +15,7 @@ from terraforge.terrain import (
     sample_height,
     sample_height_vec,
     terrain_parameter,
+    window_max,
 )
 
 # independently transcribed (base, per-level step) oracle, meters
@@ -250,14 +250,31 @@ def test_tile_over_the_grid_bound_rejected(kwargs):
     assert round(spec.tile_size / spec.resolution) == MAX_GRID_SIDE
 
 
-def test_block_max_covers_block_and_rim():
-    heights = np.random.default_rng(1).normal(size=(11, 6))  # not a multiple of the block
-    hf = Heightfield(11, 6, 0.05, np.array([0.0, 0.0]), heights)
-    b = BLOCK_CELLS
-    want = [[heights[max(b * i - 1, 0):b * i + b + 1, max(b * j - 1, 0):b * j + b + 1].max()
-             for j in range(-(-6 // b))] for i in range(-(-11 // b))]
-    assert np.array_equal(hf.block_max, want)
-    assert hf.block_max is hf.block_max  # built once, on first use
+@pytest.mark.parametrize("shape", [(11, 6), (1, 4), (4, 1), (1, 1)])
+def test_cell_max_is_max_of_each_cells_nodes(shape):
+    heights = np.random.default_rng(1).normal(size=shape)
+    hf = Heightfield(*shape, 0.05, np.array([0.0, 0.0]), heights)
+    # a one-node side repeats its node, as sample_height_vec does
+    w, h = max(shape[0] - 1, 1), max(shape[1] - 1, 1)
+    want = [[heights[i:i + 2, j:j + 2].max() for j in range(h)] for i in range(w)]
+    assert np.array_equal(hf.cell_max, want)
+    # no bilinear sample inside a cell is above it
+    gx, gy = np.random.default_rng(2).uniform(0, [shape[0] - 1, shape[1] - 1], size=(2000, 2)).T
+    got, _ = sample_height_vec(hf, gx * 0.05, gy * 0.05)
+    i, j = np.minimum(gx.astype(int), w - 1), np.minimum(gy.astype(int), h - 1)
+    assert np.all(got <= hf.cell_max[i, j] + 1e-12)
+    assert hf.cell_max is hf.cell_max  # built once, on first use
+
+
+def test_cell_max_not_built_by_generate():
+    assert "cell_max" not in vars(generate(TerrainSpec(TerrainType.STAIRS, 5)))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_window_max_is_max_of_each_window(k):
+    grid = np.random.default_rng(k).normal(size=(7, 5))
+    want = [[grid[i:i + k, j:j + k].max() for j in range(5)] for i in range(7)]
+    assert np.array_equal(window_max(grid, k), want)
 
 
 def test_one_node_tile_rejected():
