@@ -31,7 +31,7 @@ from .geometry import (
     quat_to_matrix,
     vec3,
 )
-from .terrain import Heightfield, grid_coords, sample_height_vec, window_max
+from .terrain import Heightfield, sample_height_vec, window_max
 
 
 class TrajectoryKind(Enum):
@@ -413,24 +413,26 @@ def _profile_starts(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
 def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
                   step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per ray, the first and the last step index to sample (see lidar_scan)."""
-    # last: one step past where the ray leaves the tile box, at the nearer
-    # of its two axis exits (Kay & Kajiya's slabs), sparing one for rounding;
-    # sampling masks what is off the tile. Samples round to floats, so an
-    # edge is passed half the float gap beyond it. A ray off the tile at step
-    # k, its first 64-step chunk's end, ends there even if it enters later
-    lo = hf.origin - origin[:2] - 0.5 * (hf.origin - np.nextafter(hf.origin, -np.inf))
-    hi = hf.far_corner - origin[:2] + 0.5 * (np.nextafter(hf.far_corner, np.inf) - hf.far_corner)
-    dxy = dirs[:, :2]
+    # a ray enters the tile box at the later of its two axis entries and
+    # leaves it at the nearer of its two exits (Kay & Kajiya's slabs); one
+    # that keeps the sensor's x (or y) never meets it if that is off it.
+    # Samples round to floats, so an edge is passed half the float gap
+    # beyond it. last: one step past the exit, sparing one for rounding
+    o, c0, c1 = origin[:2, None], hf.origin[:, None], hf.far_corner[:, None]
+    lo = c0 - o - 0.5 * (c0 - np.nextafter(c0, -np.inf))
+    hi = c1 - o + 0.5 * (np.nextafter(c1, np.inf) - c1)
+    parallel = np.where((o >= c0) & (o <= c1), np.inf, -np.inf)
+    dxy = dirs[:, :2].T.copy()  # rows x and y: numpy is slow along a length-2 axis
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t_exit = np.where(dxy > 0, hi / dxy, np.where(dxy < 0, lo / dxy, np.inf)).min(axis=1)
+        t_enter = np.where(dxy > 0, lo / dxy, np.where(dxy < 0, hi / dxy, -parallel)).max(axis=0)
+        t_exit = np.where(dxy > 0, hi / dxy, np.where(dxy < 0, lo / dxy, parallel)).min(axis=0)
         last = np.floor(np.clip(t_exit / step, 0, n_steps - 1)).astype(np.int64)
-    k = min(63, n_steps - 1)
-    on_tile = grid_coords(hf, *(origin[:2, None] + (k + 1) * step * dxy.T))[2]
-    last = np.where(on_tile, np.maximum(last, k), k)
     t_stop = (last + 2) * step  # past the last sample
 
-    t = _profile_starts(hf, origin, dirs, t_stop)
-    start = np.where(t < t_stop, np.floor(t / step) - 3, n_steps)
+    # start: sampled at floor(t / step) * step <= t, off the tile or above
+    # the surface; t past t_stop is not sampled, so it is capped there
+    t = np.maximum(_profile_starts(hf, origin, dirs, t_stop), t_enter).clip(max=t_stop)
+    start = np.where(t < t_stop, np.floor(t / step) - 1, n_steps)
     return np.maximum(start, 0).astype(np.int64), last
 
 
@@ -447,14 +449,11 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     touches, the box widened by how far the group's rays stray from the
     line. Each ray skips, without sampling, the segments it clears and, in
     the first it does not clear, its descent down to that segment's bound:
-    no skipped sample is at or below the surface. Sampling starts three
-    steps before that point, so the sample that a hit interpolates from is
-    always taken. It runs in windows of 4 steps, doubling up to 64;
-    most hits fall about three steps in, inside the first window. A ray is
-    dropped after max_range, or one step past where it leaves the tile,
-    found in closed form from the tile's edges and the float rounding of
-    each sample; a ray whose 64th sample is off the tile is dropped there,
-    even if it enters the tile later.
+    no skipped sample is at or below the surface. Sampling starts one step
+    before that point, or before the tile entry if later, so the sample a
+    hit interpolates from is always taken, in windows of 2 steps doubling
+    up to 64. It ends at max_range or one step past the tile exit. Entry and
+    exit are found in closed form; a ray that misses the tile is not sampled.
     """
     pattern = pattern or ScanPattern()
     noise = noise or NoiseConfig()
@@ -475,7 +474,7 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     active = np.flatnonzero(start <= last)
     pos, last = start[active], last[active]
     prev_f = np.full(active.size, np.nan)  # signed clearance at the previous step
-    width = 4
+    width = 2
     while active.size:
         ks = pos[:, None] + np.arange(width)
         ts = (ks + 1) * step
