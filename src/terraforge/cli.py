@@ -151,7 +151,6 @@ def _log_messages(run_dir: Path) -> list[tuple[int, int, bytes]]:
             # exactly the values the live run sends, in its order
             ts, *weighted = fileformats.record_fields(rec, "timestamp_ns",
                                                       *REWARD_KEYS[1:][WEIGHTED])
-            ts = int(ts)
             reward_ts.append(ts)
             messages.append((ts, 2, telemetry.encode_reward(ts, weighted)))
 

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Pose, Quaternion, quat_normalize
-from .sensors import ImuSample
 from .terrain import Heightfield
 
 HFLD_MAGIC = b"HFLD"
@@ -88,18 +87,14 @@ LOCAL_BLOB_HEADER_SIZE = _LOCAL_HEAD.size
 
 
 POSE_KEYS = ("timestamp_ns", "px", "py", "pz", "qw", "qx", "qy", "qz")
-
-
-def pose_record(pose: Pose) -> dict:
-    q = pose.orientation
-    return dict(zip(POSE_KEYS, [pose.timestamp_ns, *pose.position.tolist(),
-                                q.w, q.x, q.y, q.z]))
+IMU_KEYS = ("timestamp_ns", "wx", "wy", "wz", "ax", "ay", "az")
 
 
 def record_fields(rec, *keys) -> list:
-    """The values of keys in one decoded log record, each a finite number.
-    A record that is not a JSON object, lacks a key or holds anything else
-    under it raises ValueError naming the key."""
+    """The values of keys in one decoded log record, each a finite number,
+    and a timestamp_ns an integer in [0, 2**64), which telemetry packs as a
+    u64. A record that is not a JSON object, lacks a key or holds anything
+    else under it raises ValueError naming the key."""
     if not isinstance(rec, dict):
         raise ValueError(f"log record is a {type(rec).__name__}, not an object")
     for k in keys:
@@ -108,27 +103,30 @@ def record_fields(rec, *keys) -> list:
         v = rec[k]
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ValueError(f"log record field {k!r} is not a finite number")
+        if k == "timestamp_ns" and not (isinstance(v, int) and 0 <= v < 2**64):
+            raise ValueError(f"log record timestamp_ns {v!r} is not an integer in [0, 2**64)")
     return [rec[k] for k in keys]
 
 
 def pose_from_record(rec: dict) -> Pose:
     ts, px, py, pz, qw, qx, qy, qz = record_fields(rec, *POSE_KEYS)
     q = quat_normalize(Quaternion(qw, qx, qy, qz))
-    return Pose(np.array([px, py, pz]), q, int(ts))
+    return Pose(np.array([px, py, pz]), q, ts)
 
 
-def imu_record(sample: ImuSample) -> dict:
-    (wx, wy, wz), (ax, ay, az) = (sample.angular_velocity.tolist(),
-                                  sample.linear_acceleration.tolist())
-    return {"timestamp_ns": sample.timestamp_ns, "wx": wx, "wy": wy, "wz": wz,
-            "ax": ax, "ay": ay, "az": az}
-
-
-def write_jsonl(records, path) -> None:
-    # repr-based float formatting keeps identical runs byte-identical
+def write_jsonl(rows, path, keys) -> None:
+    """One JSON object per row, its values under keys: each line is one
+    template filled with the reprs of a row's ints, floats and lists of
+    floats (Python numbers, not numpy scalars), the text json.dumps writes.
+    A non-finite value, which JSON cannot hold, raises ValueError."""
+    template = "{" + ", ".join(f'"{k}": %r' for k in keys) + "}\n"
     with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+        for i, row in enumerate(rows):
+            line = template % tuple(row)
+            # a finite repr holds no letter but e, and no key holds nan or inf
+            if "nan" in line or "inf" in line:
+                raise ValueError(f"{path}: log row {i} holds a non-finite value")
+            f.write(line)
 
 
 def read_jsonl(path) -> list[dict]:

@@ -10,11 +10,11 @@ The system delay shifts the delivery of every stream by the same amount,
 so it changes neither the event order nor any output.
 
 The replay keeps one numeric row per fused pose and per policy tick, not a
-log record: run_pipeline builds each record from its row only as its line
-is written, and writes the IMU and odometry logs straight from their
-streams. After the timestamp, a pose row holds the values of POSE_KEYS and
-a tick row starts with those of rewards.REWARD_KEYS, as compute_rewards
-returns them; so each record is its keys zipped with its timestamp and row.
+log record. After the timestamp, a pose row holds the values of POSE_KEYS
+and a tick row starts with those of rewards.REWARD_KEYS, as compute_rewards
+returns them. Each log line is its file's template filled with one row of
+Python numbers, taken from those rows, the IMU and odometry streams and the
+tick table only as the line is written.
 
 What does not depend on the filter or the map is replay set-up, done
 before the event loop: the LiDAR scans, and for every policy tick the true
@@ -37,8 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .fileformats import (POSE_KEYS, encode_local_map, imu_record, pose_record,
-                          write_jsonl)
+from .fileformats import IMU_KEYS, POSE_KEYS, encode_local_map, write_jsonl
 from .fusion import PoseFuser
 from .geometry import Pose, elementwise, quat_yaws, rotate_vecs, vec3
 from .mapping import ElevationMap, inject_map_noise
@@ -143,6 +142,8 @@ _BENCH_STAGES = ("fusion_step", "scan_amortized", "local_extract", "reward_eval"
 # local map's fill ratio and the plane normal
 _FILL = len(REWARD_KEYS) - 1
 _NORMAL = slice(_FILL + 1, _FILL + 4)
+TRAJECTORY_KEYS = ("timestamp_ns", "yaw", "body_height", "fill_ratio", "plane_normal",
+                   "observation")
 
 
 class _Replay:
@@ -252,27 +253,6 @@ class _Replay:
                 self.streamer.send(frag)
             self.streamer.send(telemetry.encode_reward(ts, rewards[WEIGHTED]))
 
-    # The log records, each built from its row as it is written. A float64
-    # row gives back every float it was given, -0.0 included.
-
-    def fused_records(self):
-        n = self.imu_count
-        for ts, row in zip(self.fused_ts[:n].tolist(), self.fused[:n]):
-            yield dict(zip(POSE_KEYS, [ts, *row.tolist()]))
-
-    def reward_records(self):
-        for ts, row in zip(self.ticks.timestamps_ns, self.tick_rows[:self.policy_count]):
-            yield dict(zip(REWARD_KEYS, [ts, *row[:_FILL].tolist()]))
-
-    def trajectory_records(self):
-        ticks = self.ticks
-        for i, row in enumerate(self.tick_rows[:self.policy_count]):
-            row = row.tolist()
-            yield {"timestamp_ns": ticks.timestamps_ns[i], "yaw": ticks.yaw[i],
-                   "body_height": ticks.body_height[i], "fill_ratio": row[_FILL],
-                   "plane_normal": row[_NORMAL],
-                   "observation": ticks.observations[i].tolist()}
-
 
 def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
     """Replay the configured scenario and write all logs under out_dir."""
@@ -295,12 +275,23 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
         raise PipelineInvariantError(
             f"{policy_count} policy ticks for {imu_count} fused poses")
 
-    # every IMU sample was handled (checked above), so imu.jsonl is the stream
-    write_jsonl(replay.fused_records(), out / "fused_poses.jsonl")
-    write_jsonl(map(imu_record, replay.imu), out / "imu.jsonl")
-    write_jsonl(map(pose_record, replay.odom), out / "odometry.jsonl")
-    write_jsonl(replay.reward_records(), out / "rewards.jsonl")
-    write_jsonl(replay.trajectory_records(), out / "trajectory.jsonl")
+    # each log's rows as Python numbers (a float64 row gives back every float
+    # it was given, -0.0 included); every IMU sample was handled (checked
+    # above), so imu.jsonl is the stream and every fused row is filled
+    ticks, tick_rows = replay.ticks, replay.tick_rows[:policy_count]
+    write_jsonl(((ts, *row.tolist()) for ts, row in zip(replay.fused_ts.tolist(), replay.fused)),
+                out / "fused_poses.jsonl", POSE_KEYS)
+    write_jsonl(((s.timestamp_ns, *s.angular_velocity.tolist(), *s.linear_acceleration.tolist())
+                 for s in replay.imu), out / "imu.jsonl", IMU_KEYS)
+    write_jsonl(((p.timestamp_ns, *p.position.tolist(), *vars(p.orientation).values())
+                 for p in replay.odom), out / "odometry.jsonl", POSE_KEYS)
+    write_jsonl(((ts, *row[:_FILL].tolist()) for ts, row in zip(ticks.timestamps_ns, tick_rows)),
+                out / "rewards.jsonl", REWARD_KEYS)
+    write_jsonl(((ts, yaw, height, float(row[_FILL]), row[_NORMAL].tolist(), obs.tolist())
+                 for ts, yaw, height, row, obs in zip(ticks.timestamps_ns, ticks.yaw,
+                                                      ticks.body_height, tick_rows,
+                                                      ticks.observations)),
+                out / "trajectory.jsonl", TRAJECTORY_KEYS)
     (out / "localmaps.bin").write_bytes(replay.local_maps)
     result = PipelineResult(
         out_dir=out,
@@ -367,7 +358,7 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
     before it, and the cost of the scan before it spread over the ticks
     between scans. Replay set-up is not timed: LiDAR synthesis and the
     trajectory side of every policy tick, so reward_eval times only the
-    plane-fit terms, the weighted sum and the log records.
+    plane-fit terms, the weighted sum and the log rows.
     """
     cfg = cfg or PipelineConfig()
     if iters < 1:

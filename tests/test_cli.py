@@ -23,7 +23,7 @@ from terraforge.cli import main
 from terraforge.config import PipelineConfig, load_config
 from terraforge.fileformats import read_heightfield, read_jsonl
 from terraforge.pipeline import PipelineInvariantError, run_bench, run_pipeline
-from terraforge.rewards import TERMS
+from terraforge.rewards import REWARD_KEYS, TERMS
 from terraforge.sensors import NoiseConfig, SensorUnderground, TrajectoryKind, TrajectorySpec
 from terraforge.telemetry import RewardMessage, decode_message
 from terraforge.terrain import TerrainSpec, TerrainType
@@ -597,6 +597,15 @@ class TestStream:
                               '"qw": "one", "qx": 0, "qy": 0, "qz": 0}', "'qw' is not"),
         ("rewards.jsonl", '{"total": 0.0}', "no 'timestamp_ns'"),
         ("rewards.jsonl", '{"timestamp_ns": 1, "total": 0.0}', "no 'weighted_t_l_tracking'"),
+        # a timestamp that telemetry cannot pack as a u64, or a fraction of a ns
+        *(pytest.param(log, line % ts, f"timestamp_ns {ts} is not an integer",
+                       id=f"{log}-timestamp_ns-{ts}")
+          for log, line in [
+              ("fused_poses.jsonl", '{"timestamp_ns": %s, "px": 0, "py": 0, "pz": 0, '
+                                    '"qw": 1, "qx": 0, "qy": 0, "qz": 0}'),
+              ("rewards.jsonl", '{"timestamp_ns": %s, '
+                                + json.dumps(dict.fromkeys(REWARD_KEYS[1:], 0.0))[1:])]
+          for ts in ("-5", "18446744073709551616", "1e+30", "1.5")),
     ])
     def test_damaged_record_exits_2(self, tmp_path, capsys, log, record, match):
         cfg = PipelineConfig(trajectory=TrajectorySpec(

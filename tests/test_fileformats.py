@@ -1,26 +1,29 @@
 """Binary and JSONL format round trips, header layouts, error paths."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from terraforge.fileformats import (
     FORMAT_VERSION,
     HFLD_MAGIC,
+    IMU_KEYS,
     LOCAL_BLOB_HEADER_SIZE,
+    POSE_KEYS,
     decode_local_map,
     encode_local_map,
     heightfield_to_csv,
-    imu_record,
     pose_from_record,
-    pose_record,
     read_heightfield,
     read_jsonl,
     read_local_maps,
     write_heightfield,
     write_jsonl,
 )
-from terraforge.geometry import Pose, Quaternion
-from terraforge.sensors import ImuSample
 from terraforge.terrain import Heightfield, TerrainSpec, TerrainType, generate
 
 
@@ -130,14 +133,19 @@ class TestLocalMapBlob:
             read_local_maps(path)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROW_KEYS = ("timestamp_ns", "x", "normal")
+ROWS = st.lists(st.tuples(st.integers(0, 2**63 - 1), FINITE, st.lists(FINITE, max_size=4)),
+                max_size=8)
+
+
 class TestJsonlLogs:
-    def test_pose_round_trip(self):
-        pose = Pose(np.array([1.25, -0.5, 0.375]),
-                    Quaternion(0.8, 0.0, 0.0, 0.6), 42)
-        rec = pose_record(pose)
-        back = pose_from_record(rec)
+    def test_pose_round_trip(self, tmp_path):
+        path = tmp_path / "poses.jsonl"
+        write_jsonl([(42, 1.25, -0.5, 0.375, 0.8, 0.0, 0.0, 0.6)], path, POSE_KEYS)
+        back = pose_from_record(read_jsonl(path)[0])
         assert back.timestamp_ns == 42
-        assert np.array_equal(back.position, pose.position)
+        assert back.position.tolist() == [1.25, -0.5, 0.375]
         assert back.orientation.w == pytest.approx(0.8, abs=1e-12)
 
     def test_read_normalizes_quaternion(self):
@@ -154,32 +162,45 @@ class TestJsonlLogs:
         ({"timestamp_ns": 1, "px": float("inf"), "py": 0.0, "pz": 0.0, "qw": 1.0,
           "qx": 0.0, "qy": 0.0, "qz": 0.0}, "'px' is not a finite number"),
         ([0.0] * 8, "not an object"),
+        *(({"timestamp_ns": ts, "px": 0.0, "py": 0.0, "pz": 0.0, "qw": 1.0,
+            "qx": 0.0, "qy": 0.0, "qz": 0.0}, "timestamp_ns .* is not an integer")
+          for ts in (-5, 2**64, 1.5, 1e30, 2.0)),
     ])
     def test_damaged_pose_record_names_the_field(self, rec, match):
         with pytest.raises(ValueError, match=match):
             pose_from_record(rec)
 
-    def test_imu_record_keys(self):
-        s = ImuSample(timestamp_ns=9,
-                      angular_velocity=np.array([0.1, 0.2, 0.3]),
-                      linear_acceleration=np.array([0.0, 0.0, 9.81]))
-        rec = imu_record(s)
-        assert rec == {"timestamp_ns": 9, "wx": 0.1, "wy": 0.2, "wz": 0.3,
-                       "ax": 0.0, "ay": 0.0, "az": 9.81}
+    def test_imu_record_keys(self, tmp_path):
+        path = tmp_path / "imu.jsonl"
+        write_jsonl([(9, 0.1, 0.2, 0.3, 0.0, 0.0, 9.81)], path, IMU_KEYS)
+        assert read_jsonl(path) == [{"timestamp_ns": 9, "wx": 0.1, "wy": 0.2, "wz": 0.3,
+                                     "ax": 0.0, "ay": 0.0, "az": 9.81}]
 
-    def test_jsonl_round_trip(self, tmp_path):
-        recs = [{"a": 1, "b": 0.5}, {"a": 2, "b": -1.25}]
+    @given(ROWS)
+    @settings(deadline=None)
+    @example([(0, -0.0, [5e-324, -0.0]), (2**63 - 1, 1.7976931348623157e308,
+                                           [-1.7976931348623157e308, 0.1])])
+    def test_jsonl_round_trip(self, tmp_path_factory, rows):
+        """Each line is the text json.dumps writes for the row's record,
+        and reads back as that record."""
+        path = tmp_path_factory.mktemp("log") / "log.jsonl"
+        write_jsonl(iter(rows), path, ROW_KEYS)
+        records = [dict(zip(ROW_KEYS, row)) for row in rows]
+        assert path.read_text() == "".join(json.dumps(rec) + "\n" for rec in records)
+        assert read_jsonl(path) == records
+
+    @pytest.mark.parametrize("row", [(1, float("nan"), []), (1, float("inf"), [0.5]),
+                                     (1, 0.5, [0.0, -float("inf")])])
+    def test_non_finite_value_refused(self, tmp_path, row):
         path = tmp_path / "log.jsonl"
-        write_jsonl(recs, path)
-        assert read_jsonl(path) == recs
+        with pytest.raises(ValueError, match=re.escape(f"{path}: log row 1 holds a non-finite")):
+            write_jsonl([(0, 0.0, []), row], path, ROW_KEYS)
 
     def test_identical_runs_byte_identical(self, tmp_path):
-        recs = [pose_record(Pose(np.array([0.1, 0.2, 0.3]),
-                                 Quaternion(1.0, 0, 0, 0), k))
-                for k in range(20)]
+        rows = [(k, 0.1, 0.2, 0.3, 1.0, 0, 0, 0) for k in range(20)]
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_jsonl(recs, p1)
-        write_jsonl(recs, p2)
+        write_jsonl(rows, p1, POSE_KEYS)
+        write_jsonl(rows, p2, POSE_KEYS)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_blank_lines_skipped(self, tmp_path):

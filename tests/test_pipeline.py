@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terraforge.config import PipelineConfig, load_config
-from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, pose_record, read_jsonl
+from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, POSE_KEYS, read_jsonl
 from terraforge.fusion import PoseFuser, run_fusion
 from terraforge.mapping import ElevationMap
 from terraforge.observations import ObservationFrame, sample_command
@@ -288,7 +288,8 @@ class TestBenchDrivesTheReplay:
         fused = read_jsonl(tmp_path / "fused_poses.jsonl")
         policy = fused[cfg.ticks_per_policy - 1::cfg.ticks_per_policy]
         assert len(extracted) == iters // cfg.ticks_per_policy == len(policy)
-        assert [pose_record(p) for p in extracted] == policy
+        assert [(p.timestamp_ns, *p.position.tolist(), *vars(p.orientation).values())
+                for p in extracted] == [tuple(rec[k] for k in POSE_KEYS) for rec in policy]
 
     def test_every_benched_scan_has_points(self, monkeypatch):
         # 2,000 ticks are 10 s at 200 Hz, twice the default 5 s run; a
