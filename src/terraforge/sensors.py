@@ -31,7 +31,7 @@ from .geometry import (
     quat_to_matrix,
     vec3,
 )
-from .terrain import Heightfield, sample_height_vec, window_max
+from .terrain import Heightfield, clamped_height, sample_height_vec
 
 
 class TrajectoryKind(Enum):
@@ -118,6 +118,8 @@ class NoiseConfig:
         lo, hi = self.map_noise_magnitude
         if hi < lo:
             raise ValueError(f"map_noise_magnitude ({lo}, {hi}) is reversed: hi < lo")
+        if not math.isfinite(hi - lo):  # no uniform draw spans it
+            raise ValueError(f"map_noise_magnitude ({lo}, {hi}): hi - lo must be finite")
         if not 0.0 <= self.system_delay_ms <= 15.0:
             raise ValueError("system_delay_ms outside [0, 15]")
 
@@ -304,10 +306,8 @@ def odometry_stream(traj: TrajectorySpec, rate: float = 10.0,
     return [Pose(p, q, ts) for p, q, ts in zip(pos, quats, times)]
 
 
-# the rays of one of this many heading bins share a height profile, which
-# is built this many segments at a time
+# the rays of one of this many heading bins share a height profile
 PROFILE_BINS = 256
-PROFILE_BLOCK = 48
 
 
 def _profile_starts(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
@@ -315,17 +315,13 @@ def _profile_starts(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
     """Per ray, a t before which no sample is at or below the surface, from
     vertical ray coherence (Cohen-Or, Rich, Lerner & Shenkar 1996).
 
-    The rays of one heading bin form a group. Its line runs out from the
-    sensor at the middle of their headings, in segments just under one cell
-    long; segment m, from s_m to s_{m+1} along the ground, is bounded by H_m,
-    the largest hf.cell_max (+1e-5 m) that its box touches. A ray whose
-    heading differs by dphi stays within dphi * s of the line, so each box
-    is widened by the group's largest dphi times its reach. A ray that
-    descends tau per m along the ground is lowest in a segment at its far
-    end, so it clears segment m iff tau > (H_m - z0) / s_{m+1}; it starts in
-    the first segment it does not clear, where it comes down to H_m."""
-    res, oz = hf.resolution, origin[2]
-    seg = 0.99 * res  # segment length, m: a box spans at most two cells
+    The rays of one heading bin form a group, which shares the polyline that
+    _polylines bounds the surface with, out to the group's reach. A ray that
+    descends tau per m along the ground clears vertex k, s_k along the
+    ground with bound b_k, iff tau > (b_k - z0) / s_k; clearing vertices 0
+    to k, it is above every chord up to s_k. It starts where it meets the
+    chord into the first vertex it does not clear."""
+    oz = origin[2]
     dx, dy, dz = dirs.T
     a = np.sqrt(dx * dx + dy * dy)
     phi = np.arctan2(dy, dx)
@@ -341,78 +337,109 @@ def _profile_starts(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
         # clipped for the search below; a rising ray is never below z0
         tau = np.where(dz < 0, np.maximum(dz / a, -1e6), 0.0)
         # a profile reaches its rays' t_stop or, if they all descend, where
-        # the shallowest is 1 mm under every node, so that no segment after
+        # the shallowest is 1 mm under every node, so that no vertex after
         # lets it through
         shallowest = np.maximum.reduceat(tau, first)
         depth = np.where(shallowest < 0, (oz - hf.heights.min() + 1e-3) / -shallowest, np.inf)
-    reach = np.minimum(np.maximum.reduceat(t_stop * a, first), depth)
-    need = np.maximum(np.ceil(reach / seg), 1).astype(np.int64)  # segments
-    # in cells, with 1e-9 m for rounding
-    widen = (np.maximum.reduceat(np.abs(phi - mid[group]), first) * need * seg + 1e-9) / res
+    reach = np.maximum(np.minimum(np.maximum.reduceat(t_stop * a, first), depth), 0.0)
+    spread = np.maximum.reduceat(np.abs(phi - mid[group]), first)
+    size, s, b = _polylines(hf, origin, mid, spread, reach)
+    off = np.cumsum(size) - size
 
-    # in grid coordinates: each line's step per segment, and the low and
-    # high corners of its segment m's box less m steps
-    g_step = np.stack([np.cos(mid), np.sin(mid)]) * (seg / res)
-    g0 = ((origin[:2] - hf.origin) / res)[:, None]
-    box_lo, box_hi = g0 + np.minimum(g_step, 0) - widen, g0 + np.maximum(g_step, 0) + widen
-    cells = hf.cell_max
-    top = np.array(cells.shape)[:, None, None] - 1
-    n_y = cells.shape[1]
-    # a box that spans over two cells on a side reads a k x k window maximum
-    k = int(np.ceil(seg / res + 2 * widen.max())) + 1
-    window = window_max(cells, k).ravel() if k > 2 else None
-    cells = cells.ravel()
-
-    # each group's H_m and (H_m - z0) / s_{m+1}, built a block at a time
-    # until its shallowest ray stops or its reach is covered; inf past that
-    n_max = -(-int(need.max()) // PROFILE_BLOCK) * PROFILE_BLOCK
-    bound, rise = np.full((2, first.size, n_max), np.inf)
-    s_end = np.arange(1, n_max + 1) * seg
-    rise_max = np.full(first.size, -np.inf)
-    live, m0 = np.arange(first.size), 0
-    while live.size:
-        ms = np.arange(m0, m0 + PROFILE_BLOCK) * g_step[:, live, None]
-        # each box's cells: clipped to the grid, where truncating is flooring
-        lo = (ms + box_lo[:, live, None]).clip(0, top).astype(np.int64)
-        if window is None:
-            hi = (ms + box_hi[:, live, None]).clip(0, top).astype(np.int64)
-            lo[0] *= n_y
-            hi[0] *= n_y
-            h = np.maximum(np.maximum(cells.take(lo[0] + lo[1]), cells.take(hi[0] + lo[1])),
-                           np.maximum(cells.take(lo[0] + hi[1]), cells.take(hi[0] + hi[1])))
-        else:
-            h = window.take(lo[0] * n_y + lo[1])
-        h += 1e-5
-        r = (h - oz) / s_end[m0:m0 + PROFILE_BLOCK]
-        bound[live, m0:m0 + PROFILE_BLOCK], rise[live, m0:m0 + PROFILE_BLOCK] = h, r
-        m0 += PROFILE_BLOCK
-        rise_max[live] = np.maximum(rise_max[live], r.max(axis=1))
-        live = live[(rise_max[live] < shallowest[live]) & (need[live] > m0)]
-
-    # C_m, the running max of (H_m - z0) / s_{m+1}: a ray clears segments 0
-    # to m iff tau > C_m. One search per ray finds the first m with C_m >=
-    # tau, over keys g * 2^24 + C_m with C clipped to [-1e6, 0] like tau:
-    # float addition is monotone, so a segment that a ray does not clear
+    # C_k, the running max of (b_k - z0) / s_k: a ray clears vertices 0 to
+    # k iff tau > C_k. One search per ray finds the first k with C_k >=
+    # tau, over keys g * 2^24 + C_k with C clipped to [-1e6, 0] like tau:
+    # float addition is monotone, so a vertex that a ray does not clear
     # never sorts below it, and a tie in rounding only stops the ray sooner
-    c = np.maximum.accumulate(rise, axis=1).clip(-1e6, 0)
-    keys = (c + np.arange(first.size)[:, None] * 2.0**24).ravel()
-    base = group * n_max
-    m = np.searchsorted(keys, tau + group * 2.0**24) - base
-    cap = need[group]
-    descends = (m < cap) & (dz < 0)  # into segment m, down to H_m
-    m = np.minimum(m, cap)  # a ray that clears its reach starts past it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_in = np.where(m > 0, m * seg / a, 0.0)
-        down = (bound.ravel()[base + np.minimum(m, n_max - 1)] - oz) / dz
-        t = np.where(descends, np.maximum(t_in, down), t_in)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.where(b < oz, np.maximum((b - oz) / s, -1e6), 0.0)
+        keys = np.maximum.accumulate(q + np.repeat(np.arange(first.size), size) * 2.0**24)
+        m = np.searchsorted(keys, tau + group * 2.0**24)
+        k = m - off[group]
+        lo = np.maximum(m - 1, off[group])  # the last vertex cleared, or the sensor
+        hi = np.minimum(lo + 1, s.size - 1)
+        s_lo, s_hi, b_lo, b_hi = s[lo], s[hi], b[lo], b[hi]
+        # into the chord from lo to hi, where the ray's clearance e falls to 0
+        e_lo, e_hi = oz + tau * s_lo - b_lo, oz + tau * s_hi - b_hi
+        frac = np.where(e_lo > 0, np.where(e_lo > e_hi, e_lo / (e_lo - e_hi), 1.0), 0.0)
+        t = np.where(a > 0, (s_lo + frac.clip(0, 1) * (s_hi - s_lo)) / a, np.inf)
+        # a ray steeper than the clip, stopped at the sensor: down to the
+        # higher of the first two bounds, or to the second vertex
+        steep = np.maximum(np.fmin((np.maximum(b_lo, b_hi) - oz) / dz, s_hi / a), 0.0)
+    # a ray that clears the end vertex has passed its t_stop
+    t = np.where(k == 0, np.where(b_lo < oz, steep, 0.0), np.where(k < size[group], t, np.inf))
     starts = np.empty_like(t)
     starts[order] = t
     return starts
 
 
+def _polylines(hf: Heightfield, origin: np.ndarray, mid: np.ndarray, spread: np.ndarray,
+               reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each group of rays whose headings lie within spread of mid, a
+    polyline over the ground along mid out to reach (m) that no ray's
+    ground, at the same distance from the sensor, lies above.
+
+    Its vertices are the sensor, the points where the line crosses a grid
+    line of hf.line_bounds, in turn as in Amanatides & Woo's (1987) cell
+    walk, and its end. Vertex k, s_k along the ground, is bounded by its
+    height plus 1e-5 m, the bend of the cells beside it, and lip * spread *
+    s_k: a ray whose heading differs by dphi is within dphi * s of the line.
+    Returns each group's vertex count, then every vertex's s and bound,
+    group after group."""
+    lip, twist, lines = hf.line_bounds
+    u = np.stack([np.cos(mid), np.sin(mid)])
+    # the bend per unit of twist: a piece of line inside one cell is at
+    # most res / max(|ux|, |uy|) long
+    bend = np.abs(u[0] * u[1]) / (4 * np.maximum(u[0] * u[0], u[1] * u[1]))
+
+    # in grid coordinates: each line's crossings of the grid lines after
+    # the sensor and up to its end, nearest first
+    g0 = (origin[:2] - hf.origin) / hf.resolution
+    g_end = g0[:, None] + reach / hf.resolution * u
+    n_groups = mid.size
+    rep, sigma, g = [np.empty(0, np.int64)], [np.empty(0)], [np.empty((2, 0))]
+    for axis, grid in enumerate(lines):
+        if not grid.size:
+            continue
+        ahead = u[axis] > 0
+        past = np.searchsorted(grid, g0[axis], "right")
+        before = np.searchsorted(grid, g0[axis], "left")
+        count = np.where(ahead, np.searchsorted(grid, g_end[axis], "right") - past,
+                         before - np.searchsorted(grid, g_end[axis], "left"))
+        r = np.repeat(np.arange(n_groups), count)
+        k = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
+        line = grid[np.where(ahead, past, before - 1)[r] + np.where(ahead, 1, -1)[r] * k]
+        sig = (line - g0[axis]) / u[axis, r]
+        gl = g0[:, None] + sig * u[:, r]
+        gl[axis] = line  # exactly on it, for the nodes beside it
+        rep.append(r), sigma.append(sig), g.append(gl)
+    rep, sigma, g = np.concatenate(rep), np.concatenate(sigma), np.concatenate(g, axis=1)
+    if lines[0].size and lines[1].size:
+        merged = np.lexsort((sigma, rep))
+        rep, sigma, g = rep[merged], sigma[merged], g[:, merged]
+
+    # every group's vertices in turn: the sensor, the crossings, the end
+    size = np.bincount(rep, minlength=n_groups) + 2
+    off = np.cumsum(size) - size
+    ends = np.concatenate([off, off + size - 1])
+    at = np.arange(rep.size) + 2 * rep + 1
+    s, gv = np.empty(size.sum()), np.empty((2, size.sum()))
+    s[ends] = np.concatenate([np.zeros(n_groups), reach])
+    gv[:, ends] = np.concatenate([np.repeat(g0[:, None], n_groups, axis=1), g_end], axis=1)
+    s[at], gv[:, at] = sigma * hf.resolution, g
+    nx, ny = hf.heights.shape
+    node = np.clip(gv, 0, [[nx - 1], [ny - 1]]).astype(np.int64)  # the floor: cells beside it
+    gid = np.repeat(np.arange(n_groups), size)
+    b = (clamped_height(hf, gv[0], gv[1]) + 1e-5 + lip * spread[gid] * s
+         + twist.ravel().take(node[0] * ny + node[1]) * bend[gid])
+    return size, s, b
+
+
 def _march_bounds(hf: Heightfield, origin: np.ndarray, dirs: np.ndarray,
                   step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per ray, the first and the last step index to sample (see lidar_scan)."""
+    """Per ray, the first and the last step index to sample (see lidar_scan):
+    one step before it meets its heading's polyline (_profile_starts) or
+    enters the tile, whichever is later, and one step past its tile exit."""
     # a ray enters the tile box at the later of its two axis entries and
     # leaves it at the nearer of its two exits (Kay & Kajiya's slabs); one
     # that keeps the sensor's x (or y) never meets it if that is off it.
@@ -444,16 +471,18 @@ def lidar_scan(hf: Heightfield, pose: Pose, pattern: ScanPattern | None = None,
     below the surface is refined by linear interpolation from the sample
     before it, so noise-free hits sit on the surface to within one step.
     The rays that share a world heading share one height profile (vertical
-    ray coherence): their line out from the sensor, cut into segments just
-    under one cell long, each bounded by the largest hf.cell_max its box
-    touches, the box widened by how far the group's rays stray from the
-    line. Each ray skips, without sampling, the segments it clears and, in
-    the first it does not clear, its descent down to that segment's bound:
-    no skipped sample is at or below the surface. Sampling starts one step
-    before that point, or before the tile entry if later, so the sample a
-    hit interpolates from is always taken, in windows of 2 steps doubling
-    up to 64. It ends at max_range or one step past the tile exit. Entry and
-    exit are found in closed form; a ray that misses the tile is not sampled.
+    ray coherence): a polyline along their line out from the sensor, with a
+    vertex where the line crosses a grid line across which the surface bends,
+    bounded there by the height, the bend of the cells beside it and how far
+    the group's rays stray from the line. Between two vertices the surface
+    under every ray lies below the chord of their bounds. Each ray skips,
+    without sampling, its way down to where it meets the first chord it
+    does not stay above: no skipped sample is at or below the surface.
+    Sampling starts one step before that point, or before the tile entry if
+    later, so the sample a hit interpolates from is always taken, in
+    windows of 2 steps doubling up to 64. It ends at max_range or one step
+    past the tile exit. Entry and exit are found in closed form; a ray that
+    misses the tile is not sampled.
     """
     pattern = pattern or ScanPattern()
     noise = noise or NoiseConfig()

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +117,18 @@ class TerrainSpec:
             raise ValueError("feature exceeds tile")
 
 
+class LineBounds(NamedTuple):
+    """Heightfield.line_bounds. Between two points where a straight line
+    crosses grid lines of `lines` in turn, the surface along it is linear
+    or, inside one cell, a parabola that rises above its chord by at most
+    the twist of a node of that cell times |ux uy| / max(ux^2, uy^2) / 4,
+    with (ux, uy) the line's unit direction."""
+
+    lip: float  # m per m: no slope of the surface in any direction is steeper
+    twist: np.ndarray  # per node, the largest |h00 - h10 - h01 + h11| of the cells around it
+    lines: tuple[np.ndarray, np.ndarray]  # ascending x and y grid lines the surface bends across
+
+
 @dataclass(frozen=True, eq=False)
 class Heightfield:
     """Node-based 2.5D height grid. heights[i, j] is the surface height at
@@ -154,12 +167,24 @@ class Heightfield:
         return on
 
     @cached_property
-    def cell_max(self) -> np.ndarray:
-        """Max height of each cell's four corner nodes, shape (width - 1,
-        height - 1); a one-node side repeats its node. Bilinear sampling
-        inside a cell never exceeds it."""
-        h = np.pad(self.heights, ((0, self.width == 1), (0, self.height == 1)), mode="edge")
-        return np.maximum(np.maximum(h[:-1, :-1], h[1:, :-1]), np.maximum(h[:-1, 1:], h[1:, 1:]))
+    def line_bounds(self) -> LineBounds:
+        """What bounds the bilinear surface along a straight line on the
+        tile, for LiDAR march starts. Past the tile's edges the surface is
+        taken as its edge nodes held outwards, as grid coordinates clamped to
+        the tile give it."""
+        hp = np.pad(self.heights, 1, mode="edge")
+        cells = np.abs(hp[:-1, :-1] - hp[1:, :-1] - hp[:-1, 1:] + hp[1:, 1:])
+        twist = np.maximum(np.maximum(cells[:-1, :-1], cells[1:, :-1]),
+                           np.maximum(cells[:-1, 1:], cells[1:, 1:]))
+        steps = max(np.abs(np.diff(hp, axis=0)).max(), np.abs(np.diff(hp, axis=1)).max())
+        # a line bends across a grid line where a second difference across
+        # it is nonzero or a cell beside it twists
+        twisted = twist > 0
+        bends = (np.any(hp[2:] - 2 * hp[1:-1] + hp[:-2] != 0, axis=1) | twisted.any(axis=1),
+                 np.any(hp[:, 2:] - 2 * hp[:, 1:-1] + hp[:, :-2] != 0, axis=0)
+                 | twisted.any(axis=0))
+        return LineBounds(math.sqrt(2) * float(steps) / self.resolution, twist,
+                          tuple(np.flatnonzero(b).astype(np.float64) for b in bends))
 
     def edge_xy(self, grad_threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
         """World x and y of every edge_cells cell, in ascending x (row-major
@@ -179,19 +204,6 @@ def edge_cells(hf: Heightfield, grad_threshold: float = 0.5) -> np.ndarray:
     mask[:, :-1][dy] = True
     mask[:, 1:][dy] = True
     return mask
-
-
-def window_max(grid: np.ndarray, k: int) -> np.ndarray:
-    """Max of each k x k window of grid, anchored at its low corner and cut
-    off at the far edges: out[i, j] = grid[i:i + k, j:j + k].max()."""
-    out = grid.copy()
-    for axis in (0, 1):
-        rows, w = np.moveaxis(out, axis, 0), 1  # rows holds windows w long
-        while w < k:
-            d = min(w, k - w)
-            np.maximum(rows[:-d], rows[d:], out=rows[:-d])
-            w += d
-    return out
 
 
 def terrain_parameter(spec: TerrainSpec) -> float:
@@ -300,6 +312,12 @@ def sample_height_vec(hf: Heightfield, xs: np.ndarray, ys: np.ndarray) -> tuple[
     """Vectorized bilinear sampling. Returns (heights, in_bounds mask);
     out-of-bounds entries hold NaN instead of raising."""
     gx, gy, ok = grid_coords(hf, xs, ys)
+    return np.where(ok, clamped_height(hf, gx, gy), np.nan), ok
+
+
+def clamped_height(hf: Heightfield, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Bilinear height at grid coordinates clamped to the tile: past an
+    edge, the edge's heights held outwards."""
     gxc = np.clip(gx, 0, hf.width - 1)
     gyc = np.clip(gy, 0, hf.height - 1)
     i0 = np.minimum(gxc.astype(np.int64), max(hf.width - 2, 0))
@@ -311,11 +329,9 @@ def sample_height_vec(hf: Heightfield, xs: np.ndarray, ys: np.ndarray) -> tuple[
     c00 = i0 * hf.height + j0
     di = hf.height if hf.width > 1 else 0
     dj = 1 if hf.height > 1 else 0
-    out = (
+    return (
         h.take(c00) * gx1 * gy1
         + h.take(c00 + di) * fx * gy1
         + h.take(c00 + dj) * gx1 * fy
         + h.take(c00 + di + dj) * fx * fy
     )
-    out = np.where(ok, out, np.nan)
-    return out, ok

@@ -4,8 +4,11 @@ import sys
 from hypothesis import settings
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
-# blob that replays a failure with @reproduce_failure
+# blob that replays a failure with @reproduce_failure; HYPOTHESIS_PROFILE=fresh
+# draws new ones on every run, so a bound that only some draws break can
+# still be found, and prints the same blob
 settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.register_profile("fresh", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -277,6 +277,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("text, match", [
         ("[run]\nimu_hz = 50\n", "imu_hz 50 outside"),
         ("[noise]\nmap_noise_ratio = 0.05\nmap_noise_magnitude = 2 1\n", "reversed"),
+        ("[noise]\nmap_noise_ratio = 0.05\nmap_noise_magnitude = -1e308 1e308\n",
+         "map_noise_magnitude (-1e+308, 1e+308): hi - lo must be finite"),
         ("[terrain]\ntype = gap\ntile_size = 2\n", "feature exceeds tile"),
         ("[terrain]\ntype = stairs\ntile_size = 2\n", "feature exceeds tile"),
         ("[trajectory]\nkind = sinusoid\namplitude = 0.05\nfrequency = 1e300\n",
@@ -287,10 +289,10 @@ class TestConfigErrors:
         ("[local_map]\nlength_x = -1.6\n", "length_x must be finite and positive"),
         ("[local_map]\nresolution = 1e-300\n", "spans over 65535 samples"),
         ("[local_map]\nlength_x = 6600\n", "spans over 65535 samples"),
-    ], ids=["imu-rate", "reversed-magnitude", "gap-on-small-tile", "stairs-on-small-tile",
-            "sinusoid-frequency", "sinusoid-amplitude", "local-map-under-10-samples",
-            "zero-local-map", "negative-local-map", "tiny-local-map-resolution",
-            "local-map-over-u16"])
+    ], ids=["imu-rate", "reversed-magnitude", "overflowing-magnitude", "gap-on-small-tile",
+            "stairs-on-small-tile", "sinusoid-frequency", "sinusoid-amplitude",
+            "local-map-under-10-samples", "zero-local-map", "negative-local-map",
+            "tiny-local-map-resolution", "local-map-over-u16"])
     def test_config_that_cannot_run_is_refused_at_load(self, tmp_path, capsys, command,
                                                         text, match):
         cfg_path = tmp_path / "bad.ini"

@@ -27,8 +27,8 @@ from terraforge.sensors import (
     scan_points_world,
     true_state,
 )
-from terraforge.terrain import (Heightfield, Robot, TerrainSpec, TerrainType, generate,
-                                grid_coords, sample_height, sample_height_vec)
+from terraforge.terrain import (Heightfield, Robot, TerrainSpec, TerrainType, clamped_height,
+                                generate, grid_coords, sample_height, sample_height_vec)
 
 from reference_kinematics import reference_true_state
 
@@ -477,10 +477,11 @@ def _sensor_pose(hf, x, y, height, lift, yaw, tilt):
         # over the local ground, under the tile top
         z = ground[0] + (top - ground[0]) * (0.02 + 0.96 * lift)
     elif height == "on_block":
-        # 1e-5 m above one of the cell maxima over the local ground, the
-        # height at which the marcher's descent into a segment bounded by
-        # that cell stops
-        maxes = np.unique(hf.cell_max)
+        # 1e-5 m above the largest node of one of the cells, over the local
+        # ground: a bound a march start may come down to
+        h = hf.heights
+        maxes = np.unique(np.maximum(np.maximum(h[:-1, :-1], h[1:, :-1]),
+                                     np.maximum(h[:-1, 1:], h[1:, 1:])))
         maxes = maxes[maxes + 1e-5 > (ground[0] if on_tile[0] else -np.inf)]
         z = float(maxes[int(lift * (maxes.size - 1))]) + 1e-5
     else:
@@ -497,11 +498,11 @@ SENSOR_POSES = dict(robot=st.sampled_from(list(Robot)), terrain=st.sampled_from(
                     yaw=st.floats(-np.pi, np.pi), tilt=st.floats(-0.4, 0.4),
                     pattern=st.sampled_from(PATTERNS))
 
-# poses whose rays descend into a block they do not clear: near-vertical rays
-# from high above a low stair tread whose block holds the next riser, a sensor
-# on a tread 1e-5 m above the next tread's block max, a tilted sensor over a
-# platform edge, and a sensor 1.5 m above the lowest stairs tread looking
-# along it, whose grazing rays walk more than 20 blocks
+# poses whose rays descend into a chord they do not stay above: near-vertical
+# rays from high above a low stair tread next to a riser, a sensor on a tread
+# 1e-5 m above the largest node of a cell, a tilted sensor over a platform
+# edge, and a sensor 1.5 m above the lowest stairs tread looking along it,
+# whose grazing rays run far along it
 DESCENT_POSES = [
     dict(robot=Robot.LITE3, terrain=TerrainType.STAIRS, level=5, x=1.27, y=0.1,
          height="above_top", lift=0.5, yaw=0.0, tilt=0.03, pattern=PATTERNS[0]),
@@ -526,8 +527,8 @@ EDGE_POSES = [dict(robot=Robot.LITE3, terrain=terrain, level=5, x=x, y=y, height
 
 
 # sensors tilted 0.3 rad, over stairs and over the gap's near edge: the rays
-# of a heading bin spread, so the profile's boxes are widened past two
-# cells and read the window maximum
+# of a heading bin spread, so each vertex bound carries their stray from the
+# heading's line
 TILTED_POSES = [
     dict(robot=Robot.LITE3, terrain=TerrainType.STAIRS, level=5, x=2.5, y=0.3,
          height="above_top", lift=0.3, yaw=0.4, tilt=0.3, pattern=PATTERNS[0]),
@@ -562,8 +563,8 @@ class TestMarcherEquivalence:
         got = lidar_scan(hf, pose, pattern, noise, seed=5).points
         assert got.tobytes() == want.tobytes()
 
-    # ground with one-cell spikes, under level and tilted sensors: a profile
-    # box must be bounded by every cell it touches, not only its corners
+    # ground with one-cell spikes, under level and tilted sensors: the cells
+    # a heading's line passes twist, so its bounds must carry their bend
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16), x=st.floats(0.5, 3.5), y=st.floats(-1.5, 1.5),
            lift=st.floats(0.02, 1.0), yaw=st.floats(-np.pi, np.pi),
@@ -615,14 +616,16 @@ class TestMarcherEquivalence:
             assert np.all(start[rows][hit] <= np.maximum(first - 1, 0))
 
     # bounds about 20% above what these trajectories measure (2.13 slope,
-    # 5.62 stairs, 4.61 gap, 2.83 platform samples per hit), so a marcher
-    # that starts sampling where a ray enters the profile segment that stops
-    # it, instead of where the ray comes down to that segment's bound, fails
-    # (19.7, 24.8, 22.2, 22.9 at a three-step start margin)
+    # 2.03 stairs, 2.21 gap, 2.03 platform, 2.66 stones samples per hit),
+    # so a marcher that starts each ray where it comes down to the largest
+    # cell maximum along its heading's segment, instead of where it meets
+    # the chord of the vertex bounds, fails (5.62 stairs, 4.61 gap, 2.83
+    # platform, 9.29 stones)
     @pytest.mark.parametrize("terrain, level, height, bound", [
-        (TerrainType.SLOPE, 0, 0.4, 2.6), (TerrainType.STAIRS, 5, 1.5, 6.7),
-        (TerrainType.GAP, 9, 0.4, 5.5), (TerrainType.HIGH_PLATFORM, 5, 0.9, 3.4)],
-        ids=["slope", "stairs", "gap", "platform"])
+        (TerrainType.SLOPE, 0, 0.4, 2.6), (TerrainType.STAIRS, 5, 1.5, 2.45),
+        (TerrainType.GAP, 9, 0.4, 2.65), (TerrainType.HIGH_PLATFORM, 5, 0.9, 2.45),
+        (TerrainType.DISCRETE_STONES, 5, 0.4, 3.2)],
+        ids=["slope", "stairs", "gap", "platform", "stones"])
     def test_few_samples_per_hit(self, samples, terrain, level, height, bound):
         hf = generate(TerrainSpec(terrain, level))
         traj = TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 5.0, speed=1.0,
@@ -631,6 +634,65 @@ class TestMarcherEquivalence:
                    for t in np.arange(0.0, 5.01, 0.5))
         assert hits > 0
         assert sum(samples) / hits < bound
+
+
+def _heading_groups(dirs):
+    """The middle heading and the largest spread from it of each of the
+    scan's heading bins, as _profile_starts groups its rays."""
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    bins = ((phi + np.pi) * (sensors_mod.PROFILE_BINS / (2 * np.pi))).astype(np.int64)
+    groups = [phi[bins == k] for k in np.unique(bins)]
+    mid = np.array([0.5 * (g.min() + g.max()) for g in groups])
+    return mid, np.array([np.abs(g - m).max() for g, m in zip(groups, mid)])
+
+
+def _field(kind, seed):
+    if kind == "spiky":  # as in test_scan_bytes_match_chunked_oracle_on_spiky_ground
+        rng = np.random.default_rng(seed)
+        heights = rng.normal(0.0, 0.01, (81, 81)) + 0.3 * (rng.random((81, 81)) < 0.03)
+        return Heightfield(81, 81, 0.05, np.array([0.0, -2.0]), heights)
+    if kind == "saddle":  # every cell twists, and no second difference is nonzero
+        i, j = np.indices((81, 81)) - 40
+        return Heightfield(81, 81, 0.05, np.array([0.0, -2.0]), i * j / 512)
+    terrain = TerrainType.STAIRS if kind == "stairs" else TerrainType.DISCRETE_STONES
+    return _tile(Robot.LITE3, terrain, seed % 10)
+
+
+# the start bound itself: along each heading group's line and its two
+# outermost headings, the surface sampled every res / 50 (held outwards past
+# the tile's edges) never rises above the chords of the vertex bounds
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["spiky", "saddle", "stairs", "stones"]), seed=st.integers(0, 2**16),
+       where=st.sampled_from(["node", "beside", "any"]), fx=st.floats(0.0, 1.0),
+       fy=st.floats(0.0, 1.0), lift=st.floats(0.01, 1.5), yaw=st.floats(-np.pi, np.pi),
+       tilt=st.one_of(st.just(0.0), st.just(5e-324), st.floats(-0.6, 0.6)),
+       reach=st.floats(0.0, 6.0))
+@example(kind="spiky", seed=1, where="node", fx=0.5, fy=0.5, lift=0.1, yaw=2.0, tilt=0.0, reach=3.0)
+@example(kind="stones", seed=5, where="beside", fx=0.0, fy=0.3, lift=0.5, yaw=0.0,
+         tilt=2.2250738585072014e-308, reach=6.0)
+def test_polylines_bound_the_surface(kind, seed, where, fx, fy, lift, yaw, tilt, reach):
+    hf = _field(kind, seed)
+    top = np.array([hf.width - 1, hf.height - 1])
+    if where == "node":
+        g = np.round(np.array([fx, fy]) * top)
+    elif where == "beside":  # up to 1 m past the low x edge or the high y edge
+        g = (np.array([-fx / hf.resolution, fy * top[1]]) if seed % 2
+             else np.array([fx * top[0], top[1] + fy / hf.resolution]))
+    else:
+        g = np.array([fx, fy]) * top
+    origin = np.array([*(hf.origin + g * hf.resolution), clamped_height(hf, *g) + lift])
+    q = quat_multiply(quat_from_rotvec([0.0, 0.0, yaw]), quat_from_rotvec([tilt, 0.5 * tilt, 0.0]))
+    mid, spread = _heading_groups(PATTERNS[0].ray_directions @ quat_to_matrix(q).T)
+    size, s, b = sensors_mod._polylines(hf, origin, mid, spread, np.full(mid.size, reach))
+    off = np.cumsum(size) - size
+    ds = np.arange(0.0, reach, hf.resolution / 50)
+    for k in range(mid.size):
+        sk, bk = s[off[k]:off[k] + size[k]], b[off[k]:off[k] + size[k]]
+        assert sk[0] == 0.0 and np.all(np.diff(sk) >= -1e-12)
+        chord = np.interp(ds, np.maximum.accumulate(sk), bk)
+        for heading in (mid[k] - spread[k], mid[k], mid[k] + spread[k]):
+            gx, gy = g[:, None] + ds / hf.resolution * [[np.cos(heading)], [np.sin(heading)]]
+            assert np.all(clamped_height(hf, gx, gy) <= chord)
 
 
 def _last_oracle(hf, origin, dirs, step, n_steps):

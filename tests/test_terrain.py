@@ -11,11 +11,11 @@ from terraforge.terrain import (
     Robot,
     TerrainSpec,
     TerrainType,
+    clamped_height,
     generate,
     sample_height,
     sample_height_vec,
     terrain_parameter,
-    window_max,
 )
 
 # independently transcribed (base, per-level step) oracle, meters
@@ -250,31 +250,72 @@ def test_tile_over_the_grid_bound_rejected(kwargs):
     assert round(spec.tile_size / spec.resolution) == MAX_GRID_SIDE
 
 
+def _line_bounds_by_loops(h, res):
+    """Heightfield.line_bounds from its definition, node by node, with the
+    heights held outwards past the tile's edges."""
+    w, n = h.shape
+
+    def node(i, j):
+        return h[min(max(i, 0), w - 1), min(max(j, 0), n - 1)]
+
+    def cell(i, j):
+        return abs(node(i, j) - node(i + 1, j) - node(i, j + 1) + node(i + 1, j + 1))
+
+    twist = np.array([[max(cell(i + di, j + dj) for di in (-1, 0) for dj in (-1, 0))
+                       for j in range(n)] for i in range(w)])
+    steps = max(max(abs(node(i + 1, j) - node(i, j)), abs(node(j, i + 1) - node(j, i)))
+                for i in range(-1, max(w, n)) for j in range(-1, max(w, n) + 1))
+    x_lines = [i for i in range(w)
+               if any(node(i + 1, j) - 2 * node(i, j) + node(i - 1, j) != 0 for j in range(n))
+               or twist[i].max() > 0]
+    y_lines = [j for j in range(n)
+               if any(node(i, j + 1) - 2 * node(i, j) + node(i, j - 1) != 0 for i in range(w))
+               or twist[:, j].max() > 0]
+    return math.sqrt(2) * steps / res, twist, x_lines, y_lines
+
+
+# risers along x over a plane tilted along y, in binary fractions so that
+# no second difference rounds off zero: no cell twists, and the surface bends
+# across the x lines at the risers and across the y lines at the tile's
+# edges, where held outwards it turns flat. One spike twists the cells around
+# it and bends every line through them.
 @pytest.mark.parametrize("shape", [(11, 6), (1, 4), (4, 1), (1, 1)])
-def test_cell_max_is_max_of_each_cells_nodes(shape):
-    heights = np.random.default_rng(1).normal(size=shape)
-    hf = Heightfield(*shape, 0.05, np.array([0.0, 0.0]), heights)
-    # a one-node side repeats its node, as sample_height_vec does
-    w, h = max(shape[0] - 1, 1), max(shape[1] - 1, 1)
-    want = [[heights[i:i + 2, j:j + 2].max() for j in range(h)] for i in range(w)]
-    assert np.array_equal(hf.cell_max, want)
-    # no bilinear sample inside a cell is above it
-    gx, gy = np.random.default_rng(2).uniform(0, [shape[0] - 1, shape[1] - 1], size=(2000, 2)).T
-    got, _ = sample_height_vec(hf, gx * 0.05, gy * 0.05)
-    i, j = np.minimum(gx.astype(int), w - 1), np.minimum(gy.astype(int), h - 1)
-    assert np.all(got <= hf.cell_max[i, j] + 1e-12)
-    assert hf.cell_max is hf.cell_max  # built once, on first use
+def test_line_bounds_match_brute_force(shape):
+    i, j = np.indices(shape)
+    steps = 0.5 * (i // 3) + 0.25 * j
+    spiked = steps.copy()
+    spiked[shape[0] // 2, shape[1] // 2] += 0.375
+    lines = []
+    for heights in (steps, spiked, np.random.default_rng(1).normal(size=shape)):
+        hf = Heightfield(*shape, 0.05, np.array([0.0, 0.0]), heights)
+        lip, twist, x_lines, y_lines = _line_bounds_by_loops(heights, 0.05)
+        got = hf.line_bounds
+        assert got.lip == pytest.approx(lip, rel=1e-12)
+        assert np.array_equal(got.twist, twist)
+        assert got.lines[0].tolist() == x_lines and got.lines[1].tolist() == y_lines
+        assert hf.line_bounds is got  # built once, on first use
+        lines.append((x_lines, y_lines))
+    if shape == (11, 6):
+        assert lines[:2] == [([2, 3, 5, 6, 8, 9], [0, 5]), ([2, 3, 4, 5, 6, 8, 9], [0, 2, 3, 4, 5])]
 
 
-def test_cell_max_not_built_by_generate():
-    assert "cell_max" not in vars(generate(TerrainSpec(TerrainType.STAIRS, 5)))
+def test_line_bounds_not_built_by_generate():
+    assert "line_bounds" not in vars(generate(TerrainSpec(TerrainType.STAIRS, 5)))
 
 
-@pytest.mark.parametrize("k", range(1, 9))
-def test_window_max_is_max_of_each_window(k):
-    grid = np.random.default_rng(k).normal(size=(7, 5))
-    want = [[grid[i:i + k, j:j + k].max() for j in range(5)] for i in range(7)]
-    assert np.array_equal(window_max(grid, k), want)
+# lip bounds the slope of the surface between any two points, on the tile
+# or past its edges, and is reached between two adjacent nodes
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_lip_bounds_every_slope(seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 9, size=2))
+    hf = Heightfield(*shape, 0.05, np.array([0.0, 0.0]), rng.normal(size=shape))
+    p, q = rng.uniform(-2, np.array(shape) + 1, size=(2, 4000, 2)).transpose(0, 2, 1)
+    rise = np.abs(clamped_height(hf, *p) - clamped_height(hf, *q))
+    assert np.all(rise <= hf.line_bounds.lip * 0.05 * np.hypot(*(p - q)) * (1 + 1e-12))
+    h = np.pad(hf.heights, 1, mode="edge")
+    top = max(np.abs(np.diff(h, axis=0)).max(), np.abs(np.diff(h, axis=1)).max())
+    assert hf.line_bounds.lip == pytest.approx(math.sqrt(2) * top / 0.05, rel=1e-12)
 
 
 def test_one_node_tile_rejected():
