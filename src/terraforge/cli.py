@@ -160,8 +160,8 @@ def _log_messages(run_dir: Path) -> list[tuple[int, int, bytes]]:
         if len(maps) != len(reward_ts):
             raise ValueError(f"{maps_path.name} holds {len(maps)} local maps "
                              f"for {len(reward_ts)} reward records")
-        for ts, (heights, res) in zip(reward_ts, maps):
-            for frag in telemetry.encode_local_map(ts, heights, res):
+        for ts, blob in zip(reward_ts, maps):
+            for frag in telemetry.encode_local_map(ts, blob):
                 messages.append((ts, 1, frag))
 
     messages.sort(key=lambda m: (m[0], m[1]))

@@ -14,7 +14,7 @@ from enum import Enum
 from .fusion import FusionConfig
 from .mapping import LocalMapSpec, grid_cells
 from .rewards import RewardWeights
-from .sensors import NoiseConfig, ScanPattern, TrajectoryKind, TrajectorySpec
+from .sensors import MAX_BODY_HEIGHT, NoiseConfig, ScanPattern, TrajectoryKind, TrajectorySpec
 from .telemetry import parse_endpoint
 from .terrain import Robot, TerrainSpec, TerrainType
 
@@ -56,6 +56,8 @@ class PipelineConfig:
             raise ValueError("imu_hz must be divisible by policy_hz")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not abs(self.desired_height) <= MAX_BODY_HEIGHT:
+            raise ValueError(f"|desired_height| must be <= {MAX_BODY_HEIGHT:g} m")
         grid_cells(self.map_size, self.map_resolution)
         duration = self.trajectory.duration
         for name in ("imu_hz", "odom_hz", "lidar_hz"):

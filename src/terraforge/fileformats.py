@@ -18,7 +18,7 @@ HFLD_MAGIC = b"HFLD"
 FORMAT_VERSION = 1
 
 _HFLD_HEAD = struct.Struct("<4sHIIddd")
-_LOCAL_HEAD = struct.Struct("<HHf8x")  # rows, cols, resolution, reserved
+LOCAL_HEAD = struct.Struct("<HHf8x")  # rows, cols, resolution, reserved
 
 
 def write_heightfield(hf: Heightfield, path) -> None:
@@ -58,32 +58,36 @@ def encode_local_map(heights: np.ndarray, resolution: float) -> bytes:
         raise ValueError("local map must be 2-D")
     if max(h.shape) > 0xFFFF:
         raise ValueError(f"a {h.shape[0]}x{h.shape[1]} local map does not fit the u16 header")
-    head = _LOCAL_HEAD.pack(h.shape[0], h.shape[1], resolution)
+    head = LOCAL_HEAD.pack(h.shape[0], h.shape[1], resolution)
     return head + np.ascontiguousarray(h, dtype="<f4").tobytes()
+
+
+def split_local_map(blob) -> tuple[int, int, float, bytes]:
+    """(rows, cols, resolution, f32 cell bytes) of the local map blob at the
+    start of blob; ValueError if blob is shorter than its header or cells."""
+    if len(blob) < LOCAL_HEAD.size:
+        raise ValueError("local map blob shorter than its header")
+    rows, cols, res = LOCAL_HEAD.unpack_from(blob)
+    if len(blob) < LOCAL_HEAD.size + 4 * rows * cols:
+        raise ValueError(f"local map blob shorter than its {rows}x{cols} cells")
+    return rows, cols, res, blob[LOCAL_HEAD.size:LOCAL_HEAD.size + 4 * rows * cols]
 
 
 def decode_local_map(blob: bytes) -> tuple[np.ndarray, float]:
     """The local map at the start of blob; bytes after it are ignored."""
-    if len(blob) < _LOCAL_HEAD.size:
-        raise ValueError("local map blob shorter than its header")
-    rows, cols, res = _LOCAL_HEAD.unpack_from(blob)
-    if len(blob) < _LOCAL_HEAD.size + 4 * rows * cols:
-        raise ValueError(f"local map blob shorter than its {rows}x{cols} cells")
-    cells = np.frombuffer(blob, dtype="<f4", count=rows * cols,
-                          offset=_LOCAL_HEAD.size)
-    return cells.reshape(rows, cols).astype(float), float(res)
+    rows, cols, res, cells = split_local_map(blob)
+    return np.frombuffer(cells, dtype="<f4").reshape(rows, cols).astype(float), float(res)
 
 
-def read_local_maps(path) -> list[tuple[np.ndarray, float]]:
-    """Every (heights, resolution) in a file of back-to-back local map blobs."""
-    blob, off, out = memoryview(Path(path).read_bytes()), 0, []
-    while off < len(blob):
-        out.append(decode_local_map(blob[off:]))
-        off += _LOCAL_HEAD.size + 4 * out[-1][0].size
+def read_local_maps(path) -> list[bytes]:
+    """Every blob in a file of back-to-back local map blobs, each checked
+    as decode_local_map checks it."""
+    data, off, out = Path(path).read_bytes(), 0, []
+    while off < len(data):
+        cells = split_local_map(memoryview(data)[off:])[3]
+        out.append(data[off:off + LOCAL_HEAD.size + len(cells)])
+        off += len(out[-1])
     return out
-
-
-LOCAL_BLOB_HEADER_SIZE = _LOCAL_HEAD.size
 
 
 POSE_KEYS = ("timestamp_ns", "px", "py", "pz", "qw", "qx", "qy", "qz")

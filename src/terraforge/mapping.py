@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Pose, quat_yaw
 from .rewards import MIN_PLANE_POINTS
-from .sensors import LidarScan, scan_points_world
+from .sensors import LidarScan, NoiseConfig, scan_points_world
 from .terrain import MAX_GRID_SIDE
 
 MAX_POSE_SCAN_DESYNC_S = 0.100
@@ -320,23 +320,16 @@ def edit_heightfield(hf, edit: VirtualEdit):
     return replace(hf, heights=heights), heights[window].size
 
 
-def inject_map_noise(local: LocalMap, ratio: float,
-                     magnitude_range: tuple[float, float] = (-1.0, 2.0),
-                     seed: int = 0) -> LocalMap:
-    """Perturb exactly floor(ratio * cells) samples by uniform draws from
-    magnitude_range. Models the elevation-map corruption used to harden
-    policies against mapping artifacts."""
-    if not 0.0 <= ratio <= 0.1:
-        raise ValueError("noise ratio outside [0, 0.1]")
-    lo, hi = magnitude_range
-    if hi < lo:
-        raise ValueError("bad magnitude range")
+def inject_map_noise(local: LocalMap, noise: NoiseConfig, seed: int = 0) -> LocalMap:
+    """Perturb exactly floor(ratio * cells) samples by uniform draws from the
+    magnitude range, both from a NoiseConfig that checked them. Models the
+    elevation-map corruption used to harden policies against mapping artifacts."""
     cells = local.heights.size
-    count = int(ratio * cells)
+    count = int(noise.map_noise_ratio * cells)
     if count == 0:
         return local
     rng = np.random.default_rng(seed)
     picks = rng.choice(cells, size=count, replace=False)
     heights = local.heights.copy()
-    heights.reshape(-1)[picks] += rng.uniform(lo, hi, size=count)
+    heights.reshape(-1)[picks] += rng.uniform(*noise.map_noise_magnitude, size=count)
     return replace(local, heights=heights)

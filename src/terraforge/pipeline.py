@@ -232,9 +232,7 @@ class _Replay:
                 f"policy tick {i} at {ts} ns, expected {ticks.timestamps_ns[i]} ns")
         local = self.emap.extract_local(fused, cfg.local_map)
         if cfg.noise.map_noise_ratio > 0:
-            local = inject_map_noise(local, cfg.noise.map_noise_ratio,
-                                     cfg.noise.map_noise_magnitude,
-                                     self.s_mapnoise + self.policy_count)
+            local = inject_map_noise(local, cfg.noise, self.s_mapnoise + self.policy_count)
         expected = cfg.local_map.samples_x * cfg.local_map.samples_y
         if local.heights.size != expected:
             raise PipelineInvariantError(
@@ -246,10 +244,11 @@ class _Replay:
         lap("reward_eval")
 
         self.tick_rows[i] = (*rewards, local.fill_ratio, *fit.normal.tolist())
-        self.local_maps += encode_local_map(local.heights, local.resolution)
+        blob = encode_local_map(local.heights, local.resolution)
+        self.local_maps += blob
         if self.streamer is not None:
             self.streamer.send(telemetry.encode_pose(fused))
-            for frag in telemetry.encode_local_map(ts, local.heights, local.resolution):
+            for frag in telemetry.encode_local_map(ts, blob):
                 self.streamer.send(frag)
             self.streamer.send(telemetry.encode_reward(ts, rewards[WEIGHTED]))
 

@@ -44,6 +44,9 @@ class TrajectoryKind(Enum):
 MIN_CIRCLE_RADIUS = 0.1  # m
 MAX_SINUSOID_AMPLITUDE = 10.0  # m
 MAX_SINUSOID_ACCEL = 100.0 * GRAVITY  # m/s^2, peak vertical a (2 pi f)^2
+# m, |body height| and |desired height|; keeps the body-height reward's
+# square of their difference finite
+MAX_BODY_HEIGHT = 1000.0
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class TrajectorySpec:
             raise ValueError("duration must be positive and finite")
         if not 0.0 <= self.speed <= 3.0:
             raise ValueError("speed outside [0, 3] m/s")
+        if not abs(self.height_above_ground) <= MAX_BODY_HEIGHT:
+            raise ValueError(f"|height_above_ground| must be <= {MAX_BODY_HEIGHT:g} m")
         # a tighter circle turns faster than 30 rad/s at 3 m/s; radii near
         # 1e-40 m overflow the map index and 1e-293 m the streams
         if self.kind is TrajectoryKind.CIRCLE and not self.radius >= MIN_CIRCLE_RADIUS:

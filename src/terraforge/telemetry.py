@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileformats import split_local_map
 from .geometry import Pose, Quaternion, quat_normalize
 
 log = logging.getLogger(__name__)
@@ -54,23 +55,16 @@ def encode_pose(pose: Pose) -> bytes:
                       *(float(v) for v in pose.position), q.w, q.x, q.y, q.z)
 
 
-def encode_local_map(timestamp_ns: int, heights: np.ndarray,
-                     resolution: float) -> list[bytes]:
-    """Fragment a row-major grid into <= 320-cell datagrams."""
-    h = np.asarray(heights)
-    if h.ndim != 2:
-        raise ValueError("local map must be 2-D")
-    count = max(1, -(-h.size // MAX_FRAGMENT_CELLS))
-    if max(*h.shape, count) > 0xFFFF:
-        raise ValueError(f"a {h.shape[0]}x{h.shape[1]} local map does not fit the u16 header")
-    flat = np.ascontiguousarray(h, dtype="<f4").ravel()
-    out = []
-    for k in range(count):
-        chunk = flat[k * MAX_FRAGMENT_CELLS:(k + 1) * MAX_FRAGMENT_CELLS]
-        head = _MAP_HEAD.pack(MSG_LOCAL_MAP, timestamp_ns, k, count,
-                              h.shape[0], h.shape[1], resolution)
-        out.append(head + chunk.tobytes())
-    return out
+def encode_local_map(timestamp_ns: int, blob: bytes) -> list[bytes]:
+    """Fragment a fileformats.encode_local_map blob into <= 320-cell
+    datagrams; a blob shorter than its header or cells raises ValueError."""
+    rows, cols, res, cells = split_local_map(blob)
+    count = max(1, -(-rows * cols // MAX_FRAGMENT_CELLS))
+    if count > 0xFFFF:
+        raise ValueError(f"a {rows}x{cols} local map does not fit the u16 header")
+    step = 4 * MAX_FRAGMENT_CELLS
+    return [_MAP_HEAD.pack(MSG_LOCAL_MAP, timestamp_ns, k, count, rows, cols, res)
+            + cells[k * step:(k + 1) * step] for k in range(count)]
 
 
 def encode_reward(timestamp_ns: int, values) -> bytes:

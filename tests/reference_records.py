@@ -80,9 +80,7 @@ def reference_run(cfg, out_dir) -> None:
             assert ticks.timestamps_ns[i] == ts
             local = emap.extract_local(fused, cfg.local_map)
             if cfg.noise.map_noise_ratio > 0:
-                local = inject_map_noise(local, cfg.noise.map_noise_ratio,
-                                         cfg.noise.map_noise_magnitude,
-                                         replay.s_mapnoise + policy_count)
+                local = inject_map_noise(local, cfg.noise, replay.s_mapnoise + policy_count)
             fit = fit_plane(local.to_points())
             reward_records.append(_reward_record(compute_rewards(ticks.rewards, i, fit), ts))
             trajectory_records.append({

@@ -22,10 +22,11 @@ import terraforge
 from terraforge.cli import main
 from terraforge.config import PipelineConfig, load_config
 from terraforge.fileformats import read_heightfield, read_jsonl
+from terraforge.mapping import LocalMapSpec
 from terraforge.pipeline import PipelineInvariantError, run_bench, run_pipeline
 from terraforge.rewards import REWARD_KEYS, TERMS
 from terraforge.sensors import NoiseConfig, SensorUnderground, TrajectoryKind, TrajectorySpec
-from terraforge.telemetry import RewardMessage, decode_message
+from terraforge.telemetry import MSG_LOCAL_MAP, RewardMessage, decode_message
 from terraforge.terrain import TerrainSpec, TerrainType
 
 
@@ -284,6 +285,9 @@ class TestConfigErrors:
         ("[trajectory]\nkind = sinusoid\namplitude = 0.05\nfrequency = 1e300\n",
          "peak vertical acceleration"),
         ("[trajectory]\nkind = sinusoid\namplitude = 1e300\n", "|amplitude| must be <= 10 m"),
+        ("[trajectory]\nheight_above_ground = 1e160\n", "|height_above_ground| must be <= 1000 m"),
+        ("[trajectory]\nheight_above_ground = 1e300\n", "|height_above_ground| must be <= 1000 m"),
+        ("[run]\ndesired_height = 1e200\n", "|desired_height| must be <= 1000 m"),
         ("[local_map]\nlength_x = 0.2\nlength_y = 0.2\n", "3 x 3 samples"),
         ("[local_map]\nlength_x = 0\n", "length_x must be finite and positive"),
         ("[local_map]\nlength_x = -1.6\n", "length_x must be finite and positive"),
@@ -291,6 +295,7 @@ class TestConfigErrors:
         ("[local_map]\nlength_x = 6600\n", "spans over 65535 samples"),
     ], ids=["imu-rate", "reversed-magnitude", "overflowing-magnitude", "gap-on-small-tile",
             "stairs-on-small-tile", "sinusoid-frequency", "sinusoid-amplitude",
+            "body-height-1e160", "body-height-1e300", "desired-height-1e200",
             "local-map-under-10-samples", "zero-local-map", "negative-local-map",
             "tiny-local-map-resolution", "local-map-over-u16"])
     def test_config_that_cannot_run_is_refused_at_load(self, tmp_path, capsys, command,
@@ -339,12 +344,13 @@ class TestMalformedIni:
 # per INI key, its values in range and, where it has any, its out-of-range
 # values (imu_hz, a reversed magnitude, a small tile for a gap or stairs, a
 # tile of 1-3 nodes per side, speed, radius, a sinusoid's amplitude and
-# frequency up to 1e300, zero LiDAR sizes, LiDAR marches too long or too
-# wide to fit, local maps too small for the plane fit or too large for
-# their u16 headers, tile and map grids over their cells-per-side bound,
-# streams over their sample bound). Rates of 1e9 Hz and a 1e9 s duration
-# are refused with every drawn duration and rate; 1e7 Hz would load for a
-# 1 ms trajectory, as 10^4 scans, too many for a quick draw
+# frequency up to 1e300, body and desired heights past 1000 m, zero LiDAR
+# sizes, LiDAR marches too long or too wide to fit, local maps too small
+# for the plane fit or too large for their u16 headers, tile and map grids
+# over their cells-per-side bound, streams over their sample bound). Rates
+# of 1e9 Hz and a 1e9 s duration are refused with every drawn duration and
+# rate; 1e7 Hz would load for a 1 ms trajectory, as 10^4 scans, too many
+# for a quick draw
 _DRAWN_KEYS = {
     "terrain": {"type": (st.sampled_from(["slope", "stones", "stairs", "gap", "platform"]), None),
                 "level": (st.integers(0, 9), None),
@@ -357,7 +363,8 @@ _DRAWN_KEYS = {
                                           st.floats(1e-3, 0.5)), st.just(1e9)),
                    "kind": (st.sampled_from(["static", "constant_velocity", "circle", "sinusoid"]),
                             None),
-                   "height_above_ground": (st.sampled_from([0.2, 0.4, 1.0, 1.5]), None),
+                   "height_above_ground": (st.sampled_from([0.2, 0.4, 1.0, 1.5]),
+                                           st.sampled_from([1e160, 1e300, -1e300, 1000.5])),
                    "speed": (st.floats(0.0, 3.0), st.floats(3.0, 3.5, exclude_min=True)),
                    "radius": (st.floats(0.1, 3.0), st.floats(-0.5, 0.1, exclude_max=True)),
                    "amplitude": (st.floats(0.0, 0.2), st.floats(0.0, 1e300)),
@@ -390,7 +397,7 @@ _DRAWN_KEYS = {
             "policy_hz": (st.sampled_from([25, 50, 100]), None),
             "map_size": (st.sampled_from([10.0, 20.0]), None),
             "map_resolution": (st.sampled_from([0.05, 0.1]), st.just(0.001)),
-            "desired_height": (st.floats(0.2, 0.6), None),
+            "desired_height": (st.floats(0.2, 0.6), st.sampled_from([1e200, -1e200, 1000.5])),
             "seed": (st.integers(0, 2**16), None)},
 }
 _OUT_OF_RANGE = [(section, key) for section, keys in _DRAWN_KEYS.items()
@@ -573,6 +580,33 @@ class TestStream:
         assert main(["stream", "--endpoint", endpoint, "--run-dir", str(run_dir)]) == 0
         sent = int(capsys.readouterr().out.split()[1])
         streamed = rewards(sent)
+        rx.close()
+        assert streamed == live
+
+    def test_local_map_datagrams_match_the_live_run(self, tmp_path, capsys):
+        """stream fragments each stored blob into the bytes the live run
+        sent for that tick: noisy 33 x 21 maps, three fragments each."""
+        rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        rx.bind(("127.0.0.1", 0))
+        rx.settimeout(2.0)
+        endpoint = "127.0.0.1:%d" % rx.getsockname()[1]
+
+        def fragments(count):
+            datagrams = [rx.recv(2048) for _ in range(count)]
+            return [d for d in datagrams if d[0] == MSG_LOCAL_MAP]
+
+        cfg = PipelineConfig(terrain=TerrainSpec(TerrainType.GAP, 5), endpoint=endpoint,
+                             trajectory=TrajectorySpec(kind=TrajectoryKind.CONSTANT_VELOCITY,
+                                                       duration=0.2, speed=1.0),
+                             noise=NoiseConfig(map_noise_ratio=0.1),
+                             local_map=LocalMapSpec(1.6, 1.0, 0.05))
+        run_dir = tmp_path / "run"
+        res = run_pipeline(cfg, run_dir)
+        live = fragments(res.telemetry_sent)
+        assert len(live) == 3 * res.policy_tick_count
+        assert main(["stream", "--endpoint", endpoint, "--run-dir", str(run_dir)]) == 0
+        sent = int(capsys.readouterr().out.split()[1])
+        streamed = fragments(sent)
         rx.close()
         assert streamed == live
 

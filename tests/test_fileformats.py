@@ -12,7 +12,7 @@ from terraforge.fileformats import (
     FORMAT_VERSION,
     HFLD_MAGIC,
     IMU_KEYS,
-    LOCAL_BLOB_HEADER_SIZE,
+    LOCAL_HEAD,
     POSE_KEYS,
     decode_local_map,
     encode_local_map,
@@ -102,7 +102,7 @@ class TestLocalMapBlob:
 
     def test_blob_size(self):
         blob = encode_local_map(np.zeros((17, 11)), 0.1)
-        assert LOCAL_BLOB_HEADER_SIZE == 16
+        assert LOCAL_HEAD.size == 16
         assert len(blob) == 16 + 17 * 11 * 4
 
     def test_requires_2d(self):
@@ -125,9 +125,11 @@ class TestLocalMapBlob:
     def test_read_back_to_back_blobs(self, tmp_path):
         maps = [np.full((17, 11), float(i)) for i in range(3)] + [np.ones((2, 3))]
         path = tmp_path / "localmaps.bin"
-        path.write_bytes(b"".join(encode_local_map(m, 0.1) for m in maps))
+        blobs = [encode_local_map(m, 0.1) for m in maps]
+        path.write_bytes(b"".join(blobs))
         back = read_local_maps(path)
-        assert [h.tolist() for h, _ in back] == [m.tolist() for m in maps]
+        assert back == blobs
+        assert [decode_local_map(b)[0].tolist() for b in back] == [m.tolist() for m in maps]
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError, match="2x3 cells"):
             read_local_maps(path)

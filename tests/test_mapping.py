@@ -19,7 +19,7 @@ from terraforge.mapping import (
     inject_map_noise,
 )
 from terraforge.rewards import MIN_PLANE_POINTS
-from terraforge.sensors import LidarScan, lidar_scan
+from terraforge.sensors import LidarScan, NoiseConfig, lidar_scan
 from terraforge.terrain import TerrainSpec, TerrainType, generate, sample_height
 
 from reference_tick_layers import reference_extract_local, reference_inject_map_noise
@@ -429,31 +429,34 @@ class TestInjectMapNoise:
 
     def test_zero_ratio_unchanged(self):
         local = self._local()
-        out = inject_map_noise(local, 0.0, seed=1)
+        out = inject_map_noise(local, NoiseConfig(map_noise_ratio=0.0), seed=1)
         assert out is local
 
     def test_exact_cell_count(self):
         local = self._local()  # 187 cells
-        out = inject_map_noise(local, 0.1, seed=2)
+        out = inject_map_noise(local, NoiseConfig(map_noise_ratio=0.1), seed=2)
         assert np.count_nonzero(out.heights != local.heights) == 18  # floor(18.7)
 
     def test_perturbations_in_range(self):
         local = self._local()
+        noise = NoiseConfig(map_noise_ratio=0.1, map_noise_magnitude=(-1.0, 2.0))
         for seed in range(10):
-            out = inject_map_noise(local, 0.1, (-1.0, 2.0), seed=seed)
+            out = inject_map_noise(local, noise, seed=seed)
             delta = (out.heights - local.heights).ravel()
             moved = delta[delta != 0]
             assert np.all(moved >= -1.0) and np.all(moved <= 2.0)
 
     def test_deterministic(self):
         local = self._local()
-        a = inject_map_noise(local, 0.05, seed=9)
-        b = inject_map_noise(local, 0.05, seed=9)
+        a = inject_map_noise(local, NoiseConfig(map_noise_ratio=0.05), seed=9)
+        b = inject_map_noise(local, NoiseConfig(map_noise_ratio=0.05), seed=9)
         assert np.array_equal(a.heights, b.heights)
 
     def test_ratio_bound(self):
-        with pytest.raises(ValueError, match="ratio"):
-            inject_map_noise(self._local(), 0.5)
+        """A ratio past 0.1 never reaches inject_map_noise: the NoiseConfig
+        it takes refuses it."""
+        with pytest.raises(ValueError, match="map_noise_ratio outside"):
+            inject_map_noise(self._local(), NoiseConfig(map_noise_ratio=0.5))
 
 
 def test_local_map_to_points_shape():
@@ -522,7 +525,8 @@ class TestTickLayersMatchReference:
         rng = np.random.default_rng(map_seed)
         local = random_map(rng, 0.5).extract_local(pose_at(0.0, 0.0, 0.4, ts=3))
         before = local.heights.tobytes()
-        got = inject_map_noise(local, ratio, magnitude, seed)
+        noise = NoiseConfig(map_noise_ratio=ratio, map_noise_magnitude=magnitude)
+        got = inject_map_noise(local, noise, seed)
         want = reference_inject_map_noise(local, ratio, magnitude, seed)
         assert got.heights.tobytes() == want.heights.tobytes()
         assert local.heights.tobytes() == before  # noise goes on a copy

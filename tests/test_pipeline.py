@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terraforge.config import PipelineConfig, load_config
-from terraforge.fileformats import LOCAL_BLOB_HEADER_SIZE, POSE_KEYS, read_jsonl
+from terraforge.fileformats import LOCAL_HEAD, POSE_KEYS, read_jsonl
 from terraforge.fusion import PoseFuser, run_fusion
 from terraforge.mapping import ElevationMap
 from terraforge.observations import ObservationFrame, sample_command
@@ -113,7 +113,7 @@ class TestRunPipeline:
     def test_local_blob_framing(self, run_result):
         res, out = run_result
         blob = (out / "localmaps.bin").read_bytes()
-        per = LOCAL_BLOB_HEADER_SIZE + 17 * 11 * 4
+        per = LOCAL_HEAD.size + 17 * 11 * 4
         assert len(blob) == per * res.policy_tick_count
 
     def test_deterministic_replay(self, tmp_path):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terraforge.fileformats import LOCAL_HEAD, decode_local_map
+from terraforge.fileformats import encode_local_map as encode_blob
 from terraforge.geometry import Pose, Quaternion
 from terraforge.telemetry import (
     MAX_DATAGRAM,
@@ -52,7 +54,7 @@ class TestPoseMessage:
 
 class TestLocalMapMessage:
     def test_single_fragment_for_policy_patch(self):
-        frags = encode_local_map(7, np.zeros((17, 11)), 0.1)
+        frags = encode_local_map(7, encode_blob(np.zeros((17, 11)), 0.1))
         assert len(frags) == 1
         msg = decode_message(frags[0])
         assert isinstance(msg, LocalMapFragment)
@@ -61,33 +63,33 @@ class TestLocalMapMessage:
         assert msg.cells.size == 187
 
     def test_fragmentation_split(self):
-        frags = encode_local_map(1, np.zeros((20, 20)), 0.05)
+        frags = encode_local_map(1, encode_blob(np.zeros((20, 20)), 0.05))
         assert len(frags) == 2
         sizes = [decode_message(f).cells.size for f in frags]
         assert sizes == [MAX_FRAGMENT_CELLS, 400 - MAX_FRAGMENT_CELLS]
 
     def test_every_fragment_under_mtu(self):
-        frags = encode_local_map(1, np.zeros((40, 40)), 0.05)
+        frags = encode_local_map(1, encode_blob(np.zeros((40, 40)), 0.05))
         assert all(len(f) <= MAX_DATAGRAM for f in frags)
         assert frags[0][0] == MSG_LOCAL_MAP
 
     def test_reassembly_round_trip(self):
         rng = np.random.default_rng(3)
         h = rng.normal(0, 0.4, (23, 19))
-        frags = [decode_message(d) for d in encode_local_map(5, h, 0.05)]
+        frags = [decode_message(d) for d in encode_local_map(5, encode_blob(h, 0.05))]
         back, res = reassemble_local_map(frags)
         assert res == pytest.approx(0.05, abs=1e-7)
         assert np.array_equal(back, h.astype(np.float32).astype(float))
 
     def test_reassembly_order_independent(self):
         h = np.arange(400.0).reshape(20, 20)
-        frags = [decode_message(d) for d in encode_local_map(5, h, 0.05)]
+        frags = [decode_message(d) for d in encode_local_map(5, encode_blob(h, 0.05))]
         back, _ = reassemble_local_map(list(reversed(frags)))
         assert np.array_equal(back, h)
 
     def test_missing_fragment(self):
         frags = [decode_message(d)
-                 for d in encode_local_map(5, np.zeros((20, 20)), 0.05)]
+                 for d in encode_local_map(5, encode_blob(np.zeros((20, 20)), 0.05))]
         with pytest.raises(ValueError, match="missing fragments"):
             reassemble_local_map(frags[:1])
 
@@ -97,20 +99,52 @@ class TestLocalMapMessage:
 
     def test_duplicate_indices_rejected(self):
         frags = [decode_message(d)
-                 for d in encode_local_map(5, np.zeros((20, 20)), 0.05)]
+                 for d in encode_local_map(5, encode_blob(np.zeros((20, 20)), 0.05))]
         with pytest.raises(ValueError, match="contiguous|missing"):
             reassemble_local_map([frags[0], frags[0]])
 
     def test_requires_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            encode_local_map(0, np.zeros(10), 0.1)
+        with pytest.raises(ValueError, match="2-D"):  # a 1-D map has no blob
+            encode_local_map(0, encode_blob(np.zeros(10), 0.1))
 
-    # a side past u16, and sides within it whose 81,914 fragments are not
-    # (a zero-stride view, so nothing is allocated before the check)
+    # a side past u16 has no blob; sides within it whose 81,914 fragments
+    # do not fit are refused by the fragmenter
     @pytest.mark.parametrize("shape", [(0x10000, 1), (1, 0x10000), (0xFFFF, 400)])
     def test_past_u16_rejected(self, shape):
         with pytest.raises(ValueError, match="does not fit the u16 header"):
-            encode_local_map(0, np.broadcast_to(np.float32(0.0), shape), 0.1)
+            encode_local_map(0, zero_blob(*shape))
+
+    # 187, 400 and 667 cells: one, two and three fragments
+    @pytest.mark.parametrize("shape", [(17, 11), (20, 20), (23, 29)])
+    def test_fragments_reassemble_to_the_decoded_blob(self, shape):
+        h = np.random.default_rng(11).normal(0, 0.4, shape)
+        h[0, 0] = -0.0
+        blob = encode_blob(h, 0.05)
+        frags = [decode_message(d) for d in encode_local_map(9, blob)]
+        assert len(frags) == -(-h.size // MAX_FRAGMENT_CELLS)
+        back, res = reassemble_local_map(frags)
+        want, want_res = decode_local_map(blob)
+        assert back.shape == want.shape and back.tobytes() == want.tobytes()
+        assert res.hex() == want_res.hex()
+
+    @pytest.mark.parametrize("size, match", [(0, "header"), (15, "header"),
+                                             (16, "17x11 cells"), (16 + 187 * 4 - 1, "17x11 cells")])
+    def test_truncated_blob_is_a_value_error(self, size, match):
+        blob = encode_blob(np.zeros((17, 11)), 0.1)
+        with pytest.raises(ValueError, match=f"shorter than its {match}"):
+            encode_local_map(0, blob[:size])
+
+
+def zero_blob(rows, cols):
+    """The local map blob of a rows x cols map of zeros. A side past u16 is
+    refused as encode_blob refuses it (a zero-stride view, so nothing is
+    allocated); otherwise the blob is a buffer numpy zeroes lazily, so no
+    page past its header is touched unless it is read."""
+    if max(rows, cols) > 0xFFFF:
+        return encode_blob(np.broadcast_to(np.float32(0.0), (rows, cols)), 0.1)
+    blob = np.zeros(LOCAL_HEAD.size + 4 * rows * cols, dtype=np.uint8)
+    LOCAL_HEAD.pack_into(blob, 0, rows, cols, 0.1)
+    return blob
 
 
 class TestRewardMessage:
@@ -138,7 +172,7 @@ class TestDecodeErrors:
 
     @pytest.mark.parametrize("keep", [1, 5, 19, 20, 22])
     def test_truncated_local_map(self, keep):
-        data = encode_local_map(1, np.zeros((20, 20)), 0.05)[1]
+        data = encode_local_map(1, encode_blob(np.zeros((20, 20)), 0.05))[1]
         with pytest.raises(ValueError):
             decode_message(data[:keep])
 
@@ -153,14 +187,14 @@ class TestDecodeErrors:
             decode_message(encode_reward(44, [1.0, 2.0, 3.0, 4.0]) + bytes(4))
 
     def test_fragment_cell_count_checked(self):
-        first, last = encode_local_map(1, np.zeros((20, 20)), 0.05)
+        first, last = encode_local_map(1, encode_blob(np.zeros((20, 20)), 0.05))
         with pytest.raises(ValueError, match="must hold 320 cells"):
             decode_message(first[:-4])
         with pytest.raises(ValueError, match="must hold 80 cells"):
             decode_message(last + bytes(4))
 
     def test_fragment_index_checked(self):
-        data = bytearray(encode_local_map(1, np.zeros((20, 20)), 0.05)[1])
+        data = bytearray(encode_local_map(1, encode_blob(np.zeros((20, 20)), 0.05))[1])
         data[9:11] = (2).to_bytes(2, "little")  # fragment 2 of 2
         with pytest.raises(ValueError, match="fragment 2 of 2"):
             decode_message(bytes(data))
@@ -175,7 +209,7 @@ class TestDecodeErrors:
                   st.binary(max_size=1400)).map(lambda t: bytes([t[0]]) + t[1]),
         st.tuples(st.sampled_from([
             encode_pose(make_pose()),
-            *encode_local_map(3, np.ones((20, 20)), 0.05),
+            *encode_local_map(3, encode_blob(np.ones((20, 20)), 0.05)),
             encode_reward(4, [1.0, 2.0, 3.0]),
         ]), st.integers(0, 1400), st.binary(max_size=8)).map(
             lambda t: t[0][:t[1]] + t[2]),
