@@ -15,21 +15,31 @@ the quaternion stays unit-norm by construction and the orientation residual
 is the log of the relative rotation. Measurements arriving out of order are
 rejected beyond a 50 ms staleness window rather than re-integrated.
 
-The 200 Hz step does its 3-vector and quaternion arithmetic in Python
-floats, which give the same IEEE results as numpy element by element at a
-fraction of the call cost. Matrix products stay numpy (BLAS fuses
-multiply-adds, so a product written out in floats differs in the last bit),
-and so does the norm of the rotation vector (geometry.norm3). The bias
-estimates only change in an update, so predicted states share them.
+The 200 Hz step is taken a run at a time: the IMU samples delivered
+between two other events, about 20 between two 10 Hz fixes. The biases
+change only in an update, so they hold over a run (the interval that IMU
+preintegration works over) and predicted states share them. Every value is
+bit-equal to that of a step per sample:
+- the orientation chain is stepped in Python floats, which give numpy's
+  IEEE results element by element at a fraction of the call cost;
+- the run's rotation matrices, rotated forces, rotation-vector norms
+  (geometry.norm3's root of a dot product) and F blocks are taken at once,
+  elementwise in numpy and by stacked products, which make the same BLAS
+  call per sample as a single product (a product written out in floats
+  differs in the last bit, as BLAS fuses multiply-adds);
+- velocities and positions are cumulative sums of the same addends in the
+  same order;
+- the covariance is transported sample by sample.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,18 +47,17 @@ from .geometry import (
     GRAVITY,
     Pose,
     Quaternion,
-    norm3,
     quat_conjugate,
-    quat_exp,
     quat_from_rotvec,
     quat_log,
     quat_multiply,
     quat_normalize,
-    quat_to_matrix,
+    quat_steps,
+    quat_to_matrices,
     skew,
     vec3,
 )
-from .sensors import Delivered, ImuSample, merge_delivered
+from .sensors import Delivered, ImuSample, merge_delivered, pop_runs
 
 log = logging.getLogger(__name__)
 
@@ -80,9 +89,14 @@ class FusionConfig:
     init_accel_bias_std: float = 0.1  # m/s^2
 
     def __post_init__(self):
+        # the filter squares each value (P, Q, R): a square that overflows
+        # or is subnormal makes it overflow or its matrices singular
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)
+                    and sys.float_info.min <= value * value < math.inf):
+                raise ValueError(f"{name} must be finite and positive with a finite "
+                                 f"normal square, got {value!r}")
 
     def initial_covariance(self) -> np.ndarray:
         stds = (self.init_pos_std, self.init_vel_std, self.init_att_std,
@@ -126,15 +140,6 @@ _read_only(_H)
 
 
 @lru_cache(maxsize=64)
-def _transition_base(dt: float) -> np.ndarray:
-    """The blocks of F that depend on dt alone; predict fills in the rest."""
-    F = np.eye(15)
-    F[_POS, _VEL] = np.eye(3) * dt
-    F[_ATT, _BG] = -np.eye(3) * dt
-    return _read_only(F)
-
-
-@lru_cache(maxsize=64)
 def _process_noise(cfg: FusionConfig, dt: float) -> np.ndarray:
     Q = np.zeros((15, 15))
     Q[_VEL, _VEL] = np.eye(3) * cfg.accel_noise**2 * dt
@@ -151,48 +156,76 @@ def _odometry_noise(cfg: FusionConfig) -> np.ndarray:
     ))
 
 
-def predict(state: FusionState, imu: ImuSample, cfg: FusionConfig) -> FusionState:
-    """Strapdown propagation of the nominal state plus covariance transport.
+class NonFiniteSample(ValueError):
+    """An IMU sample's body rate or specific force is not finite; index is
+    its place in the run."""
 
-    F's dt-only blocks and Q are built once per dt (and config), so a step
-    builds only the blocks that depend on the state."""
-    dt = (imu.timestamp_ns - state.timestamp_ns) * 1e-9
-    if dt <= 0:
-        raise ValueError("time regression")
-    if dt > MAX_IMU_GAP_S:
-        raise ValueError(f"imu gap {dt * 1e3:.1f} ms exceeds {MAX_IMU_GAP_S * 1e3:.0f} ms")
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
-    rv = (imu.angular_velocity - state.gyro_bias) * dt
-    rx, ry, rz = rv.tolist()
-    # dt is positive and finite, so rv is finite iff the body rate is
-    if not (math.isfinite(rx) and math.isfinite(ry) and math.isfinite(rz)):
-        raise ValueError("non-finite angular velocity")
-    f_body = imu.linear_acceleration - state.accel_bias
-    # checked before the rotation, which would warn on inf * 0
-    fx, fy, fz = f_body.tolist()
-    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
-        raise ValueError("non-finite specific force")
-    rot = quat_to_matrix(state.orientation)
-    # a matrix product stays numpy (see the module docstring)
-    a_world = (rot @ f_body + _GRAVITY_WORLD).tolist()
 
-    # exact exponential of the body rate, composed on the body side
-    dq = quat_exp(rx, ry, rz, norm3(rv))
-    new_q = quat_normalize(quat_multiply(state.orientation, dq))
-    p, v = state.position.tolist(), state.velocity.tolist()
-    new_p = np.array([pi + vi * dt + 0.5 * ai * dt * dt for pi, vi, ai in zip(p, v, a_world)])
-    new_v = np.array([vi + ai * dt for vi, ai in zip(v, a_world)])
+def predict(state: FusionState, samples: Sequence[ImuSample],
+            cfg: FusionConfig) -> tuple[FusionState, np.ndarray]:
+    """Strapdown propagation of the nominal state plus covariance transport
+    through a run of one or more IMU samples, each from the one before it.
+    Returns the state at the last sample and each sample's pose row: its
+    position, then its quaternion (w, x, y, z).
 
-    F = _transition_base(dt).copy()
-    F[_VEL, _ATT] = -rot @ skew(f_body) * dt
-    F[_VEL, _BA] = -rot * dt
-    F[_ATT, _ATT] = quat_to_matrix(dq).T
+    Every input is checked before any product: a sample with a non-finite
+    body rate or specific force raises NonFiniteSample. Each value is
+    bit-equal to that of a step per sample (see the module docstring)."""
+    n = len(samples)
+    times = [state.timestamp_ns, *(s.timestamp_ns for s in samples)]
+    dts = [(b - a) * 1e-9 for a, b in zip(times, times[1:])]
+    for d in dts:
+        if d <= 0:
+            raise ValueError("time regression")
+        if d > MAX_IMU_GAP_S:
+            raise ValueError(f"imu gap {d * 1e3:.1f} ms exceeds {MAX_IMU_GAP_S * 1e3:.0f} ms")
+    dt = np.array(dts)[:, None]
 
-    P = F @ state.covariance @ F.T + _process_noise(cfg, dt)
-    P = 0.5 * (P + P.T)
+    rv = (np.array([s.angular_velocity for s in samples]) - state.gyro_bias) * dt
+    f_body = np.array([s.linear_acceleration for s in samples]) - state.accel_bias
+    # dt is positive and finite, so rv is finite iff the body rate is;
+    # both are checked before the rotation, which would warn on inf * 0
+    bad_rate = ~np.isfinite(rv).all(axis=1)
+    bad = np.flatnonzero(bad_rate | ~np.isfinite(f_body).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteSample("non-finite angular velocity" if bad_rate[i]
+                              else "non-finite specific force", i)
+
+    # exact exponential of each body rate, composed on the body side
+    quats, dqs = quat_steps(state.orientation, rv)
+    # each sample's rotation before its step, then the rotation of its step
+    rot, rot_dq = np.split(quat_to_matrices(np.vstack([quats[:-1], dqs])), 2)
+    a_world = (rot @ f_body[:, :, None])[:, :, 0] + _GRAVITY_WORLD
+
+    # v' = v + a dt and p' = (p + v dt) + 0.5 a dt dt, summed in that order
+    vel = np.cumsum(np.vstack([state.velocity, a_world * dt]), axis=0)
+    steps = np.empty((2 * n + 1, 3))
+    steps[0] = state.position
+    steps[1::2] = vel[:-1] * dt
+    steps[2::2] = 0.5 * a_world * dt * dt
+    pos = np.cumsum(steps, axis=0)[::2]
+
+    block_dt = dt[:, :, None]  # one per 3x3 block
+    F = _EYE15[None].repeat(n, axis=0)
+    F[:, _POS, _VEL] = np.eye(3) * block_dt
+    F[:, _VEL, _ATT] = -rot @ skew(f_body) * block_dt
+    F[:, _ATT, _BG] = -np.eye(3) * block_dt
+    F[:, _VEL, _BA] = -rot * block_dt
+    F[:, _ATT, _ATT] = rot_dq.transpose(0, 2, 1)
+    Q = {d: _process_noise(cfg, d) for d in set(dts)}
+    P = state.covariance
+    for Fk, d in zip(F, dts):
+        P = Fk @ P @ Fk.T + Q[d]
+        P = 0.5 * (P + P.T)
     # predict never changes the biases, so the states share them
-    return FusionState(new_p, new_v, new_q, state.gyro_bias, state.accel_bias, P,
-                       imu.timestamp_ns)
+    end = FusionState(pos[-1], vel[-1], Quaternion(*quats[-1].tolist()), state.gyro_bias,
+                      state.accel_bias, P, times[-1])
+    return end, np.hstack([pos[1:], quats[1:]])
 
 
 class StaleMeasurement(ValueError):
@@ -241,6 +274,22 @@ class FusionStats:
     reseeds: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class PoseRun(Sequence):
+    """The poses handle_imu returns for a run of IMU samples, one per
+    sample, as rows: Poses are built only on indexing."""
+
+    timestamps_ns: list[int]
+    rows: np.ndarray  # (samples, 7): position, then quaternion (w, x, y, z)
+
+    def __len__(self) -> int:
+        return len(self.timestamps_ns)
+
+    def __getitem__(self, i: int) -> Pose:
+        row = self.rows[i]
+        return Pose(row[:3], Quaternion(*row[3:].tolist()), self.timestamps_ns[i])
+
+
 class PoseFuser:
     """Sequential owner of the filter state; inputs must arrive time-ordered.
 
@@ -256,29 +305,54 @@ class PoseFuser:
         self.state = initial_state(odom, self.cfg)
         return self.state
 
-    def handle_imu(self, imu: ImuSample) -> Pose | None:
-        """Predict to the IMU timestamp and return the propagated pose.
+    def handle_imu(self, samples: Sequence[ImuSample]) -> PoseRun | None:
+        """Predict through a run of IMU samples, those delivered between two
+        other events, and return their poses, one per sample; None for a
+        run before the first fix, whose samples all count in skipped_imu.
 
         A sample at the state's own time (the one that arrives with the
-        fix that seeded the filter) returns the state's pose as it is. A
-        sample before the first fix returns None. Samples that go back in
-        time, or that lie more than MAX_IMU_GAP_S past the state (the IMU
-        stream stalled, or the fix that seeded the filter was older than
-        the stream), are passed through unchanged: the pose holds until a
-        fix re-seeds the filter (see handle_odometry). These and the
-        samples before the first fix count in skipped_imu."""
-        if self.state is None:
-            self.stats.skipped_imu += 1
+        fix that seeded the filter) gets the state's pose as it is. Samples
+        that go back in time, or that lie more than MAX_IMU_GAP_S past the
+        state (the IMU stream stalled, or the fix that seeded the filter
+        was older than the stream), are passed through unchanged: they get
+        the pose the filter holds, until a fix re-seeds it (see
+        handle_odometry), and count in skipped_imu.
+
+        Poses, state and stats are those of handling the samples one at a
+        time. A sample with a non-finite body rate or specific force raises
+        ValueError, with no numpy warning; the state and stats are then
+        those of the samples before it."""
+        state = self.state
+        if state is None:
+            self.stats.skipped_imu += len(samples)
             return None
-        if imu.timestamp_ns == self.state.timestamp_ns:
-            return self.state.pose()
-        dt = (imu.timestamp_ns - self.state.timestamp_ns) * 1e-9
-        if dt < 0 or dt > MAX_IMU_GAP_S:
-            self.stats.skipped_imu += 1
-            return self.state.pose()
-        self.state = predict(self.state, imu, self.cfg)
-        self.stats.predicts += 1
-        return self.state.pose()
+        # the samples to predict and their places in the run, and per sample
+        # how many of them its pose has seen
+        todo, at, seen, skipped = [], [], [], 0
+        t = state.timestamp_ns
+        for i, s in enumerate(samples):
+            if s.timestamp_ns != t:
+                if 0 <= (s.timestamp_ns - t) * 1e-9 <= MAX_IMU_GAP_S:
+                    todo.append(s)
+                    at.append(i)
+                    t = s.timestamp_ns
+                else:
+                    skipped += 1
+            seen.append(len(todo))
+        rows = np.empty((0, 7))
+        if todo:
+            try:
+                self.state, rows = predict(state, todo, self.cfg)
+            except NonFiniteSample as e:
+                # leave the state and stats as the samples before it leave them
+                self.handle_imu(samples[:at[e.index]])
+                raise
+        self.stats.predicts += len(todo)
+        self.stats.skipped_imu += skipped
+        q = state.orientation
+        rows = np.vstack([(*state.position.tolist(), q.w, q.x, q.y, q.z), rows])
+        times = [state.timestamp_ns, *(s.timestamp_ns for s in todo)]
+        return PoseRun([times[k] for k in seen], rows[seen])
 
     def handle_odometry(self, odom: Pose) -> bool:
         """Apply a pose measurement; returns False if rejected as stale.
@@ -325,11 +399,11 @@ def run_fusion(
     fuser = fuser or PoseFuser(cfg)
     out: list[Pose] = []
     # odometry first on delivery-time ties so the filter seeds before predicting
-    for _, kind, item in merge_delivered(odom_poses, imu_samples):
+    for _, kind, item in pop_runs(merge_delivered(odom_poses, imu_samples), 1):
         if kind == 0:
             fuser.handle_odometry(item)
-        elif (pose := fuser.handle_imu(item)) is not None:
-            out.append(pose)
+        elif (poses := fuser.handle_imu(item)) is not None:
+            out.extend(poses)
     return out
 
 

@@ -40,9 +40,14 @@ def elementwise(f, *arrays: np.ndarray) -> np.ndarray:
 
 
 def skew(v) -> np.ndarray:
-    """3x3 cross-product matrix: skew(a) @ b == cross(a, b)."""
-    x, y, z = as_vec3(v).tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """3x3 cross-product matrix: skew(a) @ b == cross(a, b); for an (n, 3)
+    array, the (n, 3, 3) matrices of its rows."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise ValueError(f"expected 3-vectors, got shape {v.shape}")
+    x, y, z = v.T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,32 @@ class Pose:
 
 def quat_normalize(q: Quaternion) -> Quaternion:
     """Scale q to unit norm, preserving direction."""
-    n = q.norm()
+    return Quaternion(*_unit(q.w, q.x, q.y, q.z))
+
+
+# the quaternion formulas on (w, x, y, z) floats, for the Quaternion
+# functions and for quat_steps, which needs no Quaternion per step
+def _unit(w: float, x: float, y: float, z: float) -> tuple:
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("degenerate quaternion")
-    return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
+    return w / n, x / n, y / n, z / n
+
+
+def _hamilton(aw, ax, ay, az, bw, bx, by, bz) -> tuple:
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def _exp(x: float, y: float, z: float, angle: float) -> tuple:
+    if angle < 1e-12:
+        # first-order expansion; renormalized so the norm contract still holds
+        return _unit(1.0, 0.5 * x, 0.5 * y, 0.5 * z)
+    half = 0.5 * angle
+    s = math.sin(half)
+    return math.cos(half), x / angle * s, y / angle * s, z / angle * s
 
 
 def quat_conjugate(q: Quaternion) -> Quaternion:
@@ -89,12 +116,7 @@ def quat_conjugate(q: Quaternion) -> Quaternion:
 
 def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product a * b (apply b first, then a, in body-to-world use)."""
-    return Quaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
+    return Quaternion(*_hamilton(a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z))
 
 
 def quat_from_rotvec(rv) -> Quaternion:
@@ -111,12 +133,25 @@ def norm3(v: np.ndarray) -> float:
 
 def quat_exp(x: float, y: float, z: float, angle: float) -> Quaternion:
     """quat_from_rotvec of the rotation vector (x, y, z) whose norm is angle."""
-    if angle < 1e-12:
-        # first-order expansion; renormalized so the norm contract still holds
-        return quat_normalize(Quaternion(1.0, 0.5 * x, 0.5 * y, 0.5 * z))
-    half = 0.5 * angle
-    s = math.sin(half)
-    return Quaternion(math.cos(half), x / angle * s, y / angle * s, z / angle * s)
+    return Quaternion(*_exp(x, y, z, angle))
+
+
+def quat_steps(q: Quaternion, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q composed on the body side with the exponential of each row of the
+    (n, 3) rotation vectors rv in turn, normalized after each step, as
+    quat_normalize(quat_multiply(q, quat_from_rotvec(r))) does it. Returns
+    the (n + 1, 4) rows (w, x, y, z) of q and of the orientation after each
+    step, and the (n, 4) rows of each step."""
+    # each angle is norm3's root of the same dot product
+    angles = np.sqrt((rv[:, None, :] @ rv[:, :, None]).ravel())
+    q = (q.w, q.x, q.y, q.z)
+    quats, steps = [q], []
+    for (x, y, z), angle in zip(rv.tolist(), angles.tolist()):
+        step = _exp(x, y, z, angle)
+        q = _unit(*_hamilton(*q, *step))
+        quats.append(q)
+        steps.append(step)
+    return np.array(quats), np.array(steps)
 
 
 def quat_log(q: Quaternion) -> np.ndarray:
@@ -158,10 +193,12 @@ def rotate_vecs(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _matrix(w, x, y, z) -> list:
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
     return [
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
+        [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
+        [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
     ]
 
 

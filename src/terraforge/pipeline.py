@@ -2,10 +2,13 @@
 rewards, plus the per-tick latency benchmark.
 
 Replay is virtual-time and event-driven; (config, seed) determines every
-output byte. One _Replay object holds the event loop's stages: run_pipeline
-drives it and writes the logs, and run_bench drives the same stages over
-back-to-back replays with a wall-clock timer between them, spreading each
-scan's cost over the ticks between scans. Only run_bench reads the clock.
+output byte. The event loop takes the IMU samples a run at a time: those
+delivered between two other events (a fix or a scan), which the filter
+propagates in one pass. One _Replay object holds the event loop's stages:
+run_pipeline drives it and writes the logs, and run_bench drives the same
+stages over back-to-back replays with a wall-clock timer between them,
+spreading each run's filter cost over its IMU ticks and each scan's cost
+over the ticks between scans. Only run_bench reads the clock.
 The system delay shifts the delivery of every stream by the same amount,
 so it changes neither the event order nor any output.
 
@@ -45,7 +48,7 @@ from .observations import ObservationFrame, sample_command
 from .rewards import (REWARD_KEYS, WEIGHTED, RewardInput, RewardTable,
                       compute_rewards, fit_plane, reward_table)
 from .sensors import (apply_delay, imu_stream, lidar_scan, merge_delivered,
-                      odometry_stream, sample_times_ns, true_states)
+                      odometry_stream, pop_runs, sample_times_ns, true_states)
 from .terrain import generate, sample_height_vec
 from . import telemetry
 
@@ -188,15 +191,17 @@ class _Replay:
         self.streamer = telemetry.UdpStreamer(endpoint) if endpoint else None
 
     def pop_events(self):
-        """Yield the delivered events in order, each taken out of
-        self.events as it is yielded, so a scan is freed once integrated."""
-        self.events.reverse()
-        while self.events:
-            yield self.events.pop()
+        """Yield the delivered events in order, each run of consecutive IMU
+        samples as one event, each taken out of self.events as it is
+        yielded, so a scan is freed once integrated (see sensors.pop_runs)."""
+        return pop_runs(self.events, IMU)
 
-    def step(self, kind: int, item, lap=lambda stage: None) -> None:
-        """Handle one delivered event. Scans and IMU samples delivered
-        before the first odometry fix are dropped."""
+    def step(self, kind: int, item, lap=lambda stage, tick=None: None) -> None:
+        """Handle one delivered event: an odometry fix, a scan or a run of
+        IMU samples. Scans and IMU samples delivered before the first
+        odometry fix are dropped. lap(stage, tick) is called as each stage
+        ends; tick is the index in the run of the sample whose policy tick
+        ran the stage, None for a stage of the whole event."""
         fuser = self.fuser
         if kind == ODOMETRY:
             fuser.handle_odometry(item)
@@ -211,18 +216,18 @@ class _Replay:
                 lap("scan_amortized")
             return
 
-        fused = fuser.handle_imu(item)
-        if fused is None:
+        poses = fuser.handle_imu(item)
+        if poses is None:
             return
-        i = self.imu_count
-        self.imu_count += 1
         lap("fusion_step")
-        if self.imu_count % self.cfg.ticks_per_policy == 0:
-            self._policy_tick(item.timestamp_ns, fused, lap)
-        q = fused.orientation
-        self.fused_ts[i] = fused.timestamp_ns
-        self.fused[i] = (*fused.position.tolist(), q.w, q.x, q.y, q.z)
+        i, n = self.imu_count, len(item)
+        self.imu_count += n
+        self.fused_ts[i:i + n] = poses.timestamps_ns
+        self.fused[i:i + n] = poses.rows
         lap("reward_eval")
+        # every ticks_per_policy-th sample of the stream is a policy tick
+        for k in range(-(i + 1) % self.cfg.ticks_per_policy, n, self.cfg.ticks_per_policy):
+            self._policy_tick(item[k].timestamp_ns, poses[k], lambda stage: lap(stage, k))
 
     def _policy_tick(self, ts: int, fused: Pose, lap) -> None:
         cfg, ticks, i = self.cfg, self.ticks, self.policy_count
@@ -354,48 +359,66 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
     run_pipeline makes (same seeds, duration and events, so it stays on the
     terrain) but with no telemetry and no files, until iters IMU ticks are
     timed. A tick is charged the odometry updates delivered since the tick
-    before it, and the cost of the scan before it spread over the ticks
-    between scans. Replay set-up is not timed: LiDAR synthesis and the
-    trajectory side of every policy tick, so reward_eval times only the
-    plane-fit terms, the weighted sum and the log rows.
+    before it, an equal share of its run's filter step and fused-pose rows
+    (the run of IMU samples delivered with it, see _Replay.step), the cost
+    of the scan before it spread over the ticks between scans, and, on a
+    policy tick, its own local map and rewards. Replay set-up is not
+    timed: LiDAR synthesis and the trajectory side of every policy tick, so
+    reward_eval times only the plane-fit terms, the weighted sum and the
+    log rows.
     """
     cfg = cfg or PipelineConfig()
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    ticks_per_scan = max(1, cfg.imu_hz // cfg.lidar_hz)
-    # ns since the last tick; None for a stage that has not run since
-    pending = dict.fromkeys(_BENCH_STAGES)
-    rows = []
-    mark = 0
-
-    def lap(stage: str) -> None:
-        nonlocal mark
-        now = time.perf_counter_ns()
-        pending[stage] = (pending[stage] or 0) + now - mark
-        mark = now
-
-    while len(rows) < iters:
-        replay, done, scan_ns = _Replay(cfg), len(rows), None
-        for _, kind, item in replay.pop_events():
-            mark = time.perf_counter_ns()
-            replay.step(kind, item, lap)
-            if kind == SCAN:
-                scan_ns, pending["scan_amortized"] = pending["scan_amortized"], None
-            elif done + replay.imu_count > len(rows):
-                if scan_ns is not None:
-                    pending["scan_amortized"] = scan_ns / ticks_per_scan
-                rows.append(list(pending.values()))
-                pending.update(dict.fromkeys(pending))
-                if len(rows) == iters:
-                    break
-
-    # ms, one row per tick, one column per stage, NaN where it did not run
-    ticks = np.array(rows, dtype=float) * 1e-6
+    ticks = _bench_ticks(cfg, iters)
     with warnings.catch_warnings():  # all-NaN columns
         warnings.simplefilter("ignore", RuntimeWarning)
         p50, p99 = np.nanpercentile(ticks, [50, 99], axis=0).tolist()
     total_p50, total_p99 = np.percentile(np.nansum(ticks, axis=1), [50, 99]).tolist()
     return BenchReport(iters=iters, budget_ms=budget_ms,
-                       stage_p50_ms=dict(zip(pending, p50)),
-                       stage_p99_ms=dict(zip(pending, p99)),
+                       stage_p50_ms=dict(zip(_BENCH_STAGES, p50)),
+                       stage_p99_ms=dict(zip(_BENCH_STAGES, p99)),
                        total_p50_ms=total_p50, total_p99_ms=total_p99)
+
+
+def _bench_ticks(cfg: PipelineConfig, iters: int) -> np.ndarray:
+    """run_bench's timings in ms: one row per IMU tick, one column per
+    stage of _BENCH_STAGES, NaN where the stage did not run."""
+    ticks_per_scan = max(1, cfg.imu_hz // cfg.lidar_hz)
+    # ns per stage since the last tick; None for a stage that has not run since
+    pending = dict.fromkeys(_BENCH_STAGES)
+    laps = []  # (stage, tick in the run or None, ns) of the event in hand
+    rows = []
+    mark = 0
+
+    def lap(stage: str, tick: int | None = None) -> None:
+        nonlocal mark
+        now = time.perf_counter_ns()
+        laps.append((stage, tick, now - mark))
+        mark = now
+
+    while len(rows) < iters:
+        replay, scan_ns = _Replay(cfg), None
+        for _, kind, item in replay.pop_events():
+            laps.clear()
+            handled = replay.imu_count
+            mark = time.perf_counter_ns()
+            replay.step(kind, item, lap)
+            if kind == SCAN:
+                scan_ns = laps[0][2] if laps else None
+            elif kind == ODOMETRY:
+                for stage, _, ns in laps:
+                    pending[stage] = (pending[stage] or 0) + ns
+            elif n := replay.imu_count - handled:
+                run = [pending, *(dict.fromkeys(_BENCH_STAGES) for _ in range(n - 1))]
+                pending = dict.fromkeys(_BENCH_STAGES)
+                for stage, tick, ns in laps:
+                    for row in run if tick is None else run[tick:tick + 1]:
+                        row[stage] = (row[stage] or 0) + (ns / n if tick is None else ns)
+                for row in run:
+                    if scan_ns is not None:
+                        row["scan_amortized"] = scan_ns / ticks_per_scan
+                    rows.append(list(row.values()))
+                if len(rows) >= iters:
+                    break
+    return np.array(rows[:iters], dtype=float) * 1e-6

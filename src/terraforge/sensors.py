@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -567,3 +567,18 @@ def merge_delivered(*streams: Sequence) -> list[tuple[int, int, object]]:
               for kind, stream in enumerate(streams) for e in stream]
     events.sort(key=lambda e: e[:2])
     return events
+
+
+def pop_runs(events: list, kind: int) -> Iterator[tuple[int, int, object]]:
+    """Take merge_delivered's events out of the list one by one, in order,
+    and yield them, each stretch of consecutive `kind` events as one event:
+    (delivery time of its first, kind, [its payloads]). The list keeps the
+    events not yet taken, in reverse order."""
+    events.reverse()
+    while events:
+        t, k, item = events.pop()
+        if k == kind:
+            item = [item]
+            while events and events[-1][1] == kind:
+                item.append(events.pop()[2])
+        yield t, k, item

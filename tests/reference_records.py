@@ -72,7 +72,7 @@ def reference_run(cfg, out_dir) -> None:
             scan_count += 1
             continue
 
-        fused = fuser.handle_imu(item)
+        fused = fuser.handle_imu([item])[0]
         imu_count += 1
         if imu_count % cfg.ticks_per_policy == 0:
             i, ts = policy_count, item.timestamp_ns

@@ -342,7 +342,7 @@ def test_c7_filter_health_under_noise():
         else:
             if fuser.state is None:
                 continue
-            fuser.handle_imu(item)
+            fuser.handle_imu([item])
         st = fuser.state
         cov = st.covariance
         worst_asym = max(worst_asym, float(np.abs(cov - cov.T).max()))

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and printed output."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -22,6 +23,7 @@ import terraforge
 from terraforge.cli import main
 from terraforge.config import PipelineConfig, load_config
 from terraforge.fileformats import read_heightfield, read_jsonl
+from terraforge.fusion import FusionConfig
 from terraforge.mapping import LocalMapSpec
 from terraforge.pipeline import PipelineInvariantError, run_bench, run_pipeline
 from terraforge.rewards import REWARD_KEYS, TERMS
@@ -42,6 +44,7 @@ seed = 5
 """
 
 
+FUSION_KEYS = [f.name for f in dataclasses.fields(FusionConfig)]
 SEVEN_FILES = ["fused_poses.jsonl", "imu.jsonl", "localmaps.bin", "odometry.jsonl",
                "rewards.jsonl", "run_summary.json", "trajectory.jsonl"]
 
@@ -293,11 +296,17 @@ class TestConfigErrors:
         ("[local_map]\nlength_x = -1.6\n", "length_x must be finite and positive"),
         ("[local_map]\nresolution = 1e-300\n", "spans over 65535 samples"),
         ("[local_map]\nlength_x = 6600\n", "spans over 65535 samples"),
+        ("[fusion]\ngyro_noise = 1e200\n", "gyro_noise must be finite and positive"),
+        ("[fusion]\nodom_pos_std = 1e160\n", "odom_pos_std must be finite and positive"),
+        *((f"[fusion]\n{key} = {value}\n", f"{key} must be finite and positive")
+          for key in FUSION_KEYS for value in ("1e-200", "1e-160")),
     ], ids=["imu-rate", "reversed-magnitude", "overflowing-magnitude", "gap-on-small-tile",
             "stairs-on-small-tile", "sinusoid-frequency", "sinusoid-amplitude",
             "body-height-1e160", "body-height-1e300", "desired-height-1e200",
             "local-map-under-10-samples", "zero-local-map", "negative-local-map",
-            "tiny-local-map-resolution", "local-map-over-u16"])
+            "tiny-local-map-resolution", "local-map-over-u16", "gyro-noise-1e200",
+            "odom-pos-std-1e160",
+            *(f"{key}-{value}" for key in FUSION_KEYS for value in ("1e-200", "1e-160"))])
     def test_config_that_cannot_run_is_refused_at_load(self, tmp_path, capsys, command,
                                                         text, match):
         cfg_path = tmp_path / "bad.ini"
@@ -376,9 +385,9 @@ _DRAWN_KEYS = {
               "map_noise_ratio": (st.sampled_from([0.0, 0.05, 0.1]), None),
               "map_noise_magnitude": (st.sampled_from(["-1 2", "0 0.5"]), st.just("2 1")),
               "system_delay_ms": (st.floats(0.0, 15.0), None)},
-    "fusion": {"gyro_noise": (st.floats(1e-4, 1e-2), None),
-               "odom_pos_std": (st.floats(1e-3, 0.1), None),
-               "init_att_std": (st.floats(0.01, 0.5), None)},
+    "fusion": {"gyro_noise": (st.floats(1e-4, 1e-2), st.sampled_from([1e200, 1e-200, 1e-160])),
+               "odom_pos_std": (st.floats(1e-3, 0.1), st.sampled_from([1e160, 1e-200, -1e-3])),
+               "init_att_std": (st.floats(0.01, 0.5), st.sampled_from([1e300, 1e-160, 0.0]))},
     "local_map": {"length_x": (st.sampled_from([0.8, 1.6]),
                                st.sampled_from([0.2, 0.0, -1.6, 6600.0])),
                   "length_y": (st.sampled_from([0.5, 1.0]), st.just(0.2)),

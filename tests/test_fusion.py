@@ -1,5 +1,8 @@
 """Error-state filter tests: propagation, update, full-run behavior."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -65,7 +68,7 @@ def assert_cov_healthy(P, tol=1e-9):
 class TestPredict:
     def test_static_gravity_cancels(self):
         st = initial_state(identity_pose(), CFG)
-        st2 = predict(st, static_imu(5_000_000), CFG)
+        st2, _ = predict(st, [static_imu(5_000_000)], CFG)
         assert np.allclose(st2.position, 0, atol=1e-12)
         assert np.allclose(st2.velocity, 0, atol=1e-12)
         assert orientation_angle(st2.orientation, st.orientation) < 1e-12
@@ -77,25 +80,24 @@ class TestPredict:
         # seed velocity with truth; this test isolates the propagation math
         st = type(st)(st.position, vec3(1, 0, 0), st.orientation, st.gyro_bias,
                       st.accel_bias, st.covariance, st.timestamp_ns)
-        for s in imu_stream(traj, 200.0)[1:]:
-            st = predict(st, s, CFG)
+        st, _ = predict(st, imu_stream(traj, 200.0)[1:], CFG)
         want = true_state(traj, 1.0).pose.position
         assert np.linalg.norm(st.position - want) < 1e-6
 
     def test_time_regression(self):
         st = initial_state(identity_pose(1_000_000), CFG)
         with pytest.raises(ValueError, match="time regression"):
-            predict(st, static_imu(1_000_000), CFG)
+            predict(st, [static_imu(1_000_000)], CFG)
 
     def test_gap_too_large(self):
         st = initial_state(identity_pose(), CFG)
         with pytest.raises(ValueError, match="gap"):
-            predict(st, static_imu(60_000_000), CFG)
+            predict(st, [static_imu(60_000_000)], CFG)
 
     def test_trace_never_decreases(self):
         st = initial_state(identity_pose(), CFG)
         for i in range(1, 50):
-            st2 = predict(st, static_imu(i * 5_000_000), CFG)
+            st2, _ = predict(st, [static_imu(i * 5_000_000)], CFG)
             assert np.trace(st2.covariance) >= np.trace(st.covariance)
             assert_cov_healthy(st2.covariance)
             st = st2
@@ -104,7 +106,7 @@ class TestPredict:
 class TestUpdatePose:
     def test_zero_innovation_keeps_state(self):
         st = initial_state(identity_pose(), CFG)
-        st = predict(st, static_imu(5_000_000), CFG)
+        st, _ = predict(st, [static_imu(5_000_000)], CFG)
         meas = identity_pose(5_000_000)
         st2 = update_pose(st, meas, CFG)
         assert np.allclose(st2.position, st.position, atol=1e-12)
@@ -143,7 +145,7 @@ class TestUpdatePose:
         ts = 0
         for i in range(50):
             ts += 5_000_000
-            st = predict(st, static_imu(ts), CFG)
+            st, _ = predict(st, [static_imu(ts)], CFG)
             if i % 5 == 0:
                 noisy = Pose(rng.normal(0, 0.01, 3), quat_from_yaw(rng.normal(0, 0.01)), ts)
                 st = update_pose(st, noisy, CFG)
@@ -228,16 +230,16 @@ class TestRunFusion:
     def test_imu_stall_holds_pose_until_a_fix_reseeds(self):
         fuser = PoseFuser()
         fuser.initialize(identity_pose(0))
-        fuser.handle_imu(static_imu(5_000_000))
+        fuser.handle_imu([static_imu(5_000_000)])
         # the stream resumes 60 ms later: past the IMU gap limit, so held
-        held = fuser.handle_imu(static_imu(65_000_000))
+        held, = fuser.handle_imu([static_imu(65_000_000)])
         assert held.timestamp_ns == 5_000_000
         assert (fuser.stats.predicts, fuser.stats.skipped_imu) == (1, 1)
         # the next fix is 95 ms ahead of the state: it re-seeds, and the
         # stream integrates again from there
         assert fuser.handle_odometry(identity_pose(100_000_000)) is True
         assert fuser.stats.reseeds == 1
-        assert fuser.handle_imu(static_imu(105_000_000)).timestamp_ns == 105_000_000
+        assert fuser.handle_imu([static_imu(105_000_000)])[0].timestamp_ns == 105_000_000
         assert fuser.stats.predicts == 2
 
     def test_fix_older_than_the_stream_does_not_raise(self):
@@ -257,7 +259,7 @@ class TestRunFusion:
         ts = 0
         for _ in range(40):
             ts += 5_000_000
-            fuser.handle_imu(static_imu(ts))
+            fuser.handle_imu([static_imu(ts)])
         assert fuser.handle_odometry(identity_pose(ts)) is True
         # 200 ms old: outside the 50 ms window
         assert fuser.handle_odometry(identity_pose(ts - 200_000_000)) is False
@@ -296,6 +298,15 @@ class TestFusionConfig:
         with pytest.raises(ValueError):
             FusionConfig(init_pos_std=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200, 1e160, 1e-160, 1e-200])
+    @pytest.mark.parametrize("key", ["gyro_noise", "odom_pos_std", "init_att_std"])
+    def test_values_whose_square_is_not_normal_are_refused(self, key, value):
+        """The filter squares every value: a square that overflows or is
+        subnormal overflows the filter or makes its matrices singular."""
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+            FusionConfig(**{key: value})
+        assert FusionConfig(**{key: 1e-150}) and FusionConfig(**{key: 1e150})
+
     def test_initial_covariance_diagonal(self):
         P = CFG.initial_covariance()
         assert P.shape == (15, 15)
@@ -305,7 +316,7 @@ class TestFusionConfig:
 
 def test_sample_before_any_fix_is_skipped():
     fuser = PoseFuser()
-    assert fuser.handle_imu(static_imu(0)) is None
+    assert fuser.handle_imu([static_imu(0)]) is None
     assert fuser.state is None
     assert (fuser.stats.predicts, fuser.stats.skipped_imu) == (0, 1)
 
@@ -314,7 +325,7 @@ def test_sample_at_the_seeding_fix_neither_predicts_nor_skips():
     fuser = PoseFuser()
     fuser.handle_odometry(identity_pose(0))
     seeded = fuser.state
-    pose = fuser.handle_imu(static_imu(0))
+    pose, = fuser.handle_imu([static_imu(0)])
     assert fuser.state is seeded and pose.timestamp_ns == 0
     assert np.array_equal(pose.position, seeded.position)
     assert (fuser.stats.predicts, fuser.stats.skipped_imu) == (0, 0)
@@ -399,7 +410,7 @@ class TestCachedNoiseIsBitEqual:
         imu = ImuSample(state.timestamp_ns + dt_ns,
                         state.gyro_bias + rng.normal(size=3) * rate_scale,
                         rng.normal(size=3) + vec3(0, 0, GRAVITY))
-        got = predict(state, imu, cfg)
+        got, _ = predict(state, [imu], cfg)
         p, v, q, P = reference_predict(state, imu, cfg)
         assert np.array_equal(got.covariance, P)
         assert got.position.tobytes() == p.tobytes() and got.velocity.tobytes() == v.tobytes()
@@ -408,7 +419,7 @@ class TestCachedNoiseIsBitEqual:
 
     def test_predict_shares_the_biases(self):
         st0 = initial_state(identity_pose(), CFG)
-        st1 = predict(st0, static_imu(5_000_000), CFG)
+        st1, _ = predict(st0, [static_imu(5_000_000)], CFG)
         assert st1.gyro_bias is st0.gyro_bias and st1.accel_bias is st0.accel_bias
         assert not st0.gyro_bias.flags.writeable and not st0.accel_bias.flags.writeable
 
@@ -431,20 +442,132 @@ class TestCachedNoiseIsBitEqual:
         st0 = initial_state(identity_pose(), CFG)
         bad = ImuSample(5_000_000, vec3(np.nan, 0, 0), vec3(0, 0, GRAVITY))
         with pytest.raises(ValueError, match="non-finite angular velocity"):
-            predict(st0, bad, CFG)
+            predict(st0, [bad], CFG)
 
     def test_non_finite_specific_force_rejected(self):
         st0 = initial_state(identity_pose(), CFG)
         for f in (np.nan, np.inf, -np.inf):  # raised before any numpy warning
             bad = ImuSample(5_000_000, vec3(0, 0, 0), vec3(0, 0, f))
             with pytest.raises(ValueError, match="non-finite specific force"):
-                predict(st0, bad, CFG)
+                predict(st0, [bad], CFG)
+
+
+def pose_bits(pose):
+    return pose.timestamp_ns, pose.position.tobytes(), quat_bits(pose.orientation)
+
+
+def state_bits(state):
+    return (state.timestamp_ns, state.position.tobytes(), state.velocity.tobytes(),
+            quat_bits(state.orientation), state.covariance.tobytes())
+
+
+def random_imu(rng, ts_ns, rate_scale=1.0):
+    return ImuSample(ts_ns, rng.normal(size=3) * rate_scale,
+                     rng.normal(size=3) + vec3(0, 0, GRAVITY))
+
+
+class TestRunIsBitEqual:
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.integers(1, 50_000_000), min_size=1, max_size=64),
+           st.booleans(), st.sampled_from([1.0, 1e-11, 0.0, None]))
+    @settings(max_examples=200, deadline=None)
+    @example(5, [5_000_000] * 20, True, 1e-11)  # |omega * dt| about 1e-13
+    @example(5, [1, 50_000_000, 3_333_333, 1], False, None)
+    def test_run_matches_sequential_steps(self, seed, dts_ns, default_cfg, rate_scale):
+        """A run of 1-64 samples handled in one call is bit-equal to as many
+        from-scratch steps: every pose, and the final position, velocity,
+        quaternion and covariance. Steps are anywhere in (0, 50 ms], and the
+        rates reach the first-order branch (|omega * dt| < 1e-12) and zero;
+        a rate_scale of None mixes the three within the run."""
+        rng = np.random.default_rng(seed)
+        cfg = CFG if default_cfg else random_config(rng)
+        state = random_state(rng, 1_000_000_000)
+        samples = []
+        for ts in (state.timestamp_ns + np.cumsum(dts_ns)).tolist():
+            scale = rng.choice([1.0, 1e-11, 0.0]) if rate_scale is None else rate_scale
+            s = random_imu(rng, ts, scale)
+            samples.append(ImuSample(ts, state.gyro_bias + s.angular_velocity,
+                                     s.linear_acceleration))
+        fuser = PoseFuser(cfg)
+        fuser.state = state
+        poses = fuser.handle_imu(samples)
+
+        want = []
+        for s in samples:
+            p, v, q, P = reference_predict(state, s, cfg)
+            state = FusionState(p, v, q, state.gyro_bias, state.accel_bias, P, s.timestamp_ns)
+            want.append(pose_bits(state.pose()))
+        assert [pose_bits(p) for p in poses] == want
+        assert state_bits(fuser.state) == state_bits(state)
+        assert (fuser.stats.predicts, fuser.stats.skipped_imu) == (len(samples), 0)
+
+
+def handled(seed_ms, times_ms, one_at_a_time):
+    """A fuser seeded at seed_ms (None: not seeded) after handling samples
+    at times_ms as one run or one at a time, and the poses it returned."""
+    rng = np.random.default_rng(1)
+    samples = [random_imu(rng, t * 1_000_000) for t in times_ms]
+    fuser = PoseFuser()
+    if seed_ms is not None:
+        fuser.handle_odometry(identity_pose(seed_ms * 1_000_000))
+    if not one_at_a_time:
+        return fuser, fuser.handle_imu(samples)
+    poses = [fuser.handle_imu([s]) for s in samples]
+    return fuser, None if fuser.state is None else [p for p, in poses]
+
+
+class TestRunBoundaries:
+    """Handling a run gives the poses, state and stats of handling its
+    samples one at a time."""
+
+    @pytest.mark.parametrize("seed_ms, times_ms", [
+        (None, [0, 5, 10]),
+        (0, [0, 5, 10]),
+        (0, [5, 10, 10, 15]),
+        (0, [5, 10, 61, 65]),
+        (0, [5, 10, 70, 40, 45]),
+        (0, [5, 10, 8, 15, 20]),
+    ], ids=["before-the-first-fix", "co-timed-with-the-seeding-fix", "co-timed-in-the-run",
+            "gap-in-the-run", "gap-then-back-within-the-limit", "time-regression-in-the-run"])
+    def test_run_equals_one_at_a_time(self, seed_ms, times_ms):
+        (run_fuser, run), (one_fuser, one) = (handled(seed_ms, times_ms, one_at_a_time)
+                                              for one_at_a_time in (False, True))
+        assert run_fuser.stats == one_fuser.stats
+        if seed_ms is None:
+            assert run is one is None and run_fuser.state is one_fuser.state is None
+            assert run_fuser.stats.skipped_imu == len(times_ms)
+            return
+        assert len(run) == len(times_ms)
+        assert [pose_bits(p) for p in run] == [pose_bits(p) for p in one]
+        assert state_bits(run_fuser.state) == state_bits(one_fuser.state)
+
+    @pytest.mark.parametrize("before_ms", [[], [5, 10, 8]], ids=["first", "after-a-skip"])
+    @pytest.mark.parametrize("rate, force, match", [
+        (np.nan, 0.0, "non-finite angular velocity"),
+        (0.0, np.inf, "non-finite specific force"),
+        (-np.inf, np.nan, "non-finite angular velocity"),
+    ])
+    def test_non_finite_sample_stops_the_run_at_the_last_good_one(self, before_ms, rate,
+                                                                   force, match):
+        fuser, _ = handled(0, before_ms, one_at_a_time=True)
+        want_state, want_stats = state_bits(fuser.state), dataclasses.replace(fuser.stats)
+        rng = np.random.default_rng(1)
+        good = [random_imu(rng, t * 1_000_000) for t in before_ms]
+        bad = ImuSample(15_000_000, vec3(rate, 0, 0), vec3(0, 0, force))
+        fuser = PoseFuser()
+        fuser.handle_odometry(identity_pose(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any numpy warning
+            with pytest.raises(ValueError, match=match):
+                fuser.handle_imu([*good, bad, static_imu(20_000_000)])
+        assert state_bits(fuser.state) == want_state
+        assert fuser.stats == want_stats
 
 
 class CheckedFuser(PoseFuser):
-    """Checks the filter invariants after every event it handles, and
-    counts the IMU samples at the state's own time, which neither predict
-    nor count as skipped."""
+    """Checks the filter invariants after every event it handles (an
+    odometry fix or a run of IMU samples), and counts the IMU samples at
+    the state's own time, which neither predict nor count as skipped."""
 
     def __init__(self):
         super().__init__()
@@ -458,11 +581,17 @@ class CheckedFuser(PoseFuser):
         assert np.linalg.eigvalsh(P).min() >= 0.0
         assert abs(q.norm() - 1.0) <= 1e-12
 
-    def handle_imu(self, imu):
-        self.co_timed += self.state is not None and imu.timestamp_ns == self.state.timestamp_ns
-        pose = super().handle_imu(imu)
+    def handle_imu(self, samples):
+        predicts = self.stats.predicts
+        poses = super().handle_imu(samples)
+        if poses is not None:
+            # a pose is at its sample's own time for a predicted sample and
+            # for a co-timed one, never for a skipped one
+            self.co_timed += sum(t == s.timestamp_ns
+                                 for t, s in zip(poses.timestamps_ns, samples))
+            self.co_timed -= self.stats.predicts - predicts
         self._check()
-        return pose
+        return poses
 
     def handle_odometry(self, odom):
         accepted = super().handle_odometry(odom)

@@ -18,6 +18,7 @@ from terraforge.geometry import (
     quat_log,
     quat_multiply,
     quat_normalize,
+    quat_steps,
     quat_to_matrices,
     quat_to_matrix,
     quat_yaw,
@@ -200,6 +201,8 @@ def test_skew_matches_cross():
     for _ in range(20):
         a, b = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(skew(a) @ b, np.cross(a, b), atol=1e-12)
+    rows = rng.normal(size=(5, 3))  # stacked: each row's matrix
+    assert skew(rows).tobytes() == np.array([skew(r) for r in rows]).tobytes()
 
 
 @given(st.floats(-math.pi, math.pi))
@@ -287,3 +290,25 @@ def test_rotvec_exponential_bit_equal_to_numpy_form(seed, scale):
     got, want = quat_from_rotvec(rv), reference_quat_from_rotvec(rv)
     assert ([float(c).hex() for c in (got.w, got.x, got.y, got.z)]
             == [float(c).hex() for c in (want.w, want.x, want.y, want.z)])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_quat_steps_bit_equal_to_the_quaternion_chain(seed, n):
+    """quat_steps gives every orientation and step of the chain
+    quat_normalize(quat_multiply(q, quat_from_rotvec(r))) bit for bit,
+    with rates on both sides of the first-order branch and zero."""
+    rng = np.random.default_rng(seed)
+    rv = rng.normal(size=(n, 3)) * rng.choice([3.0, 1e-3, 1e-13, 0.0], size=(n, 1))
+    q = random_unit_quat(rng)
+    quats, steps = quat_steps(q, rv)
+    want_quats, want_steps = [q], []
+    for r in rv:
+        want_steps.append(quat_from_rotvec(r))
+        want_quats.append(quat_normalize(quat_multiply(want_quats[-1], want_steps[-1])))
+
+    def bits(rows):
+        return [[float(c).hex() for c in row] for row in rows]
+
+    assert bits(quats.tolist()) == bits(vars(p).values() for p in want_quats)
+    assert bits(steps.tolist()) == bits(vars(p).values() for p in want_steps)

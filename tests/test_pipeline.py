@@ -1,6 +1,7 @@
 """End-to-end replay determinism, log outputs, and the tick benchmark."""
 
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -9,6 +10,7 @@ import tracemalloc
 import weakref
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from terraforge.fileformats import LOCAL_HEAD, POSE_KEYS, read_jsonl
 from terraforge.fusion import PoseFuser, run_fusion
 from terraforge.mapping import ElevationMap
 from terraforge.observations import ObservationFrame, sample_command
+from terraforge import pipeline
 from terraforge.pipeline import (
     FOOT_OFFSETS,
+    IMU,
     NOMINAL_CONTACT_FORCE,
     ODOMETRY,
     SCAN,
@@ -206,7 +210,7 @@ class TestRunLogging:
 
     def test_debug_line_per_stale_fix_and_reseed(self, caplog):
         replay = self._half_second_replay()
-        for _, kind, item in replay.events:
+        for _, kind, item in replay.pop_events():
             replay.step(kind, item)
         fix = replay.odom[-1]  # the state is at 500 ms, the window is 50 ms
         with caplog.at_level(logging.DEBUG, logger="terraforge.fusion"):
@@ -254,6 +258,40 @@ class TestRunBench:
         rep = run_bench(PipelineConfig(), iters=200)
         assert rep.stage_p50_ms["local_extract"] > 0.0
         assert rep.stage_p50_ms["scan_amortized"] > 0.0
+
+    def test_each_tick_carries_a_share_of_its_run(self, monkeypatch):
+        """One row per IMU tick. Every tick of a run of IMU samples carries
+        an equal share of the run's filter step and fused-pose rows, the
+        first also the odometry updates before the run; local_extract and
+        the plane-fit rewards stay on the policy tick that ran them. Each
+        lap reads 1 us on a clock that steps 1 us per reading."""
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(
+            perf_counter_ns=itertools.count(0, 1000).__next__))
+        cfg = small_cfg(trajectory=TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 1.0))
+        replay = _Replay(cfg)
+        fusion, rows, carried = [], [], 0
+        for _, kind, item in replay.pop_events():
+            if kind == ODOMETRY:
+                carried += 1
+            elif kind == IMU:
+                n = len(item)
+                fusion += [1 / n + carried] + [1 / n] * (n - 1)
+                rows += [1 / n] * n
+                carried = 0
+        iters = len(replay.imu)
+        tpp = cfg.ticks_per_policy
+        policy = (np.arange(iters) + 1) % tpp == 0
+
+        ticks = pipeline._bench_ticks(cfg, iters) * 1e3  # us
+        assert ticks.shape == (iters, 4) and len(fusion) == iters
+        stage = dict(zip(("fusion_step", "scan_amortized", "local_extract", "reward_eval"),
+                         ticks.T))
+        np.testing.assert_allclose(stage["fusion_step"], fusion, rtol=1e-12)
+        np.testing.assert_allclose(stage["reward_eval"], np.add(rows, policy), rtol=1e-12)
+        assert np.array_equal(np.isnan(stage["local_extract"]), ~policy)
+        assert (stage["local_extract"][policy] == 1.0).all()
+        np.testing.assert_allclose(stage["scan_amortized"], cfg.lidar_hz / cfg.imu_hz,
+                                   rtol=1e-12)
 
     def test_within_budget_flag(self):
         rep = run_bench(iters=20, budget_ms=1e9)
@@ -421,7 +459,7 @@ class TestPolicyTickTable:
         replay = _Replay(small_cfg())
         replay.ticks.timestamps_ns[0] += 1
         with pytest.raises(PipelineInvariantError, match="policy tick 0"):
-            for _, kind, item in replay.events:
+            for _, kind, item in replay.pop_events():
                 replay.step(kind, item)
 
 
@@ -472,7 +510,7 @@ class TestLogsFromRows:
 
     def test_replay_holds_rows_not_records(self):
         replay = _Replay(small_cfg())
-        for _, kind, item in replay.events:
+        for _, kind, item in replay.pop_events():
             replay.step(kind, item)
         for name, value in vars(replay).items():
             assert not (isinstance(value, list) and value and isinstance(value[0], dict)), name
@@ -484,13 +522,13 @@ class TestLogsFromRows:
         events = list(replay.events)
         scans = [weakref.ref(item) for _, kind, item in events if kind == SCAN]
         assert len(scans) == 21
-        seen = []
-        for event in replay.pop_events():
-            seen.append(event)
-            replay.step(*event[1:])
+        seen = []  # (kind, payload) of each event taken, each IMU run's samples apart
+        for _, kind, item in replay.pop_events():
+            seen += [(IMU, s) for s in item] if kind == IMU else [(kind, item)]
+            replay.step(kind, item)
             assert len(replay.events) == len(events) - len(seen)
-        assert seen == events
-        del events, seen, event
+        assert seen == [(kind, item) for _, kind, item in events]
+        del events, seen, item
         assert replay.scan_count == 21 and all(ref() is None for ref in scans)
 
 
