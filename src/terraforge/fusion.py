@@ -20,8 +20,9 @@ between two other events, about 20 between two 10 Hz fixes. The biases
 change only in an update, so they hold over a run (the interval that IMU
 preintegration works over) and predicted states share them. Every value is
 bit-equal to that of a step per sample:
-- the orientation chain is stepped in Python floats, which give numpy's
-  IEEE results element by element at a fraction of the call cost;
+- the orientation chain is stepped by the quat_* functions on (w, x, y, z)
+  tuples of Python floats, which give numpy's IEEE results element by
+  element at a fraction of the call cost;
 - the run's rotation matrices, rotated forces, rotation-vector norms
   (geometry.norm3's root of a dot product) and F blocks are taken at once,
   elementwise in numpy and by stacked products, which make the same BLAS
@@ -349,8 +350,7 @@ class PoseFuser:
                 raise
         self.stats.predicts += len(todo)
         self.stats.skipped_imu += skipped
-        q = state.orientation
-        rows = np.vstack([(*state.position.tolist(), q.w, q.x, q.y, q.z), rows])
+        rows = np.vstack([(*state.position.tolist(), *state.orientation), rows])
         times = [state.timestamp_ns, *(s.timestamp_ns for s in todo)]
         return PoseRun([times[k] for k in seen], rows[seen])
 

@@ -7,14 +7,16 @@ Conventions, fixed repo-wide:
     - Vectors are length-3 float64 numpy arrays; matrices are 3x3 row-major.
     - Timestamps are integer nanoseconds so millisecond-scale delay
       injection stays exact.
-    - q and -q describe the same orientation; compare with orientation_angle,
-      never with field equality.
+    - A Quaternion is its (w, x, y, z) tuple, and every quat_* function
+      takes any such sequence. q and -q describe the same orientation;
+      compare with orientation_angle, never with ==.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,18 +52,11 @@ def skew(v) -> np.ndarray:
     return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(NamedTuple):
     w: float
     x: float
     y: float
     z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
 
 IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -82,32 +77,11 @@ class Pose:
 
 def quat_normalize(q: Quaternion) -> Quaternion:
     """Scale q to unit norm, preserving direction."""
-    return Quaternion(*_unit(q.w, q.x, q.y, q.z))
-
-
-# the quaternion formulas on (w, x, y, z) floats, for the Quaternion
-# functions and for quat_steps, which needs no Quaternion per step
-def _unit(w: float, x: float, y: float, z: float) -> tuple:
+    w, x, y, z = q
     n = math.sqrt(w**2 + x**2 + y**2 + z**2)
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("degenerate quaternion")
-    return w / n, x / n, y / n, z / n
-
-
-def _hamilton(aw, ax, ay, az, bw, bx, by, bz) -> tuple:
-    return (aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw)
-
-
-def _exp(x: float, y: float, z: float, angle: float) -> tuple:
-    if angle < 1e-12:
-        # first-order expansion; renormalized so the norm contract still holds
-        return _unit(1.0, 0.5 * x, 0.5 * y, 0.5 * z)
-    half = 0.5 * angle
-    s = math.sin(half)
-    return math.cos(half), x / angle * s, y / angle * s, z / angle * s
+    return Quaternion(w / n, x / n, y / n, z / n)
 
 
 def quat_conjugate(q: Quaternion) -> Quaternion:
@@ -116,7 +90,12 @@ def quat_conjugate(q: Quaternion) -> Quaternion:
 
 def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product a * b (apply b first, then a, in body-to-world use)."""
-    return Quaternion(*_hamilton(a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z))
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return Quaternion(aw * bw - ax * bx - ay * by - az * bz,
+                      aw * bx + ax * bw + ay * bz - az * by,
+                      aw * by - ax * bz + ay * bw + az * bx,
+                      aw * bz + ax * by - ay * bx + az * bw)
 
 
 def quat_from_rotvec(rv) -> Quaternion:
@@ -133,38 +112,40 @@ def norm3(v: np.ndarray) -> float:
 
 def quat_exp(x: float, y: float, z: float, angle: float) -> Quaternion:
     """quat_from_rotvec of the rotation vector (x, y, z) whose norm is angle."""
-    return Quaternion(*_exp(x, y, z, angle))
+    if angle < 1e-12:
+        # first-order expansion; renormalized so the norm contract still holds
+        return quat_normalize((1.0, 0.5 * x, 0.5 * y, 0.5 * z))
+    half = 0.5 * angle
+    s = math.sin(half)
+    return Quaternion(math.cos(half), x / angle * s, y / angle * s, z / angle * s)
 
 
 def quat_steps(q: Quaternion, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """q composed on the body side with the exponential of each row of the
-    (n, 3) rotation vectors rv in turn, normalized after each step, as
-    quat_normalize(quat_multiply(q, quat_from_rotvec(r))) does it. Returns
+    (n, 3) rotation vectors rv in turn, each step
+    quat_normalize(quat_multiply(q, quat_from_rotvec(r))). Returns
     the (n + 1, 4) rows (w, x, y, z) of q and of the orientation after each
     step, and the (n, 4) rows of each step."""
     # each angle is norm3's root of the same dot product
     angles = np.sqrt((rv[:, None, :] @ rv[:, :, None]).ravel())
-    q = (q.w, q.x, q.y, q.z)
     quats, steps = [q], []
     for (x, y, z), angle in zip(rv.tolist(), angles.tolist()):
-        step = _exp(x, y, z, angle)
-        q = _unit(*_hamilton(*q, *step))
-        quats.append(q)
-        steps.append(step)
+        steps.append(quat_exp(x, y, z, angle))
+        quats.append(quat_normalize(quat_multiply(quats[-1], steps[-1])))
     return np.array(quats), np.array(steps)
 
 
 def quat_log(q: Quaternion) -> np.ndarray:
     """Inverse of quat_from_rotvec: rotation vector of a unit quaternion."""
-    qn = quat_normalize(q)
-    v = np.array([qn.x, qn.y, qn.z])
+    w, x, y, z = quat_normalize(q)
+    v = np.array([x, y, z])
     sv = float(np.linalg.norm(v))
     # atan2 keeps precision for angles near 0 and near pi
-    angle = 2.0 * math.atan2(sv, qn.w)
+    angle = 2.0 * math.atan2(sv, w)
     if angle > math.pi:
         angle -= 2.0 * math.pi
     if sv < 1e-12:
-        return 2.0 * v * np.sign(qn.w if qn.w != 0.0 else 1.0)
+        return 2.0 * v * np.sign(w if w != 0.0 else 1.0)
     return v / sv * angle
 
 
@@ -173,7 +154,7 @@ def rotate_vec(q: Quaternion, v) -> np.ndarray:
     v = as_vec3(v)
     if not np.isfinite(v).all():
         raise ValueError("non-finite vector")
-    return rotate_vecs(np.array([[q.w, q.x, q.y, q.z]]), v[None])[0]
+    return rotate_vecs(np.array([q]), v[None])[0]
 
 
 def rotate_vecs(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -204,7 +185,7 @@ def _matrix(w, x, y, z) -> list:
 
 def quat_to_matrix(q: Quaternion) -> np.ndarray:
     """Body-to-world rotation matrix of unit quaternion q."""
-    return np.array(_matrix(q.w, q.x, q.y, q.z))
+    return np.array(_matrix(*q))
 
 
 def quat_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -223,7 +204,7 @@ def _yaw_args(w, x, y, z):
 
 def quat_yaw(q: Quaternion) -> float:
     """Yaw (rad) of the body x axis projected to the world x-y plane."""
-    return math.atan2(*_yaw_args(q.w, q.x, q.y, q.z))
+    return math.atan2(*_yaw_args(*q))
 
 
 def quat_yaws(q: np.ndarray) -> np.ndarray:

@@ -287,7 +287,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> PipelineResult:
                 out / "fused_poses.jsonl", POSE_KEYS)
     write_jsonl(((s.timestamp_ns, *s.angular_velocity.tolist(), *s.linear_acceleration.tolist())
                  for s in replay.imu), out / "imu.jsonl", IMU_KEYS)
-    write_jsonl(((p.timestamp_ns, *p.position.tolist(), *vars(p.orientation).values())
+    write_jsonl(((p.timestamp_ns, *p.position.tolist(), *p.orientation)
                  for p in replay.odom), out / "odometry.jsonl", POSE_KEYS)
     write_jsonl(((ts, *row[:_FILL].tolist()) for ts, row in zip(ticks.timestamps_ns, tick_rows)),
                 out / "rewards.jsonl", REWARD_KEYS)

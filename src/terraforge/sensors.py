@@ -415,6 +415,10 @@ def _polylines(hf: Heightfield, origin: np.ndarray, mid: np.ndarray, spread: np.
         k = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
         line = grid[np.where(ahead, past, before - 1)[r] + np.where(ahead, 1, -1)[r] * k]
         sig = (line - g0[axis]) / u[axis, r]
+        # g_end is rounded: a line nearly parallel to the heading can be
+        # counted and yet crossed past the reach
+        keep = sig * hf.resolution <= reach[r]
+        r, line, sig = r[keep], line[keep], sig[keep]
         gl = g0[:, None] + sig * u[:, r]
         gl[axis] = line  # exactly on it, for the nodes beside it
         rep.append(r), sigma.append(sig), g.append(gl)

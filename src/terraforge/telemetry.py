@@ -50,9 +50,8 @@ class RewardMessage:
 
 
 def encode_pose(pose: Pose) -> bytes:
-    q = pose.orientation
     return _POSE.pack(MSG_POSE, pose.timestamp_ns,
-                      *(float(v) for v in pose.position), q.w, q.x, q.y, q.z)
+                      *(float(v) for v in pose.position), *pose.orientation)
 
 
 def encode_local_map(timestamp_ns: int, blob: bytes) -> list[bytes]:

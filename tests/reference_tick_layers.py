@@ -1,8 +1,10 @@
 """Frozen copies of the per-tick layers as they were written in numpy, before
 they were moved to scalars, flat indices and in-place updates: the
 rotation-vector exponential, local-map extraction (with the map's cell
-binning), the plane fit and local-map noise. Tests compare the code under
-test with these bit for bit.
+binning), the plane fit and local-map noise; and the quaternion formulas
+(normalize, Hamilton product, exponential) as they were written on
+Quaternion fields. Tests compare the code under test with these bit for
+bit.
 """
 
 import math
@@ -10,9 +12,31 @@ from dataclasses import replace
 
 import numpy as np
 
-from terraforge.geometry import Quaternion, quat_normalize, quat_yaw
+from terraforge.geometry import Quaternion, quat_yaw
 from terraforge.mapping import LocalMap, LocalMapSpec
 from terraforge.rewards import PlaneFit
+
+
+def reference_quat_normalize(q: Quaternion) -> Quaternion:
+    n = math.sqrt(q.w**2 + q.x**2 + q.y**2 + q.z**2)
+    if n == 0.0 or not math.isfinite(n):
+        raise ValueError("degenerate quaternion")
+    return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
+
+
+def reference_quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
+    return Quaternion(a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+                      a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+                      a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+                      a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w)
+
+
+def reference_quat_exp(x: float, y: float, z: float, angle: float) -> Quaternion:
+    if angle < 1e-12:
+        return reference_quat_normalize(Quaternion(1.0, 0.5 * x, 0.5 * y, 0.5 * z))
+    half = 0.5 * angle
+    s = math.sin(half)
+    return Quaternion(math.cos(half), x / angle * s, y / angle * s, z / angle * s)
 
 
 def reference_quat_from_rotvec(rv) -> Quaternion:
@@ -20,7 +44,7 @@ def reference_quat_from_rotvec(rv) -> Quaternion:
     angle = float(np.linalg.norm(rv))
     if angle < 1e-12:
         q = Quaternion(1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2])
-        return quat_normalize(q)
+        return reference_quat_normalize(q)
     axis = rv / angle
     half = 0.5 * angle
     s = math.sin(half)

@@ -28,14 +28,40 @@ from terraforge.geometry import (
     skew,
     vec3,
 )
+from terraforge.sensors import TrajectoryKind, TrajectorySpec, odometry_stream
 
-from reference_tick_layers import reference_quat_from_rotvec
+from reference_tick_layers import (
+    reference_quat_exp,
+    reference_quat_from_rotvec,
+    reference_quat_multiply,
+    reference_quat_normalize,
+)
 
 
 def random_unit_quat(rng):
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
     return Quaternion(*v)
+
+
+def hexes(rows):
+    """Each (w, x, y, z) row's components, bit for bit."""
+    return [[float(c).hex() for c in row] for row in rows]
+
+
+def test_quaternion_is_its_tuple():
+    """numpy reads a Quaternion as its (w, x, y, z) row, a row's floats
+    make it back, and a trajectory that never turns keeps the int identity
+    that odometry.jsonl writes as "qw": 1."""
+    assert np.array(IDENTITY).tolist() == [1.0, 0.0, 0.0, 0.0]
+    row = np.array([0.5, -0.5, 0.5, -0.5])
+    q = Quaternion(*row.tolist())
+    assert repr(q) == "Quaternion(w=0.5, x=-0.5, y=0.5, z=-0.5)"
+    assert np.array(q).tobytes() == row.tobytes()
+    traj = TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 1.0, speed=1.0)
+    for p in odometry_stream(traj, 10.0):
+        assert p.orientation == Quaternion(1, 0, 0, 0)
+        assert [type(c) for c in p.orientation] == [int] * 4
 
 
 class TestQuatNormalize:
@@ -49,20 +75,18 @@ class TestQuatNormalize:
 
     def test_all_ones(self):
         q = quat_normalize(Quaternion(1.0, 1.0, 1.0, 1.0))
-        assert np.allclose(q.as_array(), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
-        assert abs(q.norm() - 1.0) < 1e-12
+        assert np.allclose(np.array(q), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        assert abs(math.hypot(*q) - 1.0) < 1e-12
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             raw = Quaternion(*rng.normal(size=4))
             q = quat_normalize(raw)
-            assert abs(q.norm() - 1.0) < 1e-12
+            assert abs(math.hypot(*q) - 1.0) < 1e-12
             # parallel to the input
-            cross = np.linalg.norm(
-                np.cross(raw.as_array()[1:], q.as_array()[1:])
-            )
-            assert cross < 1e-9 * max(1.0, raw.norm())
+            cross = np.linalg.norm(np.cross(np.array(raw)[1:], np.array(q)[1:]))
+            assert cross < 1e-9 * max(1.0, math.hypot(*raw))
 
 
 def integrate(q, omega, dt):
@@ -144,8 +168,8 @@ class TestRotationMatrix:
         rng = np.random.default_rng(10)
         for _ in range(50):
             a, b, c = (random_unit_quat(rng) for _ in range(3))
-            ab_c = quat_multiply(quat_multiply(a, b), c).as_array()
-            a_bc = quat_multiply(a, quat_multiply(b, c)).as_array()
+            ab_c = np.array(quat_multiply(quat_multiply(a, b), c))
+            a_bc = np.array(quat_multiply(a, quat_multiply(b, c)))
             if np.dot(ab_c, a_bc) < 0:
                 a_bc = -a_bc
             # acos-based angle loses half the digits near zero; compare
@@ -220,7 +244,7 @@ def test_yaw_round_trip(yaw):
 @settings(max_examples=50, deadline=None)
 def test_integrate_always_unit_norm(wx, wy, wz, dt):
     q = integrate(IDENTITY, vec3(wx, wy, wz), dt)
-    assert abs(q.norm() - 1.0) < 1e-9
+    assert abs(math.hypot(*q) - 1.0) < 1e-9
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -283,20 +307,22 @@ def test_rotate_vec_rejects_non_finite():
 @settings(max_examples=300, deadline=None)
 def test_rotvec_exponential_bit_equal_to_numpy_form(seed, scale):
     """quat_from_rotvec, in Python floats, equals its numpy form as first
-    written bit for bit, on both sides of the 1e-12 first-order branch and
-    at zero; norm3 equals np.linalg.norm."""
+    written and the frozen exponential on Quaternion fields bit for bit, on
+    both sides of the 1e-12 first-order branch and at zero; norm3 equals
+    np.linalg.norm."""
     rv = np.random.default_rng(seed).normal(size=3) * scale
-    assert norm3(rv).hex() == float(np.linalg.norm(rv)).hex()
-    got, want = quat_from_rotvec(rv), reference_quat_from_rotvec(rv)
-    assert ([float(c).hex() for c in (got.w, got.x, got.y, got.z)]
-            == [float(c).hex() for c in (want.w, want.x, want.y, want.z)])
+    angle = float(np.linalg.norm(rv))
+    assert norm3(rv).hex() == angle.hex()
+    got = quat_from_rotvec(rv)
+    assert hexes([got]) == hexes([reference_quat_from_rotvec(rv)])
+    assert hexes([got]) == hexes([reference_quat_exp(*rv.tolist(), angle)])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
 @settings(max_examples=100, deadline=None)
 def test_quat_steps_bit_equal_to_the_quaternion_chain(seed, n):
-    """quat_steps gives every orientation and step of the chain
-    quat_normalize(quat_multiply(q, quat_from_rotvec(r))) bit for bit,
+    """quat_steps gives every orientation and step of the chain of the
+    frozen normalize(multiply(q, exp(r))) on Quaternion fields bit for bit,
     with rates on both sides of the first-order branch and zero."""
     rng = np.random.default_rng(seed)
     rv = rng.normal(size=(n, 3)) * rng.choice([3.0, 1e-3, 1e-13, 0.0], size=(n, 1))
@@ -304,11 +330,8 @@ def test_quat_steps_bit_equal_to_the_quaternion_chain(seed, n):
     quats, steps = quat_steps(q, rv)
     want_quats, want_steps = [q], []
     for r in rv:
-        want_steps.append(quat_from_rotvec(r))
-        want_quats.append(quat_normalize(quat_multiply(want_quats[-1], want_steps[-1])))
-
-    def bits(rows):
-        return [[float(c).hex() for c in row] for row in rows]
-
-    assert bits(quats.tolist()) == bits(vars(p).values() for p in want_quats)
-    assert bits(steps.tolist()) == bits(vars(p).values() for p in want_steps)
+        want_steps.append(reference_quat_exp(*r.tolist(), float(np.linalg.norm(r))))
+        want_quats.append(reference_quat_normalize(
+            reference_quat_multiply(want_quats[-1], want_steps[-1])))
+    assert hexes(quats.tolist()) == hexes(want_quats)
+    assert hexes(steps.tolist()) == hexes(want_steps)

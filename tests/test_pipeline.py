@@ -326,7 +326,7 @@ class TestBenchDrivesTheReplay:
         fused = read_jsonl(tmp_path / "fused_poses.jsonl")
         policy = fused[cfg.ticks_per_policy - 1::cfg.ticks_per_policy]
         assert len(extracted) == iters // cfg.ticks_per_policy == len(policy)
-        assert [(p.timestamp_ns, *p.position.tolist(), *vars(p.orientation).values())
+        assert [(p.timestamp_ns, *p.position.tolist(), *p.orientation)
                 for p in extracted] == [tuple(rec[k] for k in POSE_KEYS) for rec in policy]
 
     def test_every_benched_scan_has_points(self, monkeypatch):

@@ -670,6 +670,10 @@ def _field(kind, seed):
 @example(kind="spiky", seed=1, where="node", fx=0.5, fy=0.5, lift=0.1, yaw=2.0, tilt=0.0, reach=3.0)
 @example(kind="stones", seed=5, where="beside", fx=0.0, fy=0.3, lift=0.5, yaw=0.0,
          tilt=2.2250738585072014e-308, reach=6.0)
+# a heading along a grid line it starts on: g_end rounds onto the line,
+# whose crossing lies past the reach
+@example(kind="spiky", seed=0, where="node", fx=0.0, fy=0.296875, lift=1.0, yaw=0.0,
+         tilt=0.0, reach=1.0)
 def test_polylines_bound_the_surface(kind, seed, where, fx, fy, lift, yaw, tilt, reach):
     hf = _field(kind, seed)
     top = np.array([hf.width - 1, hf.height - 1])
