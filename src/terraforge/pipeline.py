@@ -7,8 +7,8 @@ delivered between two other events (a fix or a scan), which the filter
 propagates in one pass. One _Replay object holds the event loop's stages:
 run_pipeline drives it and writes the logs, and run_bench drives the same
 stages over back-to-back replays with a wall-clock timer between them,
-spreading each run's filter cost over its IMU ticks and each scan's cost
-over the ticks between scans. Only run_bench reads the clock.
+charging each stage to the IMU ticks that step() names for it. Only
+run_bench reads the clock.
 The system delay shifts the delivery of every stream by the same amount,
 so it changes neither the event order nor any output.
 
@@ -151,8 +151,8 @@ TRAJECTORY_KEYS = ("timestamp_ns", "yaw", "body_height", "fill_ratio", "plane_no
 
 class _Replay:
     """One replay's inputs, filter, map and log rows, and the handling of
-    each delivered event, stage by stage: step() calls lap(stage) with one
-    of _BENCH_STAGES as each stage ends."""
+    each delivered event, stage by stage: step() calls lap(stage, ticks)
+    with one of _BENCH_STAGES as each stage ends."""
 
     def __init__(self, cfg: PipelineConfig, endpoint: str | None = None):
         self.cfg = cfg
@@ -196,16 +196,19 @@ class _Replay:
         yielded, so a scan is freed once integrated (see sensors.pop_runs)."""
         return pop_runs(self.events, IMU)
 
-    def step(self, kind: int, item, lap=lambda stage, tick=None: None) -> None:
+    def step(self, kind: int, item, lap=lambda stage, ticks: None) -> None:
         """Handle one delivered event: an odometry fix, a scan or a run of
         IMU samples. Scans and IMU samples delivered before the first
-        odometry fix are dropped. lap(stage, tick) is called as each stage
-        ends; tick is the index in the run of the sample whose policy tick
-        ran the stage, None for a stage of the whole event."""
-        fuser = self.fuser
+        odometry fix are dropped. lap(stage, ticks) is called as each stage
+        ends, with the range of the stream's IMU ticks that share its cost:
+        for a fix, the next tick; for a scan, the imu_hz // lidar_hz ticks
+        that follow it (at least one); for a run's filter step and fused-pose
+        rows, the run's own ticks; for a policy tick's local map and
+        plane-fit rewards, that tick."""
+        fuser, i = self.fuser, self.imu_count
         if kind == ODOMETRY:
             fuser.handle_odometry(item)
-            lap("fusion_step")
+            lap("fusion_step", range(i, i + 1))
             return
         if kind == SCAN:
             if fuser.state is not None:
@@ -213,25 +216,29 @@ class _Replay:
                 self.emap.recenter(pose.position[:2])
                 self.emap.integrate_scan(item, pose)
                 self.scan_count += 1
-                lap("scan_amortized")
+                lap("scan_amortized", range(i, i + max(1, self.cfg.imu_hz // self.cfg.lidar_hz)))
             return
 
         poses = fuser.handle_imu(item)
         if poses is None:
             return
-        lap("fusion_step")
-        i, n = self.imu_count, len(item)
+        n = len(item)
+        lap("fusion_step", range(i, i + n))
         self.imu_count += n
         self.fused_ts[i:i + n] = poses.timestamps_ns
         self.fused[i:i + n] = poses.rows
-        lap("reward_eval")
+        lap("reward_eval", range(i, i + n))
         # every ticks_per_policy-th sample of the stream is a policy tick
         for k in range(-(i + 1) % self.cfg.ticks_per_policy, n, self.cfg.ticks_per_policy):
-            self._policy_tick(item[k].timestamp_ns, poses[k], lambda stage: lap(stage, k))
+            self._policy_tick(item[k].timestamp_ns, poses[k], lap)
 
     def _policy_tick(self, ts: int, fused: Pose, lap) -> None:
         cfg, ticks, i = self.cfg, self.ticks, self.policy_count
         self.policy_count += 1
+        # the one IMU tick this policy tick runs on, the stream's
+        # policy_count * ticks_per_policy-th sample
+        end = self.policy_count * cfg.ticks_per_policy
+        tick = range(end - 1, end)
         if ticks.timestamps_ns[i] != ts:
             raise PipelineInvariantError(
                 f"policy tick {i} at {ts} ns, expected {ticks.timestamps_ns[i]} ns")
@@ -242,11 +249,11 @@ class _Replay:
         if local.heights.size != expected:
             raise PipelineInvariantError(
                 f"local map has {local.heights.size} samples, expected {expected}")
-        lap("local_extract")
+        lap("local_extract", tick)
 
         fit = fit_plane(local.to_points())
         rewards = compute_rewards(ticks.rewards, i, fit)
-        lap("reward_eval")
+        lap("reward_eval", tick)
 
         self.tick_rows[i] = (*rewards, local.fill_ratio, *fit.normal.tolist())
         blob = encode_local_map(local.heights, local.resolution)
@@ -358,14 +365,10 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
     Replays the configured scenario back to back, each replay the one
     run_pipeline makes (same seeds, duration and events, so it stays on the
     terrain) but with no telemetry and no files, until iters IMU ticks are
-    timed. A tick is charged the odometry updates delivered since the tick
-    before it, an equal share of its run's filter step and fused-pose rows
-    (the run of IMU samples delivered with it, see _Replay.step), the cost
-    of the scan before it spread over the ticks between scans, and, on a
-    policy tick, its own local map and rewards. Replay set-up is not
-    timed: LiDAR synthesis and the trajectory side of every policy tick, so
-    reward_eval times only the plane-fit terms, the weighted sum and the
-    log rows.
+    timed. Each stage's cost is shared equally among the ticks that
+    _Replay.step names for it. Replay set-up is not timed: LiDAR synthesis
+    and the trajectory side of every policy tick, so reward_eval times only
+    the plane-fit terms, the weighted sum and the log rows.
     """
     cfg = cfg or PipelineConfig()
     if iters < 1:
@@ -384,41 +387,24 @@ def run_bench(cfg: PipelineConfig | None = None, iters: int = 10000,
 def _bench_ticks(cfg: PipelineConfig, iters: int) -> np.ndarray:
     """run_bench's timings in ms: one row per IMU tick, one column per
     stage of _BENCH_STAGES, NaN where the stage did not run."""
-    ticks_per_scan = max(1, cfg.imu_hz // cfg.lidar_hz)
-    # ns per stage since the last tick; None for a stage that has not run since
-    pending = dict.fromkeys(_BENCH_STAGES)
-    laps = []  # (stage, tick in the run or None, ns) of the event in hand
-    rows = []
-    mark = 0
+    tables, timed, mark = [], 0, 0
 
-    def lap(stage: str, tick: int | None = None) -> None:
+    def lap(stage: str, ticks: range) -> None:
         nonlocal mark
-        now = time.perf_counter_ns()
-        laps.append((stage, tick, now - mark))
-        mark = now
+        ns = time.perf_counter_ns() - mark
+        cells = table[ticks.start:ticks.stop, _BENCH_STAGES.index(stage)]  # none past the end
+        cells[np.isnan(cells)] = 0.0
+        cells += ns / len(ticks)
+        mark = time.perf_counter_ns()
 
-    while len(rows) < iters:
-        replay, scan_ns = _Replay(cfg), None
+    while timed < iters:
+        replay = _Replay(cfg)
+        table = np.full((len(replay.imu), len(_BENCH_STAGES)), np.nan)
         for _, kind, item in replay.pop_events():
-            laps.clear()
-            handled = replay.imu_count
             mark = time.perf_counter_ns()
             replay.step(kind, item, lap)
-            if kind == SCAN:
-                scan_ns = laps[0][2] if laps else None
-            elif kind == ODOMETRY:
-                for stage, _, ns in laps:
-                    pending[stage] = (pending[stage] or 0) + ns
-            elif n := replay.imu_count - handled:
-                run = [pending, *(dict.fromkeys(_BENCH_STAGES) for _ in range(n - 1))]
-                pending = dict.fromkeys(_BENCH_STAGES)
-                for stage, tick, ns in laps:
-                    for row in run if tick is None else run[tick:tick + 1]:
-                        row[stage] = (row[stage] or 0) + (ns / n if tick is None else ns)
-                for row in run:
-                    if scan_ns is not None:
-                        row["scan_amortized"] = scan_ns / ticks_per_scan
-                    rows.append(list(row.values()))
-                if len(rows) >= iters:
-                    break
-    return np.array(rows[:iters], dtype=float) * 1e-6
+            if timed + replay.imu_count >= iters:
+                break
+        tables.append(table[:replay.imu_count])
+        timed += replay.imu_count
+    return np.concatenate(tables)[:iters] * 1e-6

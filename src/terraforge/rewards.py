@@ -12,7 +12,7 @@ the climb were forward progress.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +73,17 @@ def guided_direction(fit: PlaneFit) -> np.ndarray:
     return np.array([math.sqrt(1.0 - s * s), 0.0, s])
 
 
+# the largest raw term a replay computes is the body-height one, the square
+# of a desired minus a body height that are each about 1,000 m at most
+# (MAX_BODY_HEIGHT): about 4e6, so weights up to MAX_WEIGHT keep the 14
+# weighted terms and their sum under 6e307, finite. A threshold up to
+# MAX_THRESHOLD keeps its square, and its product with a contact force up
+# to that bound, finite.
+MAX_WEIGHT = 1e300
+MAX_THRESHOLD = 1e150
+_THRESHOLDS = ("edge_margin", "grad_threshold", "stumble_ratio", "contact_force_min")
+
+
 @dataclass(frozen=True)
 class RewardWeights:
     """Per-term weights plus the thresholds of the contact-derived terms.
@@ -100,6 +111,15 @@ class RewardWeights:
     grad_threshold: float = 0.5  # m per cell step
     stumble_ratio: float = 2.0  # |F_xy| vs |F_z|
     contact_force_min: float = 1.0  # N, below this a foot is airborne
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _THRESHOLDS:
+                if not 0.0 <= value <= MAX_THRESHOLD:
+                    raise ValueError(f"{f.name} must be in [0, {MAX_THRESHOLD:g}], got {value!r}")
+            elif not abs(value) <= MAX_WEIGHT:
+                raise ValueError(f"|{f.name}| must be <= {MAX_WEIGHT:g}, got {value!r}")
 
 
 TERMS = ("t_l_tracking", "l_tracking", "a_tracking", "v_z", "omega_x", "roll",

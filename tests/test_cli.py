@@ -300,13 +300,20 @@ class TestConfigErrors:
         ("[fusion]\nodom_pos_std = 1e160\n", "odom_pos_std must be finite and positive"),
         *((f"[fusion]\n{key} = {value}\n", f"{key} must be finite and positive")
           for key in FUSION_KEYS for value in ("1e-200", "1e-160")),
+        ("[terrain]\ntype = gap\nlevel = 3\n[rewards]\nedge_margin = 1e300\n"
+         "[trajectory]\nduration = 0.3\n", "edge_margin must be in [0, 1e+150]"),
+        ("[rewards]\nstumble_ratio = -1\n", "stumble_ratio must be in [0, 1e+150]"),
+        ("[rewards]\nl_tracking = 1e308\n", "|l_tracking| must be <= 1e+300"),
+        ("[rewards]\nfeet_edge_gap = -1e308\n", "|feet_edge_gap| must be <= 1e+300"),
     ], ids=["imu-rate", "reversed-magnitude", "overflowing-magnitude", "gap-on-small-tile",
             "stairs-on-small-tile", "sinusoid-frequency", "sinusoid-amplitude",
             "body-height-1e160", "body-height-1e300", "desired-height-1e200",
             "local-map-under-10-samples", "zero-local-map", "negative-local-map",
             "tiny-local-map-resolution", "local-map-over-u16", "gyro-noise-1e200",
             "odom-pos-std-1e160",
-            *(f"{key}-{value}" for key in FUSION_KEYS for value in ("1e-200", "1e-160"))])
+            *(f"{key}-{value}" for key in FUSION_KEYS for value in ("1e-200", "1e-160")),
+            "edge-margin-1e300", "negative-stumble-ratio", "l-tracking-1e308",
+            "feet-edge-gap-minus-1e308"])
     def test_config_that_cannot_run_is_refused_at_load(self, tmp_path, capsys, command,
                                                         text, match):
         cfg_path = tmp_path / "bad.ini"
@@ -356,7 +363,8 @@ class TestMalformedIni:
 # frequency up to 1e300, body and desired heights past 1000 m, zero LiDAR
 # sizes, LiDAR marches too long or too wide to fit, local maps too small
 # for the plane fit or too large for their u16 headers, tile and map grids
-# over their cells-per-side bound, streams over their sample bound). Rates
+# over their cells-per-side bound, streams over their sample bound, reward
+# weights whose weighted terms overflow, an edge margin whose square does). Rates
 # of 1e9 Hz and a 1e9 s duration are refused with every drawn duration and
 # rate; 1e7 Hz would load for a 1 ms trajectory, as 10^4 scans, too many
 # for a quick draw
@@ -392,9 +400,9 @@ _DRAWN_KEYS = {
                                st.sampled_from([0.2, 0.0, -1.6, 6600.0])),
                   "length_y": (st.sampled_from([0.5, 1.0]), st.just(0.2)),
                   "resolution": (st.sampled_from([0.05, 0.1]), st.just(1e-300))},
-    "rewards": {"l_tracking": (st.floats(-5.0, 5.0), None),
-                "feet_edge_gap": (st.floats(-20.0, 0.0), None),
-                "edge_margin": (st.floats(0.0, 0.2), None),
+    "rewards": {"l_tracking": (st.floats(-5.0, 5.0), st.just(1e308)),
+                "feet_edge_gap": (st.floats(-20.0, 0.0), st.just(-1e308)),
+                "edge_margin": (st.floats(0.0, 0.2), st.just(1e300)),
                 "grad_threshold": (st.floats(0.05, 1.0), None)},
     "lidar": {"n_azimuth": (st.integers(1, 64), st.sampled_from([0, 10**6])),
               "n_elevation": (st.integers(1, 32), st.sampled_from([0, 10**5 + 1])),

@@ -293,6 +293,34 @@ class TestRunBench:
         np.testing.assert_allclose(stage["scan_amortized"], cfg.lidar_hz / cfg.imu_hz,
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("lidar_hz", [400, 30])
+    def test_each_scan_lands_on_the_ticks_that_follow_it(self, monkeypatch, lidar_hz):
+        """A scan's cost is shared among the imu_hz // lidar_hz ticks (at
+        least one) delivered after it, whether or not lidar_hz divides
+        imu_hz; only the share past the stream's last tick is dropped. Each
+        lap reads 1 us on a clock that steps 1 us per reading."""
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(
+            perf_counter_ns=itertools.count(0, 1000).__next__))
+        cfg = small_cfg(trajectory=TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, 0.5),
+                        lidar_hz=lidar_hz)
+        replay = _Replay(cfg)
+        iters, per_scan = len(replay.imu), max(1, cfg.imu_hz // lidar_hz)
+        expected, delivered, scans, dropped = np.full(iters, np.nan), 0, 0, 0.0
+        for _, kind, item in replay.pop_events():
+            if kind == SCAN:
+                share = expected[delivered:delivered + per_scan]
+                share[np.isnan(share)] = 0.0
+                share += 1 / per_scan
+                scans += 1
+                dropped += max(0, delivered + per_scan - iters) / per_scan
+            elif kind == IMU:
+                delivered += len(item)
+
+        scan_us = pipeline._bench_ticks(cfg, iters)[:, 1] * 1e3
+        np.testing.assert_allclose(scan_us, expected, rtol=1e-12)
+        assert scans == int(0.5 * lidar_hz) + 1
+        assert np.nansum(scan_us) == pytest.approx(scans - dropped, rel=1e-12)
+
     def test_within_budget_flag(self):
         rep = run_bench(iters=20, budget_ms=1e9)
         assert rep.within_budget

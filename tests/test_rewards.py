@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terraforge.rewards import (
+    MAX_THRESHOLD,
+    MAX_WEIGHT,
     REWARD_KEYS,
     TERMS,
     WEIGHTED,
@@ -477,6 +479,28 @@ class TestRewardWeights:
         assert w.t_l_tracking == 3.0
         assert w.joint_acc == -2.5e-7
         assert w.feet_edge_gap == -10.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("l_tracking", 1e308), ("feet_edge_gap", -1e308), ("roll", math.inf),
+        ("yaw", math.nan), ("edge_margin", 1e300), ("edge_margin", -0.01),
+        ("grad_threshold", math.nan), ("stumble_ratio", math.inf),
+        ("contact_force_min", -1.0)])
+    def test_out_of_range_refused_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            RewardWeights(**{key: value})
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_weights_and_thresholds_stay_finite(self, sign, platform):
+        """Every weight at +-MAX_WEIGHT against the largest raw term a replay
+        computes, a body 1,000 m above its ground for a desired height of
+        -1,000 m, with every foot within MAX_THRESHOLD of an edge and a
+        stumble ratio of MAX_THRESHOLD against its 30 N contact force."""
+        weights = RewardWeights(**dict.fromkeys(WEIGHT_FIELDS, sign * MAX_WEIGHT),
+                                edge_margin=MAX_THRESHOLD, stumble_ratio=MAX_THRESHOLD)
+        inp = frame(TerrainType.HIGH_PLATFORM, body_height=1000.0, desired_height=-1000.0)
+        rec = record(reward_table(inp, weights, platform), 0, FLAT)
+        assert (rec["raw_body_height"], rec["raw_feet_edge"]) == (-4e6, 4.0)
+        assert all(map(math.isfinite, rec.values()))
 
 
 class TestRewardInput:
